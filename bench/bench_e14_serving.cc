@@ -317,7 +317,7 @@ int main() {
     for (size_t i = 0; i < total; ++i) {
       const size_t qi = rng.Below(queries.size());
       const uint64_t start = obs::NowNanos();
-      (void)server.ExecuteQuery(queries[qi]);
+      (void)server.ExecuteQueryAt(queries[qi], server.store().Acquire());
       lat.push_back(obs::NowNanos() - start);
     }
     baseline.wall_ms = timer.Millis();

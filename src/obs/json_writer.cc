@@ -6,6 +6,30 @@
 namespace kgq {
 namespace obs {
 
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out->append(buf);
+        } else {
+          out->push_back(static_cast<char>(c));
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 void JsonWriter::Indent() {
   if (compact_) return;
   out_ << '\n';
@@ -59,17 +83,14 @@ void JsonWriter::Key(std::string_view k) {
   if (!first_in_scope_) out_ << ',';
   first_in_scope_ = false;
   Indent();
-  out_ << '"';
-  WriteEscaped(k);
-  out_ << (compact_ ? "\":" : "\": ");
+  WriteQuoted(k);
+  out_ << (compact_ ? ":" : ": ");
   after_key_ = true;
 }
 
 void JsonWriter::String(std::string_view s) {
   Prepare();
-  out_ << '"';
-  WriteEscaped(s);
-  out_ << '"';
+  WriteQuoted(s);
 }
 
 void JsonWriter::Int(int64_t v) {
@@ -103,25 +124,10 @@ void JsonWriter::Null() {
   out_ << "null";
 }
 
-void JsonWriter::WriteEscaped(std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out_ << "\\\""; break;
-      case '\\': out_ << "\\\\"; break;
-      case '\n': out_ << "\\n"; break;
-      case '\r': out_ << "\\r"; break;
-      case '\t': out_ << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out_ << buf;
-        } else {
-          out_ << c;
-        }
-    }
-  }
+void JsonWriter::WriteQuoted(std::string_view s) {
+  quoted_.clear();
+  AppendJsonString(&quoted_, s);
+  out_ << quoted_;
 }
 
 }  // namespace obs

@@ -3,11 +3,18 @@
 
 #include <cstdint>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
 
 namespace kgq {
 namespace obs {
+
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` are
+/// escaped, control bytes take the short forms `\b \f \n \r \t` or
+/// `\u00XX`, and every other byte (UTF-8 included) passes through. The
+/// one escaper behind JsonWriter and the serve protocol's renderers.
+void AppendJsonString(std::string* out, std::string_view s);
 
 /// Minimal streaming JSON writer: the one emitter behind every
 /// machine-readable `BENCH_*.json` file and the metric registry's
@@ -58,7 +65,7 @@ class JsonWriter {
 
   /// Writes separators/indentation due before a value or key.
   void Prepare();
-  void WriteEscaped(std::string_view s);
+  void WriteQuoted(std::string_view s);
   void Indent();
 
   std::ostream& out_;
@@ -66,6 +73,7 @@ class JsonWriter {
   std::vector<Scope> stack_;
   bool first_in_scope_ = true;   // No comma needed at the next element.
   bool after_key_ = false;       // The next value continues a "key": line.
+  std::string quoted_;           // Reused buffer for quoted strings.
 };
 
 }  // namespace obs

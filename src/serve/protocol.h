@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "graph/multigraph.h"
+#include "obs/json_writer.h"
 #include "obs/trace.h"
 #include "util/result.h"
 
@@ -206,9 +207,9 @@ std::string RenderExplain(const Request& req, uint64_t epoch,
 /// only non-deterministic field.
 void AppendProfileNode(std::string* out, const obs::ProfileNode& node);
 
-/// Appends `s` JSON-escaped (quotes included) to `out` — the escaping
-/// rules shared by every renderer.
-void AppendJsonString(std::string* out, std::string_view s);
+/// Appends `s` JSON-escaped (quotes included) to `out` — the one
+/// escaper every renderer and obs::JsonWriter share.
+using obs::AppendJsonString;
 
 }  // namespace serve
 }  // namespace kgq

@@ -12,7 +12,9 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/clock.h"
@@ -29,18 +31,29 @@ namespace kgq {
 namespace serve {
 
 /// A query request after parsing and canonicalization: the parsed
-/// front-end form (one member is live per `lang`), the cache key and
-/// the resolved thread budget. Graph-independent — preparing touches no
-/// snapshot, so the dispatcher can do it before pinning an epoch.
+/// front-end form (the alternative matches the request's `lang`), the
+/// cache key and the resolved thread budget. Graph-independent —
+/// preparing touches no snapshot, so the dispatcher can do it before
+/// pinning an epoch.
 struct Server::PreparedQuery {
-  QueryLang lang = QueryLang::kMatch;
+  std::variant<MatchQuery, Crpq, std::vector<TriplePattern>> form;
   std::string key;
-  MatchQuery match;
-  Crpq crpq;
-  std::vector<TriplePattern> bgp;
   ParallelOptions parallel;
   /// The request asked for a per-operator profile ("profile":true).
   bool profile = false;
+};
+
+/// A request between the pipeline's two steps. Admission either answers
+/// it — `response` holds the rendered line or the error to render — or
+/// leaves a query pending: prepared, pinned to `snap` and resolved
+/// against the cache in `slot`.
+struct Server::Admitted {
+  Request req;
+  uint64_t start_ns = 0;
+  Result<std::string> response = std::string();
+  PreparedQuery prep;
+  EpochPtr snap;  ///< Non-null iff a query is pending.
+  QueryCache::Slot slot;
 };
 
 namespace {
@@ -151,38 +164,68 @@ Result<ConjunctiveQuery> CompileBgpOverLabeled(
   return cq;
 }
 
-/// Compiles a prepared query to the shared IR over one epoch. Sets
-/// `*ask` for BGPs with no user variable (the "does this pattern hold"
-/// form), whose answer collapses to zero or one empty row.
-Result<ConjunctiveQuery> CompilePrepared(const Server::PreparedQuery& prep,
-                                         const EpochSnapshot& snap,
-                                         bool* ask) {
-  *ask = false;
-  ConjunctiveQuery cq;
-  switch (prep.lang) {
+/// Parses and canonicalizes a query/explain request. The one front-end
+/// switch, shared by the server's admit step and the replay oracle.
+Result<Server::PreparedQuery> Prepare(const Request& req, size_t threads) {
+  Server::PreparedQuery prep;
+  switch (req.lang) {
     case QueryLang::kMatch: {
-      KGQ_ASSIGN_OR_RETURN(cq, CompileMatch(prep.match));
+      KGQ_ASSIGN_OR_RETURN(MatchQuery match, ParseMatchQuery(req.text));
+      prep.key = "match\n" + match.ToString();
+      prep.form = std::move(match);
       break;
     }
     case QueryLang::kCrpq: {
-      KGQ_ASSIGN_OR_RETURN(cq, CompileCrpq(prep.crpq));
+      KGQ_ASSIGN_OR_RETURN(Crpq crpq, ParseCrpq(req.text));
+      prep.key = "crpq\n" + crpq.ToString();
+      prep.form = std::move(crpq);
       break;
     }
     case QueryLang::kBgp: {
-      KGQ_ASSIGN_OR_RETURN(cq, CompileBgpOverLabeled(prep.bgp, snap.graph()));
-      if (cq.projection.empty()) {
-        *ask = true;
-        cq.projection.push_back(cq.bound.begin()->first);
-      }
+      KGQ_ASSIGN_OR_RETURN(std::vector<TriplePattern> bgp,
+                           ParseBgp(req.text));
+      prep.key = "bgp\n" + RenderBgpCanonical(bgp);
+      prep.form = std::move(bgp);
       break;
     }
   }
-  return cq;
+  prep.parallel.num_threads = threads;
+  prep.profile = req.op == RequestOp::kQuery && req.profile;
+  return prep;
 }
 
-/// Compile → plan → execute one prepared query against one epoch. The
-/// uncached compute path shared by the server and the replay oracle.
-/// With `capture_profile`, execution runs under a request-scoped
+/// Compile → stats → plan: the prefix of both EXPLAIN and execution.
+/// Sets `*ask` for BGPs with no user variable (the "does this pattern
+/// hold" form), whose answer collapses to zero or one empty row.
+Result<LogicalOpPtr> PlanPrepared(const Server::PreparedQuery& prep,
+                                  const EpochSnapshot& snap,
+                                  const PlannerOptions& planner, bool* ask) {
+  Result<ConjunctiveQuery> compiled = std::visit(
+      [&snap](const auto& form) -> Result<ConjunctiveQuery> {
+        using Form = std::decay_t<decltype(form)>;
+        if constexpr (std::is_same_v<Form, MatchQuery>) {
+          return CompileMatch(form);
+        } else if constexpr (std::is_same_v<Form, Crpq>) {
+          return CompileCrpq(form);
+        } else {
+          return CompileBgpOverLabeled(form, snap.graph());
+        }
+      },
+      prep.form);
+  if (!compiled.ok()) return compiled.status();
+  ConjunctiveQuery& cq = *compiled;
+  *ask = std::holds_alternative<std::vector<TriplePattern>>(prep.form) &&
+         cq.projection.empty();
+  if (*ask) cq.projection.push_back(cq.bound.begin()->first);
+  LabeledGraphView view(snap.graph());
+  GraphStats stats = GraphStats::From(&view, snap.csr.get(),
+                                      snap.node_label_counts.get());
+  return PlanQuery(cq, stats, planner);
+}
+
+/// Plan → execute one prepared query against one epoch. The uncached
+/// compute path shared by the server and the replay oracle. With
+/// `capture_profile`, execution runs under a request-scoped
 /// TraceContext and the answer carries the per-operator profile tree.
 Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
                                     const EpochSnapshot& snap,
@@ -190,12 +233,9 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
                                     bool capture_profile = false) {
   KGQ_SPAN("serve.query");
   bool ask = false;
-  KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq,
-                       CompilePrepared(prep, snap, &ask));
+  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
+                       PlanPrepared(prep, snap, planner, &ask));
   LabeledGraphView view(snap.graph());
-  GraphStats stats = GraphStats::From(&view, snap.csr.get(),
-                                      snap.node_label_counts.get());
-  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanQuery(cq, stats, planner));
   ExecOptions eopts;
   eopts.parallel = prep.parallel;
   eopts.snapshot = snap.csr.get();
@@ -227,17 +267,13 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
   return answer;
 }
 
-/// Compile → plan → EXPLAIN (uncached; a debugging surface).
+/// Plan → EXPLAIN (uncached; a debugging surface).
 Result<std::string> ExplainPrepared(const Server::PreparedQuery& prep,
                                     const EpochSnapshot& snap,
                                     const PlannerOptions& planner) {
   bool ask = false;
-  KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq,
-                       CompilePrepared(prep, snap, &ask));
-  LabeledGraphView view(snap.graph());
-  GraphStats stats = GraphStats::From(&view, snap.csr.get(),
-                                      snap.node_label_counts.get());
-  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanQuery(cq, stats, planner));
+  KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
+                       PlanPrepared(prep, snap, planner, &ask));
   return ExplainPlan(*plan);
 }
 
@@ -261,39 +297,102 @@ EpochPtr Server::Publish() {
   return snap;
 }
 
-Result<Server::PreparedQuery> Server::Prepare(const Request& req) const {
-  PreparedQuery prep;
-  prep.lang = req.lang;
-  switch (req.lang) {
-    case QueryLang::kMatch: {
-      KGQ_ASSIGN_OR_RETURN(prep.match, ParseMatchQuery(req.text));
-      prep.key = "match\n" + prep.match.ToString();
-      break;
-    }
-    case QueryLang::kCrpq: {
-      KGQ_ASSIGN_OR_RETURN(prep.crpq, ParseCrpq(req.text));
-      prep.key = "crpq\n" + prep.crpq.ToString();
-      break;
-    }
-    case QueryLang::kBgp: {
-      KGQ_ASSIGN_OR_RETURN(prep.bgp, ParseBgp(req.text));
-      prep.key = "bgp\n" + RenderBgpCanonical(prep.bgp);
-      break;
-    }
+Server::Admitted Server::Admit(const std::string& line) {
+  Admitted a;
+  a.start_ns = obs::NowNanos();
+  Status parsed = ParseRequestLine(line, &a.req);
+  if (!parsed.ok()) {
+    a.response = parsed;
+    return a;
   }
-  size_t threads = req.threads == 0 ? options_.default_query_threads
-                                    : req.threads;
-  prep.parallel.num_threads =
-      std::min(threads, options_.max_query_threads);
-  prep.profile = req.op == RequestOp::kQuery && req.profile;
-  if (prep.profile) KGQ_COUNTER_INC("serve.profile.requests");
-  return prep;
+  const Request& req = a.req;
+  switch (req.op) {
+    case RequestOp::kQuery:
+    case RequestOp::kExplain:
+      AdmitQuery(&a, store_.Acquire());
+      break;
+    case RequestOp::kAddNode:
+      a.response = RenderNode(req, store_.AddNode(req.label));
+      break;
+    case RequestOp::kInsertEdge:
+    case RequestOp::kDeleteEdge: {
+      Result<bool> applied =
+          req.op == RequestOp::kInsertEdge
+              ? store_.InsertEdge(req.from, req.to, req.label)
+              : store_.DeleteEdge(req.from, req.to, req.label);
+      if (applied.ok()) {
+        a.response = RenderApplied(req, *applied);
+      } else {
+        a.response = applied.status();
+      }
+      break;
+    }
+    case RequestOp::kPublish: {
+      EpochPtr snap = Publish();
+      a.response = RenderPublish(req, snap->epoch, snap->num_nodes(),
+                                 snap->num_edges());
+      break;
+    }
+    case RequestOp::kStats:
+      a.response = RenderStats(req, BuildStats());
+      break;
+    case RequestOp::kMetrics:
+      a.response = RenderMetrics(req, BuildMetrics());
+      break;
+    case RequestOp::kAnalytics:
+      a.response = HandleAnalytics(req);
+      break;
+  }
+  return a;
 }
 
-Result<QueryAnswer> Server::RunPrepared(const PreparedQuery& prep,
-                                        const EpochPtr& snap) {
-  QueryCache::Slot slot = cache_.Lookup(prep.key, snap->content_version);
-  return FinishSlot(prep, snap, &slot);
+void Server::AdmitQuery(Admitted* a, EpochPtr snap) {
+  const size_t threads = a->req.threads == 0
+                             ? options_.default_query_threads
+                             : a->req.threads;
+  Result<PreparedQuery> prep =
+      Prepare(a->req, std::min(threads, options_.max_query_threads));
+  if (!prep.ok()) {
+    a->response = prep.status();
+    return;
+  }
+  if (a->req.op == RequestOp::kExplain) {
+    Result<std::string> plan = ExplainPrepared(*prep, *snap, options_.planner);
+    if (plan.ok()) {
+      a->response = RenderExplain(a->req, snap->epoch, *plan);
+    } else {
+      a->response = plan.status();
+    }
+    return;
+  }
+  if (prep->profile) KGQ_COUNTER_INC("serve.profile.requests");
+  a->prep = std::move(*prep);
+  a->snap = std::move(snap);
+  a->slot = cache_.Lookup(a->prep.key, a->snap->content_version);
+}
+
+Result<QueryAnswer> Server::Complete(Admitted* a, std::string* response) {
+  Result<QueryAnswer> answer = QueryAnswer();
+  if (a->snap != nullptr) {
+    answer = FinishSlot(a->prep, a->snap, &a->slot);
+  } else if (!a->response.ok()) {
+    answer = a->response.status();
+  }
+  if (response != nullptr) {
+    if (!answer.ok()) {
+      *response = RenderError(a->req, answer.status());
+    } else if (a->snap != nullptr) {
+      *response = RenderAnswer(a->req, *answer);
+    } else {
+      *response = std::move(*a->response);
+    }
+  }
+  KGQ_COUNTER_INC("serve.requests");
+  if (!answer.ok()) KGQ_COUNTER_INC("serve.errors");
+  const uint64_t latency_ns = obs::NowNanos() - a->start_ns;
+  RecordLatency(latency_ns);
+  MaybeLogSlow(*a, latency_ns, answer.ok() ? &*answer : nullptr);
+  return answer;
 }
 
 Result<QueryAnswer> Server::FinishSlot(const PreparedQuery& prep,
@@ -333,77 +432,32 @@ Result<QueryAnswer> Server::FinishSlot(const PreparedQuery& prep,
   return answer;
 }
 
-Result<QueryAnswer> Server::ExecuteQuery(const Request& req) {
-  return ExecuteQueryAt(req, store_.Acquire());
+std::string Server::HandleLine(const std::string& line) {
+  Admitted a = Admit(line);
+  std::string response;
+  Complete(&a, &response);
+  return response;
 }
 
 Result<QueryAnswer> Server::ExecuteQueryAt(const Request& req,
                                            const EpochPtr& snap) {
-  KGQ_COUNTER_INC("serve.requests");
-  uint64_t start = obs::NowNanos();
-  if (req.op != RequestOp::kQuery) {
-    KGQ_COUNTER_INC("serve.errors");
-    return Status::InvalidArgument("ExecuteQuery handles \"query\" requests");
+  Admitted a;
+  a.start_ns = obs::NowNanos();
+  a.req = req;
+  if (req.op == RequestOp::kQuery) {
+    AdmitQuery(&a, snap);
+  } else {
+    a.response =
+        Status::InvalidArgument("ExecuteQueryAt handles \"query\" requests");
   }
-  Result<PreparedQuery> prep = Prepare(req);
-  if (!prep.ok()) {
-    KGQ_COUNTER_INC("serve.errors");
-    return prep.status();
-  }
-  Result<QueryAnswer> answer = RunPrepared(*prep, snap);
-  if (!answer.ok()) KGQ_COUNTER_INC("serve.errors");
-  const uint64_t latency = obs::NowNanos() - start;
-  RecordLatency(latency);
-  MaybeLogSlow(req, latency, answer.ok() ? &*answer : nullptr);
-  return answer;
+  return Complete(&a, nullptr);
 }
 
-std::string Server::HandleWriteOrStats(const Request& req) {
-  switch (req.op) {
-    case RequestOp::kAddNode:
-      return RenderNode(req, store_.AddNode(req.label));
-    case RequestOp::kInsertEdge: {
-      Result<bool> applied = store_.InsertEdge(req.from, req.to, req.label);
-      if (!applied.ok()) {
-        KGQ_COUNTER_INC("serve.errors");
-        return RenderError(req, applied.status());
-      }
-      return RenderApplied(req, *applied);
-    }
-    case RequestOp::kDeleteEdge: {
-      Result<bool> applied = store_.DeleteEdge(req.from, req.to, req.label);
-      if (!applied.ok()) {
-        KGQ_COUNTER_INC("serve.errors");
-        return RenderError(req, applied.status());
-      }
-      return RenderApplied(req, *applied);
-    }
-    case RequestOp::kPublish: {
-      EpochPtr snap = Publish();
-      return RenderPublish(req, snap->epoch, snap->num_nodes(),
-                           snap->num_edges());
-    }
-    case RequestOp::kStats:
-      return RenderStats(req, BuildStats());
-    case RequestOp::kMetrics:
-      return RenderMetrics(req, BuildMetrics());
-    case RequestOp::kAnalytics:
-      return HandleAnalytics(req);
-    case RequestOp::kQuery:
-    case RequestOp::kExplain:
-      break;  // Not reached; queries go through Prepare/RunPrepared.
-  }
-  KGQ_COUNTER_INC("serve.errors");
-  return RenderError(req, Status::Internal("misrouted request"));
-}
-
-std::string Server::HandleAnalytics(const Request& req) {
+Result<std::string> Server::HandleAnalytics(const Request& req) {
   KGQ_SPAN("serve.analytics");
   EpochPtr snap = store_.Acquire();
   if (req.has_node && req.node >= snap->num_nodes()) {
-    KGQ_COUNTER_INC("serve.errors");
-    return RenderError(req,
-                       Status::InvalidArgument("analytics: no such node"));
+    return Status::InvalidArgument("analytics: no such node");
   }
   AnalyticsBody body;
   body.epoch = snap->epoch;
@@ -450,54 +504,6 @@ std::string Server::HandleAnalytics(const Request& req) {
   return RenderAnalytics(req, body);
 }
 
-std::string Server::HandleLine(const std::string& line) {
-  KGQ_COUNTER_INC("serve.requests");
-  uint64_t start = obs::NowNanos();
-  Request req;
-  std::string resp;
-  QueryAnswer done_answer;
-  bool have_answer = false;
-  Status parsed = ParseRequestLine(line, &req);
-  if (!parsed.ok()) {
-    KGQ_COUNTER_INC("serve.errors");
-    resp = RenderError(req, parsed);
-  } else if (req.op == RequestOp::kQuery || req.op == RequestOp::kExplain) {
-    Result<PreparedQuery> prep = Prepare(req);
-    if (!prep.ok()) {
-      KGQ_COUNTER_INC("serve.errors");
-      resp = RenderError(req, prep.status());
-    } else {
-      EpochPtr snap = store_.Acquire();
-      if (req.op == RequestOp::kExplain) {
-        Result<std::string> plan =
-            ExplainPrepared(*prep, *snap, options_.planner);
-        if (!plan.ok()) {
-          KGQ_COUNTER_INC("serve.errors");
-          resp = RenderError(req, plan.status());
-        } else {
-          resp = RenderExplain(req, snap->epoch, *plan);
-        }
-      } else {
-        Result<QueryAnswer> answer = RunPrepared(*prep, snap);
-        if (!answer.ok()) {
-          KGQ_COUNTER_INC("serve.errors");
-          resp = RenderError(req, answer.status());
-        } else {
-          resp = RenderAnswer(req, *answer);
-          done_answer = std::move(*answer);
-          have_answer = true;
-        }
-      }
-    }
-  } else {
-    resp = HandleWriteOrStats(req);
-  }
-  const uint64_t latency = obs::NowNanos() - start;
-  RecordLatency(latency);
-  MaybeLogSlow(req, latency, have_answer ? &done_answer : nullptr);
-  return resp;
-}
-
 StatsBody Server::BuildStats() {
   StatsBody s;
   s.epoch = store_.CurrentEpoch();
@@ -538,12 +544,12 @@ void Server::RecordLatency(uint64_t latency_ns) {
   latency_.Record(latency_ns);
 }
 
-void Server::MaybeLogSlow(const Request& req, uint64_t latency_ns,
+void Server::MaybeLogSlow(const Admitted& a, uint64_t latency_ns,
                           const QueryAnswer* answer) {
   if (options_.slow_query_ns == 0 || latency_ns < options_.slow_query_ns) {
     return;
   }
-  if (req.op != RequestOp::kQuery) return;
+  if (a.req.op != RequestOp::kQuery) return;
   KGQ_COUNTER_INC("serve.profile.slow");
 
   // Top-3 operators by (inclusive) wall time, from the profile tree the
@@ -559,43 +565,49 @@ void Server::MaybeLogSlow(const Request& req, uint64_t latency_ns,
       for (const auto& child : node->children) stack.push_back(child.get());
     }
     std::stable_sort(ops.begin(), ops.end(),
-                     [](const obs::ProfileNode* a, const obs::ProfileNode* b) {
-                       return a->time_ns > b->time_ns;
+                     [](const obs::ProfileNode* x, const obs::ProfileNode* y) {
+                       return x->time_ns > y->time_ns;
                      });
     if (ops.size() > 3) ops.resize(3);
   }
 
-  std::string line = "{\"slow_query\":{\"lang\":";
-  AppendJsonString(&line, QueryLangName(req.lang));
-  line += ",\"text\":";
-  AppendJsonString(&line, req.text);
-  line += ",\"epoch\":";
-  line += std::to_string(answer != nullptr ? answer->epoch : 0);
-  line += ",\"cached\":";
-  line += (answer != nullptr && answer->cached) ? "true" : "false";
-  line += ",\"time_ns\":";
-  line += std::to_string(latency_ns);
-  line += ",\"top_ops\":[";
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (i > 0) line += ',';
-    line += "{\"op\":";
-    AppendJsonString(&line, ops[i]->kind);
-    if (!ops[i]->engine.empty()) {
-      line += ",\"engine\":";
-      AppendJsonString(&line, ops[i]->engine);
-    }
-    line += ",\"rows_out\":";
-    line += std::to_string(ops[i]->rows_out);
-    line += ",\"time_ns\":";
-    line += std::to_string(ops[i]->time_ns);
-    line += '}';
-  }
-  line += "]}}";
-
   std::ostream* out =
       options_.slow_log != nullptr ? options_.slow_log : &std::cerr;
   std::lock_guard<std::mutex> lock(slow_mu_);
-  *out << line << '\n';
+  obs::JsonWriter w(*out, /*compact=*/true);
+  w.BeginObject();
+  w.Key("slow_query");
+  w.BeginObject();
+  w.Key("lang");
+  w.String(QueryLangName(a.req.lang));
+  w.Key("text");
+  w.String(a.req.text);
+  w.Key("epoch");
+  w.UInt(a.snap != nullptr ? a.snap->epoch : 0);
+  w.Key("cached");
+  w.Bool(a.snap != nullptr && a.slot.hit);
+  w.Key("time_ns");
+  w.UInt(latency_ns);
+  w.Key("top_ops");
+  w.BeginArray();
+  for (const obs::ProfileNode* op : ops) {
+    w.BeginObject();
+    w.Key("op");
+    w.String(op->kind);
+    if (!op->engine.empty()) {
+      w.Key("engine");
+      w.String(op->engine);
+    }
+    w.Key("rows_out");
+    w.UInt(op->rows_out);
+    w.Key("time_ns");
+    w.UInt(op->time_ns);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  w.EndObject();
+  *out << '\n';
   out->flush();
 }
 
@@ -605,11 +617,7 @@ void Server::MaybeLogSlow(const Request& req, uint64_t latency_ns,
 struct Server::StreamState {
   struct Job {
     uint64_t seq = 0;
-    Request req;
-    PreparedQuery prep;
-    EpochPtr snap;
-    QueryCache::Slot slot;
-    uint64_t admit_ns = 0;
+    Admitted request;
   };
 
   explicit StreamState(std::ostream& o) : out(o) {}
@@ -664,18 +672,8 @@ void Server::ServeStream(std::istream& in, std::ostream& out) {
           KGQ_GAUGE_SET("serve.queue.depth", state.queue.size());
         }
         state.cv_space.notify_one();
-        Result<QueryAnswer> answer =
-            FinishSlot(job.prep, job.snap, &job.slot);
         std::string resp;
-        if (!answer.ok()) {
-          KGQ_COUNTER_INC("serve.errors");
-          resp = RenderError(job.req, answer.status());
-        } else {
-          resp = RenderAnswer(job.req, *answer);
-        }
-        const uint64_t latency = obs::NowNanos() - job.admit_ns;
-        RecordLatency(latency);
-        MaybeLogSlow(job.req, latency, answer.ok() ? &*answer : nullptr);
+        Complete(&job.request, &resp);
         state.Emit(job.seq, std::move(resp));
       }
     });
@@ -684,70 +682,29 @@ void Server::ServeStream(std::istream& in, std::ostream& out) {
   std::string line;
   uint64_t seq = 0;
   while (std::getline(in, line)) {
-    const uint64_t my_seq = seq++;
-    KGQ_COUNTER_INC("serve.requests");
-    const uint64_t admit_ns = obs::NowNanos();
-    Request req;
-    Status parsed = ParseRequestLine(line, &req);
-    if (!parsed.ok()) {
-      KGQ_COUNTER_INC("serve.errors");
-      state.Emit(my_seq, RenderError(req, parsed));
-      RecordLatency(obs::NowNanos() - admit_ns);
+    StreamState::Job job;
+    job.seq = seq++;
+    job.request = Admit(line);
+    if (job.request.snap == nullptr) {
+      // Answered at admission: writes must apply in input order, and
+      // the rest are cheap.
+      std::string resp;
+      Complete(&job.request, &resp);
+      state.Emit(job.seq, std::move(resp));
       continue;
     }
-    if (req.op == RequestOp::kQuery) {
-      Result<PreparedQuery> prep = Prepare(req);
-      if (!prep.ok()) {
-        KGQ_COUNTER_INC("serve.errors");
-        state.Emit(my_seq, RenderError(req, prep.status()));
-        RecordLatency(obs::NowNanos() - admit_ns);
-        continue;
-      }
-      // Pin the epoch and resolve the cache *at admission*, in input
-      // order — this is what makes hit/miss (and the whole response
-      // stream) deterministic for any worker count.
-      StreamState::Job job;
-      job.seq = my_seq;
-      job.req = std::move(req);
-      job.prep = std::move(*prep);
-      job.snap = store_.Acquire();
-      job.slot = cache_.Lookup(job.prep.key, job.snap->content_version);
-      job.admit_ns = admit_ns;
-      {
-        std::unique_lock<std::mutex> lock(state.mu);
-        state.cv_space.wait(lock, [this, &state] {
-          return state.queue.size() < options_.queue_capacity;
-        });
-        state.queue.push_back(std::move(job));
-        KGQ_GAUGE_SET("serve.queue.depth", state.queue.size());
-      }
-      state.cv_work.notify_one();
-      continue;
+    // The epoch was pinned and the cache slot resolved at admission, in
+    // input order — this is what makes hit/miss (and the whole response
+    // stream) deterministic for any worker count.
+    {
+      std::unique_lock<std::mutex> lock(state.mu);
+      state.cv_space.wait(lock, [this, &state] {
+        return state.queue.size() < options_.queue_capacity;
+      });
+      state.queue.push_back(std::move(job));
+      KGQ_GAUGE_SET("serve.queue.depth", state.queue.size());
     }
-    // Writes, publish, stats and explain run on the dispatcher: writes
-    // must be serialized in input order, and the rest are cheap.
-    std::string resp;
-    if (req.op == RequestOp::kExplain) {
-      Result<PreparedQuery> prep = Prepare(req);
-      if (!prep.ok()) {
-        KGQ_COUNTER_INC("serve.errors");
-        resp = RenderError(req, prep.status());
-      } else {
-        EpochPtr snap = store_.Acquire();
-        Result<std::string> plan =
-            ExplainPrepared(*prep, *snap, options_.planner);
-        if (!plan.ok()) {
-          KGQ_COUNTER_INC("serve.errors");
-          resp = RenderError(req, plan.status());
-        } else {
-          resp = RenderExplain(req, snap->epoch, *plan);
-        }
-      }
-    } else {
-      resp = HandleWriteOrStats(req);
-    }
-    state.Emit(my_seq, std::move(resp));
-    RecordLatency(obs::NowNanos() - admit_ns);
+    state.cv_work.notify_one();
   }
 
   {
@@ -764,23 +721,8 @@ Result<QueryAnswer> EvalServeQuery(const Request& req,
   if (req.op != RequestOp::kQuery) {
     return Status::InvalidArgument("EvalServeQuery replays \"query\" requests");
   }
-  Server::PreparedQuery prep;
-  prep.lang = req.lang;
-  switch (req.lang) {
-    case QueryLang::kMatch: {
-      KGQ_ASSIGN_OR_RETURN(prep.match, ParseMatchQuery(req.text));
-      break;
-    }
-    case QueryLang::kCrpq: {
-      KGQ_ASSIGN_OR_RETURN(prep.crpq, ParseCrpq(req.text));
-      break;
-    }
-    case QueryLang::kBgp: {
-      KGQ_ASSIGN_OR_RETURN(prep.bgp, ParseBgp(req.text));
-      break;
-    }
-  }
-  prep.parallel.num_threads = 1;  // The single-threaded reference path.
+  // One thread: the single-threaded reference path.
+  KGQ_ASSIGN_OR_RETURN(Server::PreparedQuery prep, Prepare(req, 1));
   return ComputePrepared(prep, snap, planner);
 }
 

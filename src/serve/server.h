@@ -48,24 +48,36 @@ struct ServerOptions {
 /// compiled through the unified plan IR, a plan/result cache and a
 /// bounded-queue concurrent executor.
 ///
-/// Two execution surfaces share one request pipeline:
+/// Every request runs through one pipeline of two steps:
 ///
-///  * HandleLine() — parse, apply/execute, render, synchronously. The
-///    single-threaded replay path.
-///  * ServeStream() — the production loop: the calling thread reads
-///    jsonl requests, applies writes immediately (writes are serialized
-///    in input order by construction) and admits queries — pinned to
-///    the epoch current at admission and pre-resolved against the cache
-///    — into a bounded queue drained by `workers` threads. Responses
-///    are emitted strictly in input order through a reorder buffer, so
-///    the byte stream is identical to HandleLine-ing the same input —
-///    for any worker count. That equivalence is the gate bench_e14 and
-///    tests/test_serve_concurrent.cc enforce.
+///  * admit — parse the line, then Prepare a query or explain. Writes,
+///    publish, stats, metrics, analytics and explain are answered right
+///    here; a query is pinned to the current epoch and its cache slot
+///    resolved.
+///  * complete — FinishSlot (wait on a hit, compute on a miss), render,
+///    then the request's bookkeeping in one place: serve.requests,
+///    serve.errors for an error response, the latency histogram and
+///    reservoir, and the slow-query log (every `query` request at or
+///    above the threshold logs one line, whatever its outcome).
 ///
-/// Epoch semantics: a query runs against the snapshot current when the
-/// dispatcher admitted it; a publish between admission and execution
-/// does not retroactively move it. Writes never make a query torn or
-/// blocked — readers hold their EpochSnapshot by shared_ptr.
+/// The entry points differ only in who runs each step:
+///
+///  * HandleLine() runs both steps on the calling thread.
+///  * ServeStream() — the production loop — runs admit on the calling
+///    (dispatcher) thread in input order and complete on `workers`
+///    threads; a request answered at admission completes on the
+///    dispatcher. Writes are thereby serialized in input order, and
+///    epochs and cache slots are resolved in input order too. Responses
+///    pass through a reorder buffer, so the byte stream is identical to
+///    HandleLine-ing the same input for any worker count — the gate
+///    bench_e14 and tests/test_serve_concurrent.cc enforce.
+///  * ExecuteQueryAt() runs both steps for one query pinned to a given
+///    epoch and returns its answer unrendered.
+///
+/// Epoch semantics: a query runs against the snapshot current when it
+/// was admitted; a publish between admission and execution does not
+/// retroactively move it. Writes never make a query torn or blocked —
+/// readers hold their EpochSnapshot by shared_ptr.
 ///
 /// obs: counters serve.requests / serve.errors, histogram
 /// serve.latency_ns (admission → response, per request), gauge
@@ -96,12 +108,10 @@ class Server {
   /// structured error response and leaves the store untouched.
   std::string HandleLine(const std::string& line);
 
-  /// Executes a query/explain request against the current epoch,
-  /// through the cache. Thread-safe; used by in-process clients (the
-  /// bench's load generator).
-  Result<QueryAnswer> ExecuteQuery(const Request& req);
-
-  /// Same, pinned to an explicitly acquired epoch.
+  /// Executes one "query" request (any other op is an InvalidArgument
+  /// error) pinned to `snap`, through the cache, and returns the answer
+  /// unrendered. Thread-safe; used by in-process clients (the benches'
+  /// load generators).
   Result<QueryAnswer> ExecuteQueryAt(const Request& req,
                                      const EpochPtr& snap);
 
@@ -129,30 +139,37 @@ class Server {
   }
 
  private:
+  struct Admitted;
   struct StreamState;
 
-  /// Parse + canonicalize a query/explain request (no graph access).
-  Result<PreparedQuery> Prepare(const Request& req) const;
-  /// Cache-mediated execution of a prepared query at one epoch.
-  Result<QueryAnswer> RunPrepared(const PreparedQuery& prep,
-                                  const EpochPtr& snap);
+  /// admit: parses `line` and answers the request, or leaves a query
+  /// pending (see Admitted).
+  Admitted Admit(const std::string& line);
+  /// admit's query/explain half: Prepare against `snap`, then render
+  /// the plan (explain) or resolve the cache slot (query).
+  void AdmitQuery(Admitted* a, EpochPtr snap);
+  /// complete: finishes a pending query, renders the response into
+  /// `*response` unless it is null, and settles the request's counters,
+  /// latency and slow-log line. Returns the query's answer (an empty
+  /// one for a request answered at admission) or the error.
+  Result<QueryAnswer> Complete(Admitted* a, std::string* response);
+
   /// Completes a resolved cache slot: waits on a hit, computes and
   /// fills the promise (on every path) on a miss.
   Result<QueryAnswer> FinishSlot(const PreparedQuery& prep,
                                  const EpochPtr& snap,
                                  QueryCache::Slot* slot);
-  /// Handles any non-query request synchronously; returns the response.
-  std::string HandleWriteOrStats(const Request& req);
   /// Serves one "analytics" request from the materialized-view cache,
   /// pinned to the current epoch.
-  std::string HandleAnalytics(const Request& req);
+  Result<std::string> HandleAnalytics(const Request& req);
 
   /// Feeds one request latency to the histogram and the reservoir.
   void RecordLatency(uint64_t latency_ns);
-  /// Emits a slow-query log line when the log is armed and `latency_ns`
-  /// reaches the threshold: query text, epoch, duration and the top-3
-  /// operators by self-inclusive time from the answer's profile tree.
-  void MaybeLogSlow(const Request& req, uint64_t latency_ns,
+  /// Emits a slow-query log line when the log is armed, the request is
+  /// a query and `latency_ns` reaches the threshold: query text, pinned
+  /// epoch, duration and the top-3 operators by inclusive time from the
+  /// answer's profile tree (none when `answer` is null).
+  void MaybeLogSlow(const Admitted& a, uint64_t latency_ns,
                     const QueryAnswer* answer);
 
   ServerOptions options_;
@@ -163,7 +180,7 @@ class Server {
   std::mutex slow_mu_;  // Serializes slow-log lines across workers.
 };
 
-/// Cache-free, single-threaded evaluation of one query/explain request
+/// Cache-free, single-threaded evaluation of one "query" request
 /// against one epoch — the replay oracle the concurrency tests and
 /// bench_e14 compare the served answers to. `answer.cached` is always
 /// false and `answer.epoch` is `snap.epoch`.

@@ -18,6 +18,7 @@
 
 #include "obs/json_writer.h"
 #include "obs/obs.h"
+#include "serve/protocol.h"
 #include "util/thread_pool.h"
 
 namespace kgq {
@@ -220,6 +221,36 @@ TEST_F(ObsTest, JsonWriterEmitsValidStructure) {
     EXPECT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+// JsonWriter and the serve protocol's renderers share one string
+// escaper: every control byte, the quote, the backslash and multi-byte
+// UTF-8 come out as the same bytes from both, and parse back to the
+// input. \b and \f keep their short forms (the wire bytes of the serve
+// protocol).
+TEST_F(ObsTest, JsonStringEscapingIsSharedAndRoundTrips) {
+  std::vector<std::string> inputs;
+  for (int c = 0; c < 0x20; ++c) inputs.emplace_back(1, static_cast<char>(c));
+  inputs.emplace_back("\"");
+  inputs.emplace_back("\\");
+  inputs.emplace_back("caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80");
+  for (const std::string& in : inputs) {
+    std::ostringstream written;
+    obs::JsonWriter w(written, /*compact=*/true);
+    w.String(in);
+    std::string appended;
+    serve::AppendJsonString(&appended, in);
+    EXPECT_EQ(written.str(), appended)
+        << "byte 0x" << std::hex
+        << static_cast<unsigned>(static_cast<unsigned char>(in[0]));
+    Result<serve::JsonValue> parsed = serve::ParseJson(appended);
+    ASSERT_TRUE(parsed.ok()) << appended;
+    ASSERT_EQ(parsed->kind, serve::JsonValue::Kind::kString) << appended;
+    EXPECT_EQ(parsed->string, in) << appended;
+  }
+  std::string short_forms;
+  serve::AppendJsonString(&short_forms, "\b\f\x01");
+  EXPECT_EQ(short_forms, "\"\\b\\f\\u0001\"");
 }
 
 TEST_F(ObsTest, RegistryExportContainsRecordedMetrics) {

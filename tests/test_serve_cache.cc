@@ -51,11 +51,13 @@ TEST_F(ServeCacheTest, HitAtSameEpochMissAfterPublish) {
   const uint64_t miss0 = Count("serve.cache.miss");
   const uint64_t hit0 = Count("serve.cache.hit");
 
-  Result<QueryAnswer> first = server_.ExecuteQuery(req);
+  Result<QueryAnswer> first =
+      server_.ExecuteQueryAt(req, server_.store().Acquire());
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->cached);
 
-  Result<QueryAnswer> second = server_.ExecuteQuery(req);
+  Result<QueryAnswer> second =
+      server_.ExecuteQueryAt(req, server_.store().Acquire());
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cached);
   EXPECT_TRUE(*second == *first);  // Same rows, same epoch.
@@ -70,7 +72,8 @@ TEST_F(ServeCacheTest, HitAtSameEpochMissAfterPublish) {
   ASSERT_TRUE(server_.store().DeleteEdge(0, 1, "rides").ok());
   server_.Publish();
 
-  Result<QueryAnswer> third = server_.ExecuteQuery(req);
+  Result<QueryAnswer> third =
+      server_.ExecuteQueryAt(req, server_.store().Acquire());
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(third->cached);
   EXPECT_EQ(third->epoch, first->epoch + 1);
@@ -130,10 +133,12 @@ TEST_F(ServeCacheTest, PublishInvalidatesOnlyOnContentChange) {
 
 TEST_F(ServeCacheTest, CanonicalTextSharesOneEntry) {
   // Same query modulo whitespace and keyword case: one cache entry.
-  Result<QueryAnswer> a = server_.ExecuteQuery(Query(
-      QueryLang::kMatch, "MATCH (x) -[ rides ]-> (y) RETURN x, y"));
-  Result<QueryAnswer> b = server_.ExecuteQuery(Query(
-      QueryLang::kMatch, "match   (x)-[rides]->(y)   return x, y"));
+  Result<QueryAnswer> a = server_.ExecuteQueryAt(
+      Query(QueryLang::kMatch, "MATCH (x) -[ rides ]-> (y) RETURN x, y"),
+      server_.store().Acquire());
+  Result<QueryAnswer> b = server_.ExecuteQueryAt(
+      Query(QueryLang::kMatch, "match   (x)-[rides]->(y)   return x, y"),
+      server_.store().Acquire());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_FALSE(a->cached);
@@ -143,7 +148,8 @@ TEST_F(ServeCacheTest, CanonicalTextSharesOneEntry) {
 
   // Same text in a different front-end is a *different* key.
   Result<QueryAnswer> c =
-      server_.ExecuteQuery(Query(QueryLang::kBgp, "?x rides ?y"));
+      server_.ExecuteQueryAt(Query(QueryLang::kBgp, "?x rides ?y"),
+                             server_.store().Acquire());
   ASSERT_TRUE(c.ok());
   EXPECT_FALSE(c->cached);
 }
@@ -152,9 +158,11 @@ TEST_F(ServeCacheTest, FailuresAreCachedDeterministically) {
   // Compiles fine but fails in planning (head variable never declared
   // in the body is caught at parse; use an unsupported BGP instead).
   const Request bad = Query(QueryLang::kBgp, "?x ?p ?y");
-  Result<QueryAnswer> first = server_.ExecuteQuery(bad);
+  Result<QueryAnswer> first =
+      server_.ExecuteQueryAt(bad, server_.store().Acquire());
   ASSERT_FALSE(first.ok());
-  Result<QueryAnswer> second = server_.ExecuteQuery(bad);
+  Result<QueryAnswer> second =
+      server_.ExecuteQueryAt(bad, server_.store().Acquire());
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(first.status().code(), second.status().code());
 }
@@ -170,7 +178,8 @@ TEST(ServeCacheDisabled, ZeroCapacityNeverHits) {
 
   const Request req = Query(QueryLang::kBgp, "?x e ?y");
   for (int i = 0; i < 3; ++i) {
-    Result<QueryAnswer> answer = server.ExecuteQuery(req);
+    Result<QueryAnswer> answer =
+        server.ExecuteQueryAt(req, server.store().Acquire());
     ASSERT_TRUE(answer.ok());
     EXPECT_FALSE(answer->cached);
   }

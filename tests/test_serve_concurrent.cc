@@ -156,7 +156,8 @@ TEST(ServeConcurrent, PinnedEpochIsImmuneToLaterPublishes) {
   EXPECT_EQ(at_pin->epoch, pinned->epoch);
   ASSERT_EQ(at_pin->rows.size(), 1u);  // ...but not at the pin.
 
-  Result<QueryAnswer> at_head = server.ExecuteQuery(req);
+  Result<QueryAnswer> at_head =
+      server.ExecuteQueryAt(req, server.store().Acquire());
   ASSERT_TRUE(at_head.ok());
   EXPECT_TRUE(at_head->rows.empty());
 }

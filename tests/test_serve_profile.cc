@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
@@ -461,6 +462,65 @@ TEST_F(ServeProfileTest, SlowLogEmitsQueryTextAndTopOperators) {
   Seed(&fast);
   (void)fast.HandleLine(QueryLine("match", text, false));
   EXPECT_TRUE(quiet.str().empty());
+}
+
+// One slow-log rule for every entry point: with a 1ns threshold each
+// `query` request logs exactly one line, whatever its outcome — a text
+// that fails to parse, one that fails to compile, a computed answer and
+// a cache hit of it — and HandleLine and ServeStream log the same lines.
+TEST_F(ServeProfileTest, SlowLogIsTheSameUnderHandleLineAndServeStream) {
+  const std::string ok_text =
+      "MATCH (x: person) -[ rides ]-> (b: bus) RETURN x, b";
+  std::ostringstream script;
+  for (int i = 0; i < 4; ++i) {
+    script << R"({"op":"add_node","label":")"
+           << (i % 2 == 0 ? "person" : "bus") << "\"}\n";
+  }
+  script << R"({"op":"insert_edge","from":0,"to":1,"label":"rides"})"
+         << "\n"
+         << R"({"op":"insert_edge","from":2,"to":3,"label":"rides"})"
+         << "\n"
+         << R"({"op":"publish"})" << "\n"
+         << QueryLine("crpq", "q(x) :- (((", false, 1) << "\n"
+         << QueryLine("bgp", "?x kgq:label ?l", false, 2) << "\n"
+         << QueryLine("match", ok_text, false, 3) << "\n"
+         << QueryLine("match", ok_text, false, 4) << "\n";
+
+  // The normalized slow-log lines, sorted (workers log in any order).
+  auto sorted_lines = [](const std::string& log) {
+    std::vector<std::string> lines;
+    std::istringstream in(NormalizeNs(log));
+    std::string line;
+    while (std::getline(in, line)) lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+
+  std::ostringstream handled;
+  {
+    ServerOptions options;
+    options.slow_query_ns = 1;
+    options.slow_log = &handled;
+    Server server(options);
+    std::istringstream in(script.str());
+    std::string line;
+    while (std::getline(in, line)) (void)server.HandleLine(line);
+  }
+  const std::vector<std::string> want = sorted_lines(handled.str());
+  ASSERT_EQ(want.size(), 4u) << handled.str();
+
+  for (size_t workers : {1u, 4u}) {
+    std::ostringstream streamed;
+    ServerOptions options;
+    options.workers = workers;
+    options.slow_query_ns = 1;
+    options.slow_log = &streamed;
+    Server server(options);
+    std::istringstream in(script.str());
+    std::ostringstream out;
+    server.ServeStream(in, out);
+    EXPECT_EQ(sorted_lines(streamed.str()), want) << "workers=" << workers;
+  }
 }
 
 }  // namespace
