@@ -256,6 +256,9 @@ CsrSnapshot CsrSnapshot::ApplyCanonicalDelta(
   snap.edge_labels_.resize(m);
   for (const Segment& s : segments) {
     const size_t len = s.prev_end - s.prev_begin;
+    // memcpy from an empty vector's data() (nullptr) is undefined even
+    // for zero bytes.
+    if (len == 0) continue;
     std::memcpy(snap.sources_.data() + s.new_begin,
                 prev.sources_.data() + s.prev_begin, len * sizeof(NodeId));
     std::memcpy(snap.targets_.data() + s.new_begin,
@@ -475,6 +478,7 @@ void CsrSnapshot::BuildViewsFromDelta(
       const size_t len = prev.out_offsets_[v] - src;
       const EdgeId shift =
           static_cast<EdgeId>(dst) - static_cast<EdgeId>(src);  // mod 2^32
+      if (len == 0) continue;
       if (shift == 0 && identity_remap) {
         std::memcpy(out_label_entries_.data() + dst,
                     prev.out_label_entries_.data() + src, len * sizeof(Entry));

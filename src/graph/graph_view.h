@@ -10,6 +10,8 @@
 
 namespace kgq {
 
+class CsrSnapshot;
+
 /// Model-independent read interface consumed by the query machinery.
 ///
 /// The paper defines regular expressions once and instantiates their
@@ -42,6 +44,25 @@ class GraphView {
   virtual bool EdgeFeatureIs(EdgeId e, size_t feature,
                              std::string_view value) const;
 
+  /// The labeled graph whose λ answers this view's label atoms —
+  /// NodeLabelIs(n, ℓ) iff λ(n) is the ConstId of ℓ in its dictionary,
+  /// and likewise for edges — or nullptr when labels are not stored as
+  /// dense ids (feature row 0 of a vector graph, RDF type triples).
+  /// Lets a caller resolve a label spelling once per query and compare
+  /// ids per element instead of hashing the string per element.
+  virtual const LabeledGraph* labeled_graph() const { return nullptr; }
+
+  /// A CSR snapshot whose topology and edge labels are this view's own
+  /// *by construction* (same nodes, same edge ids and endpoints, and
+  /// EdgeLabelIs(e, ℓ) iff the snapshot's label of e spells ℓ), or
+  /// nullptr (the default). Kernels compile against it and trust it
+  /// without the O(|E|) topology and label checks that a snapshot passed
+  /// in separately gets. Only views that build the pairing themselves
+  /// may return one — today the epoch views of the serving layer
+  /// (serve::EpochSnapshot::View). The snapshot lives as long as the
+  /// view.
+  virtual const CsrSnapshot* csr() const { return nullptr; }
+
   size_t num_nodes() const { return topology().num_nodes(); }
   size_t num_edges() const { return topology().num_edges(); }
 };
@@ -55,6 +76,7 @@ class LabeledGraphView final : public GraphView {
   const Multigraph& topology() const override { return graph_.topology(); }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
   bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
+  const LabeledGraph* labeled_graph() const override { return &graph_; }
 
   const LabeledGraph& graph() const { return graph_; }
 
@@ -77,6 +99,9 @@ class PropertyGraphView final : public GraphView {
                       std::string_view value) const override;
   bool EdgePropertyIs(EdgeId e, std::string_view name,
                       std::string_view value) const override;
+  const LabeledGraph* labeled_graph() const override {
+    return &graph_.labeled();
+  }
 
   const PropertyGraph& graph() const { return graph_; }
 

@@ -1,6 +1,8 @@
 #include "plan/exec.h"
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -37,9 +39,12 @@ class Executor {
  public:
   Executor(const GraphView& view, const ExecOptions& options)
       : view_(view), options_(options) {
-    // A snapshot of some other graph is ignored, never trusted.
-    const CsrSnapshot* snap = options.snapshot;
-    if (snap != nullptr && snap->MatchesTopology(view.topology())) {
+    // The view's own CSR is paired with it by construction. A snapshot
+    // passed separately is used only when its topology matches: one of
+    // some other graph is ignored, never trusted.
+    const CsrSnapshot* snap =
+        options.snapshot != nullptr ? options.snapshot : view.csr();
+    if (snap == view.csr() || snap->MatchesTopology(view.topology())) {
       csr_ = snap;
     }
   }
@@ -117,6 +122,26 @@ class Executor {
     return true;
   }
 
+  /// True iff csr_'s partition for `label` holds exactly the view's
+  /// edges labelled `label` (an absent label: none). Holds by
+  /// construction for the view's own CSR. A snapshot passed separately
+  /// shares only a verified topology, so its labels are checked here —
+  /// O(|E|) once per label and call — and a mismatch sends the operator
+  /// to the list path instead of changing results.
+  bool LabelPartitionExact(const std::string& label) {
+    if (csr_ == view_.csr()) return true;
+    auto [it, inserted] = exact_labels_.emplace(label, true);
+    if (!inserted) return it->second;
+    const std::optional<LabelId> lab = csr_->FindLabel(label);
+    const TestPtr test = TestExpr::Label(label);
+    const BoundTest bound(view_, *test);
+    for (EdgeId e = 0; e < csr_->num_edges() && it->second; ++e) {
+      it->second = bound.MatchesEdge(e) ==
+                    (lab.has_value() && csr_->EdgeLabel(e) == *lab);
+    }
+    return it->second;
+  }
+
   Result<RowSet> NodeScan(const LogicalOp& op) {
     RowSet rs;
     rs.schema = op.schema;
@@ -142,7 +167,9 @@ class Executor {
   }
 
   Result<RowSet> EdgeScan(const LogicalOp& op) {
-    ProfileEngine(csr_ != nullptr ? "csr" : "list");
+    const bool partitions =
+        csr_ != nullptr && LabelPartitionExact(op.label);
+    ProfileEngine(partitions ? "csr" : "list");
     RowSet rs;
     rs.schema = op.schema;
     const bool diagonal = (op.src_var == op.dst_var);
@@ -163,7 +190,7 @@ class Executor {
         rs.rows.push_back({a, b});
       }
     };
-    if (csr_ != nullptr) {
+    if (partitions) {
       std::optional<LabelId> lab = csr_->FindLabel(op.label);
       if (lab.has_value()) {
         // (a, b) pairs: forward atoms read a's out partition; backward
@@ -225,9 +252,11 @@ class Executor {
     KGQ_ASSIGN_OR_RETURN(PathNfa nfa,
                          PathNfa::Compile(view_, *op.path->regex()));
     if (csr_ != nullptr) {
-      // Attach is best-effort: topology was pre-checked, and a label
-      // mismatch silently falls back to bitset filtering inside the
-      // product, so a failure here cannot change results.
+      // Attach is best-effort: free for the view's own CSR (the NFA
+      // compiled against it), and for another snapshot the topology was
+      // pre-checked and a label mismatch silently falls back to bitset
+      // filtering inside the product, so a failure cannot change
+      // results.
       (void)nfa.AttachSnapshot(csr_);
     }
     PathQueryOptions popts;
@@ -292,7 +321,10 @@ class Executor {
     }
     const CnfGrammar& grammar = *op.path->grammar();
     const uint32_t nt = op.path->nonterminal();
-    const bool matrix = op.use_matrix_rpq && csr_ != nullptr;
+    bool matrix = op.use_matrix_rpq && csr_ != nullptr;
+    for (const CnfGrammar::TermProd& t : grammar.term_prods()) {
+      matrix = matrix && LabelPartitionExact(t.label);
+    }
     ProfileEngine(matrix ? "cfpq-matrix" : "cfpq-ref");
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
@@ -412,10 +444,12 @@ class Executor {
     }
     RowSet rs;
     rs.schema = std::move(input.schema);
+    std::optional<BoundTest> test;
+    if (op.test != nullptr) test.emplace(view_, *op.test);
     for (auto& row : input.rows) {
       bool keep;
-      if (op.test != nullptr) {
-        keep = EvalNodeTest(view_, *op.test, row[col]);
+      if (test.has_value()) {
+        keep = test->MatchesNode(row[col]);
       } else {
         keep = (op.bound_src != kNoNode && row[col] == op.bound_src);
       }
@@ -461,6 +495,7 @@ class Executor {
   const GraphView& view_;
   const ExecOptions& options_;
   const CsrSnapshot* csr_ = nullptr;
+  std::unordered_map<std::string, bool> exact_labels_;  // By label.
 };
 
 }  // namespace

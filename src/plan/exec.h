@@ -25,10 +25,13 @@ struct ExecOptions {
   /// fans out per start node). Results are identical for every thread
   /// count.
   ParallelOptions parallel;
-  /// Optional CSR snapshot of the view's topology. When it matches,
-  /// EdgeScan runs over contiguous label partitions and PathAtom
-  /// product runs attach it (PathNfa::AttachSnapshot); when it doesn't,
-  /// it is ignored — never wrong, only slower. Must outlive the call.
+  /// Optional CSR snapshot of the view's topology; defaults to the
+  /// view's own `csr()`. When it matches, EdgeScan runs over contiguous
+  /// label partitions and PathAtom product runs attach it
+  /// (PathNfa::AttachSnapshot); when it doesn't, it is ignored — never
+  /// wrong, only slower. The view's own CSR is trusted as is; any other
+  /// snapshot costs an O(|E|) topology check per call. Must outlive the
+  /// call.
   const CsrSnapshot* snapshot = nullptr;
 };
 

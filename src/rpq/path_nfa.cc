@@ -23,14 +23,23 @@ Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
   PathNfa nfa;
   nfa.view_ = &view;
   nfa.num_nodes_ = view.num_nodes();
+  nfa.num_edges_ = view.num_edges();
   nfa.num_q_ = static_cast<uint32_t>(qa.num_states());
   nfa.start_q_ = qa.start();
   nfa.final_mask_ = 0;
   for (uint32_t f : qa.accepting()) nfa.final_mask_ |= 1ull << f;
   nfa.fwd_trans_.resize(nfa.num_q_);
   nfa.bwd_trans_.resize(nfa.num_q_);
-  nfa.edge_fwd_usable_ = Bitset(view.num_edges());
-  nfa.edge_bwd_usable_ = Bitset(view.num_edges());
+  if (view.csr() != nullptr) {
+    // The view's own CSR: attached by construction, labels resolved
+    // per atom (AddEdgeAtom).
+    nfa.csr_ = view.csr();
+    nfa.own_csr_ = true;
+    nfa.label_dirs_.assign(nfa.csr_->num_labels(), 0);
+  } else {
+    nfa.edge_fwd_usable_ = Bitset(nfa.num_edges_);
+    nfa.edge_bwd_usable_ = Bitset(nfa.num_edges_);
+  }
 
   // Node-test transitions become per-node conditional ε edges; pure ε
   // transitions are unconditional. Collect both for closure computation.
@@ -56,45 +65,20 @@ Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
               {q, t.to, static_cast<int>(node_match.size() - 1)});
           break;
         }
-        case QueryAtom::Kind::kEdgeFwd: {
-          Bitset match = MatchEdges(view, *atom.test);
-          nfa.edge_fwd_usable_ |= match;
-          nfa.edge_match_.push_back(std::move(match));
-          nfa.RecordAtomLabel(*atom.test);
-          nfa.fwd_trans_[q].push_back(
-              {static_cast<uint32_t>(nfa.edge_match_.size() - 1), t.to});
+        case QueryAtom::Kind::kEdgeFwd:
+        case QueryAtom::Kind::kEdgeBwd:
+          nfa.AddEdgeAtom(q, t.to, *atom.test,
+                          atom.kind == QueryAtom::Kind::kEdgeBwd);
           break;
-        }
-        case QueryAtom::Kind::kEdgeBwd: {
-          Bitset match = MatchEdges(view, *atom.test);
-          nfa.edge_bwd_usable_ |= match;
-          nfa.edge_match_.push_back(std::move(match));
-          nfa.RecordAtomLabel(*atom.test);
-          nfa.bwd_trans_[q].push_back(
-              {static_cast<uint32_t>(nfa.edge_match_.size() - 1), t.to});
-          break;
-        }
       }
     }
   }
 
-  // Per-node ε-closures. The closure at a node depends only on *which*
-  // node-test atoms pass there, so closures are computed once per
-  // signature (set of passing atoms) and shared across nodes.
+  // ε-closures. The closure at a node depends only on *which* node-test
+  // atoms pass there, so closures are computed once per signature (set
+  // of passing atoms) and shared across nodes.
   assert(node_match.size() <= 64);
-  std::unordered_map<uint64_t, uint32_t> sig_index;
-  nfa.closure_index_.assign(nfa.num_nodes_, 0);
-  for (NodeId n = 0; n < nfa.num_nodes_; ++n) {
-    uint64_t sig = 0;
-    for (size_t a = 0; a < node_match.size(); ++a) {
-      if (node_match[a].Test(n)) sig |= 1ull << a;
-    }
-    auto [it, inserted] = sig_index.emplace(
-        sig, static_cast<uint32_t>(sig_index.size()));
-    nfa.closure_index_[n] = it->second;
-    if (!inserted) continue;
-
-    // New signature: build and close its row.
+  auto add_row = [&nfa, &node_trans](uint64_t sig) {
     size_t base = nfa.closure_rows_.size();
     nfa.closure_rows_.resize(base + nfa.num_q_, 0);
     StateMask* row = &nfa.closure_rows_[base];
@@ -120,19 +104,79 @@ Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
         }
       }
     }
+  };
+  if (node_match.empty()) {
+    // Every node has the empty signature: one shared row, no per-node
+    // pass (closure_index_ stays empty).
+    add_row(0);
+    return nfa;
+  }
+  std::unordered_map<uint64_t, uint32_t> sig_index;
+  nfa.closure_index_.assign(nfa.num_nodes_, 0);
+  for (NodeId n = 0; n < nfa.num_nodes_; ++n) {
+    uint64_t sig = 0;
+    for (size_t a = 0; a < node_match.size(); ++a) {
+      if (node_match[a].Test(n)) sig |= 1ull << a;
+    }
+    auto [it, inserted] = sig_index.emplace(
+        sig, static_cast<uint32_t>(sig_index.size()));
+    nfa.closure_index_[n] = it->second;
+    if (inserted) add_row(sig);
   }
   return nfa;
 }
 
-void PathNfa::RecordAtomLabel(const TestExpr& test) {
-  if (test.kind() == TestExpr::Kind::kLabel) {
-    atom_pure_label_.push_back(test.label());
-  } else {
-    atom_pure_label_.push_back(std::nullopt);
+void PathNfa::AddEdgeAtom(uint32_t from, uint32_t to, const TestExpr& test,
+                          bool backward) {
+  const uint32_t atom = static_cast<uint32_t>(edge_match_.size());
+  (backward ? bwd_trans_ : fwd_trans_)[from].push_back({atom, to});
+  const bool pure_label = test.kind() == TestExpr::Kind::kLabel;
+  atom_pure_label_.push_back(pure_label ? std::optional(test.label())
+                                        : std::nullopt);
+  if (own_csr_ && pure_label) {
+    // The view's own CSR spells its labels: O(1), no per-edge pass.
+    std::optional<LabelId> lab = csr_->FindLabel(test.label());
+    atom_csr_label_.push_back(lab.value_or(kAtomDead));
+    if (lab.has_value()) label_dirs_[*lab] |= backward ? kBwd : kFwd;
+    edge_match_.emplace_back();
+    return;
   }
+  Bitset match = MatchEdges(*view_, test);
+  Bitset& usable = backward ? edge_bwd_usable_ : edge_fwd_usable_;
+  if (usable.size() != num_edges_) usable = Bitset(num_edges_);
+  usable |= match;
+  if (own_csr_) atom_csr_label_.push_back(kAtomFiltered);
+  edge_match_.push_back(std::move(match));
+}
+
+void PathNfa::MaterializeLabelAtoms() {
+  for (size_t a = 0; a < edge_match_.size(); ++a) {
+    const LabelId lab = atom_csr_label_[a];
+    if (lab == kAtomFiltered) continue;
+    edge_match_[a] = Bitset(num_edges_);
+    for (EdgeId e = 0; e < num_edges_; ++e) {
+      if (csr_->EdgeLabel(e) == lab) edge_match_[a].Set(e);
+    }
+  }
+  edge_fwd_usable_ = Bitset(num_edges_);
+  edge_bwd_usable_ = Bitset(num_edges_);
+  for (uint32_t q = 0; q < num_q_; ++q) {
+    for (const EdgeTrans& t : fwd_trans_[q]) {
+      edge_fwd_usable_ |= edge_match_[t.atom];
+    }
+    for (const EdgeTrans& t : bwd_trans_[q]) {
+      edge_bwd_usable_ |= edge_match_[t.atom];
+    }
+  }
+  label_dirs_.clear();
+  own_csr_ = false;
 }
 
 Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) {
+  if (own_csr_) {
+    if (snapshot == csr_) return Status::OK();  // Paired by construction.
+    MaterializeLabelAtoms();
+  }
   if (snapshot == nullptr) {
     csr_ = nullptr;
     atom_csr_label_.clear();
@@ -211,6 +255,7 @@ PathNfa::StateMask PathNfa::CloseAt(NodeId n, StateMask m) const {
 
 PathNfa::StateMask PathNfa::Advance(StateMask m, const Step& s) const {
   bool self = (s.from == s.to);
+  const LabelId label = own_csr_ ? csr_->EdgeLabel(s.edge) : kNoLabel;
   StateMask raw = 0;
   StateMask rest = m;
   while (rest != 0) {
@@ -218,12 +263,12 @@ PathNfa::StateMask PathNfa::Advance(StateMask m, const Step& s) const {
     rest &= rest - 1;
     if (!s.backward || self) {
       for (const EdgeTrans& t : fwd_trans_[q]) {
-        if (edge_match_[t.atom].Test(s.edge)) raw |= 1ull << t.to;
+        if (AtomMatches(t.atom, s.edge, label)) raw |= 1ull << t.to;
       }
     }
     if (s.backward || self) {
       for (const EdgeTrans& t : bwd_trans_[q]) {
-        if (edge_match_[t.atom].Test(s.edge)) raw |= 1ull << t.to;
+        if (AtomMatches(t.atom, s.edge, label)) raw |= 1ull << t.to;
       }
     }
   }

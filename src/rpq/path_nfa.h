@@ -34,6 +34,11 @@ namespace kgq {
 ///    backward atoms (direction normalization keeps the path↔word map a
 ///    bijection).
 ///
+/// Edge atoms are matched by label id where the graph pairs with a CSR
+/// by construction (GraphView::csr()): a pure label atom then compiles
+/// in O(1), and only other tests get an O(|E|) per-edge match bitset.
+/// Over any other view every edge atom gets a match bitset (Compile).
+///
 /// The automaton component is limited to 64 states (bitmask fast path).
 /// With the default Glushkov construction that is one state per regex
 /// atom plus one — ample for the paper's queries; Compile fails with
@@ -58,8 +63,15 @@ class PathNfa {
   /// construction kept for cross-validation.
   enum class Construction { kGlushkov, kThompson };
 
-  /// Compiles `regex` against `view`. Precomputes per-atom match bitsets
-  /// and per-node ε-closures; the view must outlive the PathNfa.
+  /// Compiles `regex` against `view`; the view must outlive the PathNfa.
+  ///
+  /// When `view.csr()` is set, the PathNfa starts out attached to it:
+  /// label atoms resolve to its label ids (unknown labels are dead
+  /// atoms), and only non-label atoms pay an O(|E|) match bitset.
+  /// Otherwise every edge atom gets a match bitset. Node-test atoms get
+  /// an O(|N|) match bitset and per-node ε-closures shared by node-test
+  /// signature; without node tests the closure is one row shared by
+  /// every node.
   static Result<PathNfa> Compile(
       const GraphView& view, const Regex& regex,
       Construction construction = Construction::kGlushkov);
@@ -74,11 +86,15 @@ class PathNfa {
   /// enumeration, the exact DP, FPRAS preprocessing and sampling —
   /// returns bit-identical results with or without a snapshot.
   ///
-  /// Fails with InvalidArgument if the snapshot's topology differs from
-  /// the compiled view's. An atom whose match bitset disagrees with the
+  /// Attaching the compiled view's own `csr()` is free: that pairing
+  /// holds by construction. Any other snapshot is verified: the call
+  /// fails with InvalidArgument if its topology differs from the
+  /// compiled view's, and an atom whose match bitset disagrees with the
   /// snapshot's label partition (a snapshot of a *different* graph that
   /// happens to share topology) falls back to bitset filtering, so a
-  /// successful attach never changes results. The snapshot must outlive
+  /// successful attach never changes results. Detaching, or attaching a
+  /// foreign snapshot, first gives the label atoms of a view's own CSR
+  /// their per-edge bitsets (O(|E|) per atom). The snapshot must outlive
   /// this PathNfa (or be detached first).
   Status AttachSnapshot(const CsrSnapshot* snapshot);
 
@@ -88,7 +104,7 @@ class PathNfa {
   /// Number of automaton states.
   size_t num_states() const { return num_q_; }
   size_t num_nodes() const { return num_nodes_; }
-  size_t num_edges() const { return edge_fwd_usable_.size(); }
+  size_t num_edges() const { return num_edges_; }
 
   StateMask final_mask() const { return final_mask_; }
   bool Accepting(StateMask m) const { return (m & final_mask_) != 0; }
@@ -128,16 +144,14 @@ class PathNfa {
         KGQ_COUNTER_INC("rpq.step.csr_scans");
       }
       for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
-        bool self = (a.neighbor == n);
-        bool usable = edge_fwd_usable_.Test(a.edge) ||
-                      (self && edge_bwd_usable_.Test(a.edge));
-        if (usable) fn(Step{a.edge, false, n, a.neighbor});
+        const uint8_t dirs = UsableDirs(a);
+        if ((dirs & kFwd) || (a.neighbor == n && (dirs & kBwd))) {
+          fn(Step{a.edge, false, n, a.neighbor});
+        }
       }
       for (const CsrSnapshot::Entry& a : csr_->In(n)) {
         if (a.neighbor == n) continue;  // Self-loop emitted as forward.
-        if (edge_bwd_usable_.Test(a.edge)) {
-          fn(Step{a.edge, true, n, a.neighbor});
-        }
+        if (UsableDirs(a) & kBwd) fn(Step{a.edge, true, n, a.neighbor});
       }
       return;
     }
@@ -172,16 +186,14 @@ class PathNfa {
         KGQ_COUNTER_INC("rpq.step.csr_scans");
       }
       for (const CsrSnapshot::Entry& a : csr_->In(n)) {
-        bool self = (a.neighbor == n);
-        bool usable = edge_fwd_usable_.Test(a.edge) ||
-                      (self && edge_bwd_usable_.Test(a.edge));
-        if (usable) fn(Step{a.edge, false, a.neighbor, n});
+        const uint8_t dirs = UsableDirs(a);
+        if ((dirs & kFwd) || (a.neighbor == n && (dirs & kBwd))) {
+          fn(Step{a.edge, false, a.neighbor, n});
+        }
       }
       for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
         if (a.neighbor == n) continue;
-        if (edge_bwd_usable_.Test(a.edge)) {
-          fn(Step{a.edge, true, a.neighbor, n});
-        }
+        if (UsableDirs(a) & kBwd) fn(Step{a.edge, true, a.neighbor, n});
       }
       return;
     }
@@ -271,6 +283,8 @@ class PathNfa {
       }
       return;
     }
+    // No snapshot means no view-owned CSR either: every atom has its
+    // match bitset.
     ForEachStep(n, [&](const Step& s) {
       bool self = (s.from == s.to);
       if (!s.backward || self) {
@@ -312,7 +326,8 @@ class PathNfa {
   /// Number of edge atoms (the index space of TransitionView::atom).
   size_t num_atoms() const { return edge_match_.size(); }
 
-  /// How an atom resolves against the attached snapshot.
+  /// How an atom resolves against the attached snapshot (the view's own
+  /// CSR included).
   enum class AtomClass {
     kDead,      ///< Matches no edge: the transition never fires.
     kLabel,     ///< Pure label ℓ resolved to a snapshot partition.
@@ -325,17 +340,19 @@ class PathNfa {
     return atom_csr_label_[atom];
   }
 
-  /// True iff the atom's match bitset contains edge e — the per-edge
-  /// filter of kFiltered atoms.
+  /// True iff the atom matches edge e — the per-edge filter of
+  /// kFiltered atoms.
   bool AtomMatchesEdge(uint32_t atom, EdgeId e) const {
-    return edge_match_[atom].Test(e);
+    return AtomMatches(atom, e, own_csr_ ? csr_->EdgeLabel(e) : kNoLabel);
   }
 
   /// ε-closure sharing: nodes with the same node-test signature share
   /// one closure row. SignatureClosure(sig, q) is the ε-closed mask of
   /// {q} at every node whose ClosureSignatureOf is `sig`; rows are
   /// transitively closed, so one application saturates.
-  uint32_t ClosureSignatureOf(NodeId n) const { return closure_index_[n]; }
+  uint32_t ClosureSignatureOf(NodeId n) const {
+    return closure_index_.empty() ? 0 : closure_index_[n];
+  }
   size_t NumClosureSignatures() const {
     return num_q_ == 0 ? 0 : closure_rows_.size() / num_q_;
   }
@@ -367,38 +384,85 @@ class PathNfa {
   static constexpr LabelId kAtomDead = 0xFFFFFFFFu;
   static constexpr LabelId kAtomFiltered = 0xFFFFFFFEu;
 
-  /// Remembers the label spelling of the just-pushed edge atom when its
-  /// test is a plain ℓ atom (resolved against snapshots at attach time).
-  void RecordAtomLabel(const TestExpr& test);
+  // Direction bits of UsableDirs / label_dirs_.
+  static constexpr uint8_t kFwd = 1;
+  static constexpr uint8_t kBwd = 2;
+
+  /// Adds the edge atom of transition from → to: resolved to a label id
+  /// of the view's own CSR when it is a pure label test there, a match
+  /// bitset otherwise.
+  void AddEdgeAtom(uint32_t from, uint32_t to, const TestExpr& test,
+                   bool backward);
+
+  /// Leaves own-CSR mode before a detach or a foreign attach: label
+  /// atoms get the match bitsets a plain compile builds, and the usable
+  /// bitsets cover every atom again.
+  void MaterializeLabelAtoms();
+
+  /// True iff atom `a` matches edge e, whose label in csr_ is `label`
+  /// (read only in own-CSR mode).
+  bool AtomMatches(uint32_t a, EdgeId e, LabelId label) const {
+    if (own_csr_ && atom_csr_label_[a] != kAtomFiltered) {
+      return atom_csr_label_[a] == label;
+    }
+    return edge_match_[a].Test(e);
+  }
+
+  /// Directions (kFwd | kBwd) in which some atom can fire across the
+  /// adjacency entry `a` of csr_.
+  uint8_t UsableDirs(const CsrSnapshot::Entry& a) const {
+    uint8_t dirs = own_csr_ ? label_dirs_[a.label] : 0;
+    if (edge_fwd_usable_.size() != 0 && edge_fwd_usable_.Test(a.edge)) {
+      dirs |= kFwd;
+    }
+    if (edge_bwd_usable_.size() != 0 && edge_bwd_usable_.Test(a.edge)) {
+      dirs |= kBwd;
+    }
+    return dirs;
+  }
 
   const GraphView* view_ = nullptr;
   const CsrSnapshot* csr_ = nullptr;
+  // True while csr_ is the compiled view's own csr() and label atoms
+  // are matched by label id (they have no match bitsets then).
+  bool own_csr_ = false;
   size_t num_nodes_ = 0;
+  size_t num_edges_ = 0;
   uint32_t num_q_ = 0;
   uint32_t start_q_ = 0;
   StateMask final_mask_ = 0;
 
   // Per-atom edge match bitsets (shared index space for fwd and bwd
-  // atoms), and per-state transition lists by direction.
+  // atoms; empty for label atoms in own-CSR mode), and per-state
+  // transition lists by direction.
   std::vector<Bitset> edge_match_;
   std::vector<std::vector<EdgeTrans>> fwd_trans_;  // indexed by state
   std::vector<std::vector<EdgeTrans>> bwd_trans_;
 
   // Per-atom label spelling when the atom's test is a plain ℓ atom
   // (set at compile time), and its resolution against the attached
-  // snapshot (set by AttachSnapshot; kAtomFiltered without one).
+  // snapshot (by Compile in own-CSR mode, else by AttachSnapshot; empty
+  // without a snapshot).
   std::vector<std::optional<std::string>> atom_pure_label_;
   std::vector<LabelId> atom_csr_label_;
 
-  // Union over atoms of edges usable in each direction.
+  // Own-CSR mode: per csr_ label id, the directions some label atom
+  // fires on it.
+  std::vector<uint8_t> label_dirs_;
+
+  // Union of the match bitsets in each direction — of every atom, or in
+  // own-CSR mode of the non-label atoms only (empty when there are
+  // none).
   Bitset edge_fwd_usable_;
   Bitset edge_bwd_usable_;
 
   // ε-closures are shared between nodes with the same node-test
   // signature: closure_rows_ holds one row of num_q_ masks per distinct
-  // signature, and closure_index_[n] selects a node's row.
+  // signature, and closure_index_[n] selects a node's row. Without node
+  // tests closure_index_ is empty and every node uses row 0.
   const StateMask* ClosureRow(NodeId n) const {
-    return &closure_rows_[static_cast<size_t>(closure_index_[n]) * num_q_];
+    return &closure_rows_[static_cast<size_t>(ClosureSignatureOf(n)) *
+                          num_q_];
   }
   std::vector<uint32_t> closure_index_;
   std::vector<StateMask> closure_rows_;

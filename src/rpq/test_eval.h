@@ -1,6 +1,9 @@
 #ifndef KGQ_RPQ_TEST_EVAL_H_
 #define KGQ_RPQ_TEST_EVAL_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/graph_view.h"
 #include "rpq/test_expr.h"
 #include "util/bitset.h"
@@ -13,6 +16,41 @@ bool EvalNodeTest(const GraphView& view, const TestExpr& test, NodeId n);
 
 /// True iff edge `e` of `view` satisfies `test`.
 bool EvalEdgeTest(const GraphView& view, const TestExpr& test, EdgeId e);
+
+/// `test` bound to one view for evaluation over many elements: every
+/// label atom is resolved to the view's dense label id once (when the
+/// view has a labeled_graph()), so each element costs an id compare
+/// instead of a dictionary hash. Other atoms, and label atoms of views
+/// without dense ids, evaluate exactly as EvalNodeTest / EvalEdgeTest
+/// do; results are identical to those. `view` and `test` must outlive
+/// the BoundTest.
+class BoundTest {
+ public:
+  BoundTest(const GraphView& view, const TestExpr& test);
+
+  bool MatchesNode(NodeId n) const { return Eval<true>(0, n); }
+  bool MatchesEdge(EdgeId e) const { return Eval<false>(0, e); }
+
+ private:
+  // The test tree in pre-order (root at 0); `id` is the resolved label
+  // of a kLabel node (kNullConst: no element carries it).
+  struct Op {
+    TestExpr::Kind kind;
+    const TestExpr* expr;
+    ConstId id = kNullConst;
+    uint32_t lhs = 0;
+    uint32_t rhs = 0;
+  };
+
+  uint32_t Add(const TestExpr& test);
+
+  template <bool kNode>
+  bool Eval(uint32_t op, uint32_t element) const;
+
+  const GraphView& view_;
+  const LabeledGraph* graph_;
+  std::vector<Op> ops_;
+};
 
 /// Bitset over all nodes of `view` satisfying `test`. Query compilation
 /// precomputes these once per distinct atom so that the path algorithms

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/csr_snapshot.h"
+#include "graph/graph_view.h"
 #include "graph/labeled_graph.h"
 #include "util/result.h"
 
@@ -63,6 +64,35 @@ struct EpochDelta {
   size_t nodes_added = 0;
 };
 
+/// The GraphView of one epoch: label atoms over its materialized
+/// LabeledGraph, and its CSR as csr(). The pairing holds by
+/// construction — EpochSnapshot::graph() is built from that CSR in
+/// edge-id order — so kernels compile against the CSR's label ids and
+/// attach it without re-verification. Only EpochSnapshot::View()
+/// creates one; the snapshot must outlive the view.
+class EpochGraphView final : public GraphView {
+ public:
+  const Multigraph& topology() const override { return labels_.topology(); }
+  bool NodeLabelIs(NodeId n, std::string_view label) const override {
+    return labels_.NodeLabelIs(n, label);
+  }
+  bool EdgeLabelIs(EdgeId e, std::string_view label) const override {
+    return labels_.EdgeLabelIs(e, label);
+  }
+  const LabeledGraph* labeled_graph() const override {
+    return labels_.labeled_graph();
+  }
+  const CsrSnapshot* csr() const override { return csr_; }
+
+ private:
+  friend struct EpochSnapshot;
+  EpochGraphView(const LabeledGraph& graph, const CsrSnapshot& csr)
+      : labels_(graph), csr_(&csr) {}
+
+  LabeledGraphView labels_;
+  const CsrSnapshot* csr_;
+};
+
 /// One published version of the graph: an immutable materialization of
 /// the logical edge set at publish time, shared by every reader that
 /// acquired it. The CSR snapshot carries canonical edge ids (sorted by
@@ -101,6 +131,10 @@ struct EpochSnapshot {
   /// kernels do not), or pre-seeded by the full-rebuild publish path.
   /// Thread-safe; snapshots with identical content share one build.
   const LabeledGraph& graph() const;
+
+  /// graph() paired with csr — the view every served query plans and
+  /// executes on (materializes graph() on first use).
+  EpochGraphView View() const { return EpochGraphView(graph(), *csr); }
 
   /// Shared lazy cell so content-identical epochs (empty publishes)
   /// reuse one graph build.

@@ -217,7 +217,7 @@ Result<LogicalOpPtr> PlanPrepared(const Server::PreparedQuery& prep,
   *ask = std::holds_alternative<std::vector<TriplePattern>>(prep.form) &&
          cq.projection.empty();
   if (*ask) cq.projection.push_back(cq.bound.begin()->first);
-  LabeledGraphView view(snap.graph());
+  EpochGraphView view = snap.View();
   GraphStats stats = GraphStats::From(&view, snap.csr.get(),
                                       snap.node_label_counts.get());
   return PlanQuery(cq, stats, planner);
@@ -235,10 +235,9 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
   bool ask = false;
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanPrepared(prep, snap, planner, &ask));
-  LabeledGraphView view(snap.graph());
+  EpochGraphView view = snap.View();
   ExecOptions eopts;
-  eopts.parallel = prep.parallel;
-  eopts.snapshot = snap.csr.get();
+  eopts.parallel = prep.parallel;  // The snapshot is view.csr().
 
   // The enable decision is snapshotted once, here: a concurrent
   // SetEnabled flip mid-execution can therefore never produce a torn
@@ -652,6 +651,11 @@ struct Server::StreamState {
 
 void Server::ServeStream(std::istream& in, std::ostream& out) {
   StreamState state(out);
+  // Reading a tied input stream flushes the tied output (std::cin is
+  // tied to std::cout) from the dispatcher thread, outside emit_mu —
+  // a race with the workers' Emit that can write buffered responses
+  // twice. Untie for the run; every flush then happens in Emit.
+  std::ostream* const tied = in.tie(nullptr);
 
   // FIFO pop order plus admission-order cache lookups make the worker
   // pool deadlock-free under request coalescing: the computing (miss)
@@ -713,6 +717,7 @@ void Server::ServeStream(std::istream& in, std::ostream& out) {
   }
   state.cv_work.notify_all();
   for (std::thread& t : workers) t.join();
+  in.tie(tied);
 }
 
 Result<QueryAnswer> EvalServeQuery(const Request& req,

@@ -117,7 +117,8 @@ class Server {
 
   /// Reads jsonl requests from `in` until EOF and writes one response
   /// line per request to `out`, in input order. Runs the dispatcher on
-  /// the calling thread and options().workers query workers.
+  /// the calling thread and options().workers query workers. `in` is
+  /// untied from its tied output stream for the run (restored after).
   void ServeStream(std::istream& in, std::ostream& out);
 
   /// The "stats" payload: store/cache/write tallies (deterministic

@@ -4,9 +4,14 @@
 // *bit-identical* results to the list-based reference — at one thread
 // and at several. This is the contract that lets callers attach a
 // snapshot opportunistically: it can only change speed, never output.
+// It covers both ways a PathNfa meets a CSR: attached to a plain view
+// (verified, per-edge match bitsets) and compiled over a view that owns
+// its CSR (label atoms resolved to label ids, no per-edge pass).
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "analytics/betweenness.h"
@@ -18,8 +23,14 @@
 #include "pathalg/exact.h"
 #include "pathalg/fpras.h"
 #include "pathalg/pairs.h"
+#include "plan/exec.h"
+#include "plan/optimizer.h"
+#include "plan/stats.h"
+#include "rpq/crpq.h"
+#include "rpq/parser.h"
 #include "rpq/path_nfa.h"
 #include "rpq/regex.h"
+#include "serve/delta_store.h"
 #include "util/rng.h"
 
 namespace kgq {
@@ -90,10 +101,102 @@ LabeledGraph MakeGraph(uint64_t seed, Rng* rng) {
   }
 }
 
+/// An epoch whose CSR is FromGraph(g): its graph() is g with the same
+/// node and edge ids (parallel edges included), and its View() is a
+/// view whose csr() is set.
+serve::EpochSnapshot EpochOf(const LabeledGraph& g) {
+  serve::EpochSnapshot epoch;
+  std::shared_ptr<std::vector<std::string>> chunk;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (n % serve::kNodeChunk == 0) {
+      chunk = std::make_shared<std::vector<std::string>>(serve::kNodeChunk);
+      epoch.nodes.chunks.push_back(chunk);
+    }
+    (*chunk)[n % serve::kNodeChunk] = g.NodeLabelString(n);
+  }
+  epoch.nodes.size = g.num_nodes();
+  epoch.csr = std::make_shared<CsrSnapshot>(CsrSnapshot::FromGraph(g));
+  return epoch;
+}
+
+/// Fixed regexes next to the random ones: pure-label, inverse and
+/// starred atoms, a mixed label/filtered atom and dead atoms (labels no
+/// edge carries).
+const char* const kFixedRegexes[] = {
+    "a/b^-", "(a+b^-)*", "a/[a|b]/?p", "[!a]^-/b*", "z", "a/z^-+b",
+};
+
 ParallelOptions Threads(size_t k) {
   ParallelOptions par;
   par.num_threads = k;
   return par;
+}
+
+/// Every path kernel over `got` must return exactly what it returns over
+/// the list-based reference `want` (same graph, same regex): reach rows
+/// on both engines at 1 and 4 threads, the path *sequence* of the
+/// enumerator, the exact DP and the FPRAS estimate and samples.
+void ExpectSamePathKernels(const PathNfa& want, const PathNfa& got,
+                           uint64_t seed) {
+  const size_t max_len = 3;
+  // Existential pair semantics (reach rows), sequential and parallel.
+  std::vector<Bitset> want_pairs = AllPairs(want);
+  for (PathEngine engine : {PathEngine::kNfa, PathEngine::kMatrix}) {
+    PathQueryOptions popts;
+    popts.engine = engine;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      popts.parallel = Threads(threads);
+      ASSERT_EQ(AllPairs(got, popts), want_pairs)
+          << "threads=" << threads
+          << " matrix=" << (engine == PathEngine::kMatrix);
+    }
+    for (NodeId start = 0; start < want.num_nodes(); ++start) {
+      ASSERT_EQ(ReachableFrom(got, start, popts), want_pairs[start])
+          << "start=" << start
+          << " matrix=" << (engine == PathEngine::kMatrix);
+    }
+  }
+  ASSERT_EQ(CountPairs(got), CountPairs(want));
+
+  for (size_t k = 0; k <= max_len; ++k) {
+    // Enumeration: the *sequence* of paths must be identical, not just
+    // the set — the CSR branch preserves step order.
+    PathEnumerator want_enum(want, k);
+    PathEnumerator got_enum(got, k);
+    std::vector<Path> want_paths = want_enum.Drain();
+    std::vector<Path> got_paths = got_enum.Drain();
+    ASSERT_EQ(got_paths.size(), want_paths.size()) << "k=" << k;
+    for (size_t i = 0; i < want_paths.size(); ++i) {
+      ASSERT_EQ(got_paths[i], want_paths[i])
+          << "k=" << k << " path #" << i << ": " << got_paths[i].ToString()
+          << " vs " << want_paths[i].ToString();
+    }
+
+    // Exact counting.
+    ExactPathIndex want_index(want, k);
+    ExactPathIndex got_index(got, k);
+    ASSERT_EQ(got_index.Count(k), want_index.Count(k)) << "k=" << k;
+  }
+
+  // FPRAS: the estimator consumes rng draws in step-iteration order, so
+  // identical step order ⇒ the identical random stream ⇒ exactly the
+  // same estimate and samples.
+  FprasOptions fopts;
+  fopts.samples_per_state = 16;
+  fopts.union_trials = 32;
+  fopts.seed = 0xC0FFEE + seed;
+  FprasPathCounter want_fpras(want, max_len, {}, fopts);
+  FprasPathCounter got_fpras(got, max_len, {}, fopts);
+  ASSERT_EQ(got_fpras.Estimate(), want_fpras.Estimate());
+  ASSERT_EQ(got_fpras.num_sketches(), want_fpras.num_sketches());
+  Rng want_rng(42 + seed), got_rng(42 + seed);
+  for (int s = 0; s < 5; ++s) {
+    Result<Path> want_p = want_fpras.Sample(&want_rng);
+    Result<Path> got_p = got_fpras.Sample(&got_rng);
+    ASSERT_EQ(got_p.ok(), want_p.ok());
+    if (!want_p.ok()) break;
+    ASSERT_EQ(*got_p, *want_p) << got_p->ToString();
+  }
 }
 
 class CsrEquivalence : public ::testing::TestWithParam<int> {};
@@ -105,76 +208,42 @@ TEST_P(CsrEquivalence, PathKernelsBitIdentical) {
   LabeledGraphView view(g);
   CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   ASSERT_TRUE(snap.MatchesTopology(g.topology()));
-  const size_t max_len = 3;
+  serve::EpochSnapshot epoch = EpochOf(g);
+  serve::EpochGraphView own_view = epoch.View();
+  ASSERT_EQ(own_view.csr(), epoch.csr.get());
 
+  std::vector<RegexPtr> regexes;
+  for (const char* text : kFixedRegexes) regexes.push_back(*ParseRegex(text));
   for (int round = 0; round < 3; ++round) {
-    RegexPtr regex = RandomRegex(&rng, 3);
+    regexes.push_back(RandomRegex(&rng, 3));
+  }
+  for (const RegexPtr& regex : regexes) {
     SCOPED_TRACE(regex->ToString());
-
     for (PathNfa::Construction cons :
          {PathNfa::Construction::kGlushkov, PathNfa::Construction::kThompson}) {
       Result<PathNfa> list_nfa = PathNfa::Compile(view, *regex, cons);
-      Result<PathNfa> csr_nfa = PathNfa::Compile(view, *regex, cons);
       ASSERT_TRUE(list_nfa.ok()) << list_nfa.status();
-      ASSERT_TRUE(csr_nfa.ok()) << csr_nfa.status();
-      Status attached = csr_nfa->AttachSnapshot(&snap);
+
+      // A snapshot attached to a plain view.
+      Result<PathNfa> attached_nfa = PathNfa::Compile(view, *regex, cons);
+      ASSERT_TRUE(attached_nfa.ok()) << attached_nfa.status();
+      Status attached = attached_nfa->AttachSnapshot(&snap);
       ASSERT_TRUE(attached.ok()) << attached;
-
-      // Existential pair semantics (reach rows), sequential and
-      // parallel: every row must match the reference exactly.
-      std::vector<Bitset> want_pairs = AllPairs(*list_nfa);
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        PathQueryOptions popts;
-        popts.parallel = Threads(threads);
-        ASSERT_EQ(AllPairs(*csr_nfa, popts), want_pairs)
-            << "threads=" << threads;
+      {
+        SCOPED_TRACE("attached");
+        ExpectSamePathKernels(*list_nfa, *attached_nfa, seed);
       }
-      for (NodeId start = 0; start < g.num_nodes(); ++start) {
-        ASSERT_EQ(ReachableFrom(*csr_nfa, start), want_pairs[start])
-            << "start=" << start;
-      }
-      ASSERT_EQ(CountPairs(*csr_nfa), CountPairs(*list_nfa));
+      if (HasFatalFailure()) return;
 
-      for (size_t k = 0; k <= max_len; ++k) {
-        // Enumeration: the *sequence* of paths must be identical, not
-        // just the set — the CSR branch preserves step order.
-        PathEnumerator want_enum(*list_nfa, k);
-        PathEnumerator got_enum(*csr_nfa, k);
-        std::vector<Path> want_paths = want_enum.Drain();
-        std::vector<Path> got_paths = got_enum.Drain();
-        ASSERT_EQ(got_paths.size(), want_paths.size()) << "k=" << k;
-        for (size_t i = 0; i < want_paths.size(); ++i) {
-          ASSERT_EQ(got_paths[i], want_paths[i])
-              << "k=" << k << " path #" << i << ": "
-              << got_paths[i].ToString() << " vs "
-              << want_paths[i].ToString();
-        }
-
-        // Exact counting.
-        ExactPathIndex want_index(*list_nfa, k);
-        ExactPathIndex got_index(*csr_nfa, k);
-        ASSERT_EQ(got_index.Count(k), want_index.Count(k)) << "k=" << k;
+      // A view that owns its CSR: attached from the start.
+      Result<PathNfa> own_nfa = PathNfa::Compile(own_view, *regex, cons);
+      ASSERT_TRUE(own_nfa.ok()) << own_nfa.status();
+      ASSERT_EQ(own_nfa->snapshot(), epoch.csr.get());
+      {
+        SCOPED_TRACE("own csr");
+        ExpectSamePathKernels(*list_nfa, *own_nfa, seed);
       }
-
-      // FPRAS: the estimator consumes rng draws in step-iteration
-      // order, so identical step order ⇒ the identical random stream ⇒
-      // exactly the same estimate and samples.
-      FprasOptions fopts;
-      fopts.samples_per_state = 16;
-      fopts.union_trials = 32;
-      fopts.seed = 0xC0FFEE + seed;
-      FprasPathCounter want_fpras(*list_nfa, max_len, {}, fopts);
-      FprasPathCounter got_fpras(*csr_nfa, max_len, {}, fopts);
-      ASSERT_EQ(got_fpras.Estimate(), want_fpras.Estimate());
-      ASSERT_EQ(got_fpras.num_sketches(), want_fpras.num_sketches());
-      Rng want_rng(42 + seed), got_rng(42 + seed);
-      for (int s = 0; s < 5; ++s) {
-        Result<Path> want_p = want_fpras.Sample(&want_rng);
-        Result<Path> got_p = got_fpras.Sample(&got_rng);
-        ASSERT_EQ(got_p.ok(), want_p.ok());
-        if (!want_p.ok()) break;
-        ASSERT_EQ(*got_p, *want_p) << got_p->ToString();
-      }
+      if (HasFatalFailure()) return;
     }
   }
 }
@@ -294,6 +363,113 @@ TEST(CsrEquivalenceGuards, AttachRejectsMismatchedTopology) {
   ASSERT_EQ(nfa->snapshot(), &right);
   ASSERT_TRUE(nfa->AttachSnapshot(nullptr).ok());
   ASSERT_EQ(nfa->snapshot(), nullptr);
+}
+
+// Over a view that owns its CSR, pure label atoms compile straight to
+// the CSR's label ids — forward and inverse alike.
+TEST(CsrEquivalenceGuards, OwnCsrLabelAtomsResolveToLabelIds) {
+  LabeledGraph g;
+  for (int i = 0; i < 4; ++i) g.AddNode("person");
+  ASSERT_TRUE(g.AddEdge(0, 1, "knows").ok());
+  ASSERT_TRUE(g.AddEdge(2, 1, "knows").ok());
+  ASSERT_TRUE(g.AddEdge(3, 0, "likes").ok());
+  serve::EpochSnapshot epoch = EpochOf(g);
+  serve::EpochGraphView view = epoch.View();
+
+  Result<PathNfa> nfa = PathNfa::Compile(view, **ParseRegex("knows/knows^-"));
+  ASSERT_TRUE(nfa.ok()) << nfa.status();
+  ASSERT_EQ(nfa->snapshot(), epoch.csr.get());
+  ASSERT_EQ(nfa->num_atoms(), 2u);
+  const LabelId knows = *epoch.csr->FindLabel("knows");
+  for (uint32_t atom = 0; atom < nfa->num_atoms(); ++atom) {
+    EXPECT_EQ(nfa->ClassifyAtom(atom), PathNfa::AtomClass::kLabel);
+    EXPECT_EQ(nfa->AtomSnapshotLabel(atom), knows);
+  }
+  EXPECT_EQ(ReachableFrom(*nfa, 0).ToVector(),
+            (std::vector<uint32_t>{0, 2}));
+}
+
+// A PathNfa compiled over a view that owns its CSR keeps its results
+// when detached (list backend) or moved onto another snapshot of the
+// same graph — its label atoms get match bitsets first.
+TEST(CsrEquivalenceGuards, OwnCsrDetachAndReattach) {
+  Rng rng(3);
+  LabeledGraph g = ErdosRenyi(12, 40, {"p", "q"}, {"a", "b"}, &rng);
+  LabeledGraphView plain(g);
+  serve::EpochSnapshot epoch = EpochOf(g);
+  serve::EpochGraphView view = epoch.View();
+  CsrSnapshot other = CsrSnapshot::FromGraph(g);
+  RegexPtr regex = *ParseRegex("(a/b^-+[!a])*/?p");
+  Result<PathNfa> want = PathNfa::Compile(plain, *regex);
+  ASSERT_TRUE(want.ok()) << want.status();
+
+  Result<PathNfa> detached = PathNfa::Compile(view, *regex);
+  ASSERT_TRUE(detached.ok()) << detached.status();
+  ASSERT_TRUE(detached->AttachSnapshot(nullptr).ok());
+  ASSERT_EQ(detached->snapshot(), nullptr);
+  ExpectSamePathKernels(*want, *detached, 3);
+
+  Result<PathNfa> moved = PathNfa::Compile(view, *regex);
+  ASSERT_TRUE(moved.ok()) << moved.status();
+  ASSERT_TRUE(moved->AttachSnapshot(&other).ok());
+  ASSERT_EQ(moved->snapshot(), &other);
+  ExpectSamePathKernels(*want, *moved, 3);
+}
+
+// The guard path_nfa.h documents: a snapshot with the same topology but
+// different edge labels — here a copy of the graph with a and b swapped
+// — must never change results, whether it reaches the product through
+// AttachSnapshot on a plain view or through ExecOptions::snapshot.
+TEST(CsrEquivalenceGuards, RelabelledSnapshotNeverChangesResults) {
+  Rng rng(4);
+  LabeledGraph g = ErdosRenyi(14, 45, {"p", "q"}, {"a", "b"}, &rng);
+  LabeledGraph relabelled;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    relabelled.AddNode(g.NodeLabelString(n));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const std::string& label = g.EdgeLabelString(e);
+    ASSERT_TRUE(relabelled
+                    .AddEdge(g.EdgeSource(e), g.EdgeTarget(e),
+                             label == "a" ? "b" : "a")
+                    .ok());
+  }
+  LabeledGraphView view(g);
+  CsrSnapshot foreign = CsrSnapshot::FromGraph(relabelled);
+  ASSERT_TRUE(foreign.MatchesTopology(g.topology()));
+
+  for (const char* text : {"a/b^-", "(a+b^-)*/?p", "a"}) {
+    SCOPED_TRACE(text);
+    RegexPtr regex = *ParseRegex(text);
+    Result<PathNfa> want = PathNfa::Compile(view, *regex);
+    Result<PathNfa> got = PathNfa::Compile(view, *regex);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_TRUE(got->AttachSnapshot(&foreign).ok());
+    ExpectSamePathKernels(*want, *got, 4);
+  }
+
+  for (const char* text :
+       {"q(x, y) :- (x) -[ a/b^- ]-> (y)", "q(x, y) :- (x) -[ a ]-> (y)",
+        "q(x, y) :- (x: p) -[ b^- ]-> (y), (y) -[ (a+b)* ]-> (x)"}) {
+    SCOPED_TRACE(text);
+    Result<Crpq> crpq = ParseCrpq(text);
+    ASSERT_TRUE(crpq.ok()) << crpq.status();
+    Result<ConjunctiveQuery> cq = CompileCrpq(*crpq);
+    ASSERT_TRUE(cq.ok()) << cq.status();
+    Result<LogicalOpPtr> plan =
+        PlanQuery(*cq, GraphStats::From(&view, nullptr), PlannerOptions{});
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    Result<RowSet> want = ExecutePlan(view, **plan);
+    ASSERT_TRUE(want.ok()) << want.status();
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ExecOptions eopts;
+      eopts.parallel = Threads(threads);
+      eopts.snapshot = &foreign;
+      Result<RowSet> got = ExecutePlan(view, **plan, eopts);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->rows, want->rows) << "threads=" << threads;
+    }
+  }
 }
 
 // The Traversal facade silently ignores a mismatched snapshot — the

@@ -225,7 +225,20 @@ void ExpectSnapshotsIdentical(const EpochSnapshot& got,
     ASSERT_EQ(got.csr->LabelName(l), want_csr.LabelName(l));
     ASSERT_EQ(got.csr->CountForLabel(l), want_csr.CountForLabel(l));
   }
+  // graph() ↔ csr is the pairing EpochGraphView hands to kernels as
+  // trusted: pin the topology, every edge label and every node label.
   ASSERT_TRUE(got.csr->MatchesTopology(got.graph().topology()));
+  const EpochGraphView view = got.View();
+  ASSERT_EQ(view.csr(), got.csr.get());
+  for (EdgeId e = 0; e < got.num_edges(); ++e) {
+    const std::string& label = got.csr->LabelName(got.csr->EdgeLabel(e));
+    ASSERT_EQ(got.graph().EdgeLabelString(e), label) << "edge " << e;
+    ASSERT_TRUE(view.EdgeLabelIs(e, label)) << "edge " << e;
+  }
+  for (NodeId n = 0; n < got.num_nodes(); ++n) {
+    ASSERT_EQ(got.graph().NodeLabelString(n), got.nodes.label(n))
+        << "node " << n;
+  }
   // The strongest form: every member of the snapshot (offset arrays,
   // partitioned views, interning tables) compares equal — bit-identity
   // of the incremental merge with the from-scratch build.

@@ -306,6 +306,59 @@ TEST(ServeConcurrent, ServeStreamMatchesHandleLineByteForByte) {
   }
 }
 
+/// Counts flushes (sync calls) made from one thread.
+class SyncCountingBuf : public std::stringbuf {
+ public:
+  explicit SyncCountingBuf(std::thread::id thread) : thread_(thread) {}
+  int syncs_on_thread() const { return syncs_; }
+
+ protected:
+  int sync() override {
+    if (std::this_thread::get_id() == thread_) ++syncs_;
+    return std::stringbuf::sync();
+  }
+
+ private:
+  const std::thread::id thread_;
+  std::atomic<int> syncs_{0};
+};
+
+// Reading a tied input stream flushes the tied output. std::cin is tied
+// to std::cout, so kgq-serve's dispatcher would flush the response
+// stream outside the reorder lock, racing the workers' writes (it
+// duplicated response lines). With only queries in flight — all
+// answered and emitted by workers — the calling thread must never flush
+// `out`, and the tie is restored afterwards.
+TEST(ServeConcurrent, ServeStreamNeverFlushesFromTheDispatcher) {
+  std::string script;
+  script += "{\"op\":\"add_node\",\"label\":\"p\"}\n";
+  script += "{\"op\":\"publish\"}\n";
+  std::string queries;
+  for (int i = 0; i < 20; ++i) {
+    queries += "{\"op\":\"query\",\"id\":" + std::to_string(i) +
+               ",\"lang\":\"crpq\",\"text\":\"q(x) :- (x: p)\"}\n";
+  }
+  ServerOptions options;
+  options.workers = 2;
+  Server server(options);
+  std::istringstream setup(script);
+  std::ostringstream ignored;
+  server.ServeStream(setup, ignored);
+
+  SyncCountingBuf buf(std::this_thread::get_id());
+  std::ostream out(&buf);
+  std::istringstream in(queries);
+  in.tie(&out);
+  server.ServeStream(in, out);
+  EXPECT_EQ(buf.syncs_on_thread(), 0);
+  EXPECT_EQ(in.tie(), &out);
+  std::istringstream lines(buf.str());
+  std::string line;
+  int count = 0;
+  while (std::getline(lines, line)) ++count;
+  EXPECT_EQ(count, 20);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace kgq
