@@ -6,6 +6,20 @@
 #include <unordered_map>
 
 namespace kgq {
+namespace {
+
+/// True iff each label run of one node's label-partitioned span lists
+/// nondecreasing neighbors.
+bool RunsSorted(const CsrSnapshot::Entry* lo, const CsrSnapshot::Entry* hi) {
+  for (const CsrSnapshot::Entry* it = lo; hi - it > 1; ++it) {
+    if (it[1].label == it[0].label && it[1].neighbor < it[0].neighbor) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 template <typename SpellFn>
 CsrSnapshot CsrSnapshot::Build(const Multigraph& g,
@@ -81,6 +95,19 @@ void CsrSnapshot::BuildViews() {
     std::stable_sort(in_label_entries_.begin() + in_offsets_[v],
                      in_label_entries_.begin() + in_offsets_[v + 1], by_label);
   }
+  label_spans_sorted_ = AllLabelSpansSorted();
+}
+
+bool CsrSnapshot::AllLabelSpansSorted() const {
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    if (!RunsSorted(out_label_entries_.data() + out_offsets_[v],
+                    out_label_entries_.data() + out_offsets_[v + 1]) ||
+        !RunsSorted(in_label_entries_.data() + in_offsets_[v],
+                    in_label_entries_.data() + in_offsets_[v + 1])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 CsrSnapshot CsrSnapshot::FromGraph(const LabeledGraph& g) {
@@ -449,6 +476,10 @@ void CsrSnapshot::BuildViewsFromDelta(
   // Only touched nodes — at most two per delta record — sort.
   out_label_entries_.resize(m);
   in_label_entries_.resize(m);
+  // Sortedness at delta cost: an untouched span keeps prev's neighbor
+  // runs, so only the re-sorted spans need checking — when prev's
+  // property held. Otherwise the closing full check decides.
+  bool touched_sorted = true;
   // Stable in-place insertion sort by label: what stable_sort computes,
   // without its per-call temp-buffer allocation — touched spans are
   // node degrees, small by construction.
@@ -504,6 +535,9 @@ void CsrSnapshot::BuildViewsFromDelta(
               out_label_entries_.begin() + dst);
     sort_span(out_label_entries_.data() + dst,
               out_label_entries_.data() + dst + len);
+    touched_sorted = touched_sorted &&
+                     RunsSorted(out_label_entries_.data() + dst,
+                                out_label_entries_.data() + dst + len);
     ++v;
   }
 
@@ -525,8 +559,13 @@ void CsrSnapshot::BuildViewsFromDelta(
               in_label_entries_.begin() + idst);
     sort_span(in_label_entries_.data() + idst,
               in_label_entries_.data() + idst + ilen);
+    touched_sorted = touched_sorted &&
+                     RunsSorted(in_label_entries_.data() + idst,
+                                in_label_entries_.data() + idst + ilen);
     ++v;
   }
+  label_spans_sorted_ = prev.label_spans_sorted_ ? touched_sorted
+                                                 : AllLabelSpansSorted();
 }
 
 size_t CsrSnapshot::LabelFrequency(std::string_view name) const {

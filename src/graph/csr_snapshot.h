@@ -48,6 +48,18 @@ inline constexpr LabelId kNoLabel = 0xFFFFFFFFu;
 /// rng-stream-sensitive FPRAS); `tests/test_csr_equivalence.cc`
 /// enforces this.
 ///
+/// Sortedness property (`label_spans_sorted()`): whether every
+/// label-partition span also lists its neighbors in nondecreasing order.
+/// It is derived, not imposed — an O(|E|) check at build time, kept
+/// exact at delta cost by ApplyCanonicalDelta — and holds whenever edge
+/// ids follow canonical (from, to, label) order, as every epoch built
+/// by the serving layer does: ascending edge id within one (node, label)
+/// span is then ascending target on the out side and ascending source on
+/// the in side. Arbitrary input (FromGraph of an insertion-ordered
+/// graph) generally breaks it. The executor relies on it to emit
+/// label-partition scans in (src, dst) order and to binary-search a
+/// span for one neighbor; while it is false it uses neither.
+///
 /// A snapshot does not own or observe its source graph afterwards: it
 /// copies everything it needs (including label spellings), so the
 /// source may mutate or die. Conversely a snapshot attached to a kernel
@@ -181,6 +193,11 @@ class CsrSnapshot {
     return in_offsets_[n + 1] - in_offsets_[n];
   }
 
+  /// True iff every `OutForLabel` / `InForLabel` span is sorted by
+  /// neighbor (duplicates, i.e. parallel edges, adjacent) — see the
+  /// class comment.
+  bool label_spans_sorted() const { return label_spans_sorted_; }
+
   /// True iff this snapshot describes exactly the topology of `g`
   /// (same node count, edge count and per-edge endpoints) — the cheap
   /// compatibility check kernels run before trusting a snapshot.
@@ -258,6 +275,9 @@ class CsrSnapshot {
                            const std::vector<EdgeId>& ins_new_id,
                            const std::vector<EdgeRecord>& deleted);
 
+  /// The O(|E|) sortedness check over both label-partitioned views.
+  bool AllLabelSpansSorted() const;
+
   Span ForLabel(const std::vector<Entry>& entries,
                 const std::vector<size_t>& offsets, NodeId n,
                 LabelId l) const;
@@ -277,6 +297,7 @@ class CsrSnapshot {
   std::vector<Entry> in_entries_;         // by (target, edge)
   std::vector<Entry> out_label_entries_;  // by (source, label, edge)
   std::vector<Entry> in_label_entries_;   // by (target, label, edge)
+  bool label_spans_sorted_ = true;        // derived from the views above.
 };
 
 }  // namespace kgq

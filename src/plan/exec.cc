@@ -1,6 +1,7 @@
 #include "plan/exec.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -35,6 +36,62 @@ struct RowHash {
   }
 };
 
+/// Consumer of a streamed operator's rows. `row` holds one value per
+/// column of the operator's schema; `weight` is the row's multiplicity
+/// (a closing edge joins one left row with every parallel edge it
+/// finds). Returns false to stop the producer early.
+using RowSink = std::function<bool(const NodeId* row, uint64_t weight)>;
+
+/// The right side of a closing-edge join: an EdgeScan under zero or
+/// more Filters (outermost first) whose endpoints the left side binds.
+struct ClosingEdge {
+  const LogicalOp* scan = nullptr;
+  std::vector<const LogicalOp*> filters;
+};
+
+/// A Filter's predicate on one column of its input rows: the node test,
+/// or the `var == node` form of a Filter without one.
+struct RowCheck {
+  size_t col;
+  std::optional<BoundTest> test;
+  NodeId node;
+
+  bool operator()(const NodeId* row) const {
+    if (test.has_value()) return test->MatchesNode(row[col]);
+    return node != kNoNode && row[col] == node;
+  }
+};
+
+/// One operator's ProfileNode while it runs: pushed on construction,
+/// closed (wall time, rows_in from the children) on destruction. Inert
+/// without a TraceContext.
+class OpProfile {
+ public:
+  explicit OpProfile(LogicalKind kind) : trace_(obs::CurrentTrace()) {
+    if (trace_ == nullptr) return;
+    node_ = trace_->PushOp(LogicalKindName(kind));
+    start_ = obs::NowNanos();
+  }
+  ~OpProfile() {
+    if (trace_ == nullptr) return;
+    node_->time_ns = obs::NowNanos() - start_;
+    node_->rows_out = rows_out;
+    // rows_in = what the children fed this operator; leaves scan the
+    // graph directly and report 0.
+    for (const auto& child : node_->children) node_->rows_in += child->rows_out;
+    trace_->PopOp();
+  }
+  OpProfile(const OpProfile&) = delete;
+  OpProfile& operator=(const OpProfile&) = delete;
+
+  uint64_t rows_out = 0;
+
+ private:
+  obs::TraceContext* trace_;
+  obs::ProfileNode* node_ = nullptr;
+  uint64_t start_ = 0;
+};
+
 class Executor {
  public:
   Executor(const GraphView& view, const ExecOptions& options)
@@ -49,23 +106,27 @@ class Executor {
     }
   }
 
-  /// Operator dispatch plus per-request profiling: when the calling
-  /// thread has a TraceContext installed (serve's "profile":true path),
-  /// every operator contributes one ProfileNode mirroring its EXPLAIN
-  /// line — kind, rows in/out, engine choice and wall time. Without a
-  /// trace this is a null check and the plain dispatch below.
+  /// Evaluates `op` into a RowSet. Pipeline operators (Streams) run
+  /// their stream into it; the rest materialize operator by operator.
+  ///
+  /// Per-request profiling: when the calling thread has a TraceContext
+  /// installed (serve's "profile":true path), every operator contributes
+  /// one ProfileNode mirroring its EXPLAIN line — kind, rows in/out,
+  /// engine choice and wall time. Without a trace this is a null check.
   Result<RowSet> Exec(const LogicalOp& op) {
-    obs::TraceContext* trace = obs::CurrentTrace();
-    if (trace == nullptr) return ExecOp(op);
-    obs::ProfileNode* node = trace->PushOp(LogicalKindName(op.kind));
-    const uint64_t start = obs::NowNanos();
+    if (Streams(op)) {
+      RowSet rs;
+      rs.schema = op.schema;
+      const size_t width = op.schema.size();
+      KGQ_RETURN_IF_ERROR(Stream(op, [&](const NodeId* row, uint64_t weight) {
+        for (; weight > 0; --weight) rs.rows.emplace_back(row, row + width);
+        return true;
+      }));
+      return rs;
+    }
+    OpProfile profile(op.kind);
     Result<RowSet> result = ExecOp(op);
-    node->time_ns = obs::NowNanos() - start;
-    if (result.ok()) node->rows_out = result->rows.size();
-    // rows_in = what the children fed this operator; leaves scan the
-    // graph directly and report 0.
-    for (const auto& child : node->children) node->rows_in += child->rows_out;
-    trace->PopOp();
+    if (result.ok()) profile.rows_out = result->rows.size();
     return result;
   }
 
@@ -76,10 +137,6 @@ class Executor {
         KGQ_SPAN("plan.op.node_scan");
         return NodeScan(op);
       }
-      case LogicalKind::kEdgeScan: {
-        KGQ_SPAN("plan.op.edge_scan");
-        return EdgeScan(op);
-      }
       case LogicalKind::kPathAtom: {
         KGQ_SPAN("plan.op.path_atom");
         return PathAtom(op);
@@ -88,16 +145,129 @@ class Executor {
         KGQ_SPAN("plan.op.hash_join");
         return HashJoin(op);
       }
-      case LogicalKind::kFilter: {
-        KGQ_SPAN("plan.op.filter");
-        return Filter(op);
-      }
       case LogicalKind::kProject: {
         KGQ_SPAN("plan.op.project");
         return Project(op);
       }
+      case LogicalKind::kEdgeScan:
+      case LogicalKind::kFilter:
+        break;  // Pipeline operators: Exec streams them.
     }
     return Status::Internal("unknown logical operator");
+  }
+
+  // ---- the pipeline ----
+  //
+  // A label-partition EdgeScan is the one streaming producer: one pass
+  // over its spans, each row pushed through the checks stacked on it —
+  // the Filters above it and closing-edge probes — and materialized
+  // only by whoever consumes the stream last. Every operator keeps its
+  // own span and ProfileNode; the scan's wall time includes the checks
+  // it drives.
+
+  /// True iff `op` runs as a pipeline stage: every EdgeScan and Filter,
+  /// and a HashJoin that closes an edge (ProbeEdge).
+  bool Streams(const LogicalOp& op) {
+    switch (op.kind) {
+      case LogicalKind::kEdgeScan:
+      case LogicalKind::kFilter:
+        return true;
+      case LogicalKind::kHashJoin:
+        return ProbeEdge(op).has_value();
+      default:
+        return false;
+    }
+  }
+
+  /// True iff `op` streams its rows sorted lexicographically by its
+  /// schema (parallel-edge duplicates adjacent): a label-partition scan
+  /// over sorted spans, and any Filter or probe join over such a stream.
+  bool Ordered(const LogicalOp& op) {
+    switch (op.kind) {
+      case LogicalKind::kEdgeScan:
+        return SortedPartition(op.label);
+      case LogicalKind::kFilter:
+        return Ordered(*op.children[0]);
+      case LogicalKind::kHashJoin:
+        return ProbeEdge(op).has_value() && Ordered(*op.children[0]);
+      default:
+        return false;
+    }
+  }
+
+  /// Streams a pipeline operator's rows into `sink`.
+  Status Stream(const LogicalOp& op, const RowSink& sink) {
+    OpProfile profile(op.kind);
+    switch (op.kind) {
+      case LogicalKind::kEdgeScan: {
+        KGQ_SPAN("plan.op.edge_scan");
+        return EdgeScan(op, sink, &profile.rows_out);
+      }
+      case LogicalKind::kFilter: {
+        KGQ_SPAN("plan.op.filter");
+        return Filter(op, sink, &profile.rows_out);
+      }
+      case LogicalKind::kHashJoin: {
+        KGQ_SPAN("plan.op.hash_join");
+        return ProbeJoin(op, *ProbeEdge(op), sink, &profile.rows_out);
+      }
+      default:
+        return Status::Internal("operator does not stream");
+    }
+  }
+
+  /// Feeds every row of `op` to `sink`: streamed when `op` is a pipeline
+  /// stage, from its materialized RowSet otherwise.
+  Status ForEachRow(const LogicalOp& op, const RowSink& sink) {
+    if (Streams(op)) return Stream(op, sink);
+    KGQ_ASSIGN_OR_RETURN(RowSet input, Exec(op));
+    for (const std::vector<NodeId>& row : input.rows) {
+      if (!sink(row.data(), 1)) break;
+    }
+    return Status::OK();
+  }
+
+  /// Filter `op`'s predicate on the rows of `schema`.
+  Result<RowCheck> CheckOf(const LogicalOp& op,
+                           const std::vector<std::string>& schema) {
+    const size_t col = ColumnOf(schema, op.src_var);
+    if (col == static_cast<size_t>(-1)) {
+      return Status::Internal("filter variable '" + op.src_var +
+                              "' not in input schema");
+    }
+    RowCheck check{col, std::nullopt, op.bound_src};
+    if (op.test != nullptr) check.test.emplace(view_, *op.test);
+    return check;
+  }
+
+  /// The closing edge of a HashJoin, when it runs as a probe: the right
+  /// side is an EdgeScan under Filters, the left side binds both of its
+  /// variables (so the join adds no column and only checks rows), and
+  /// the scan's label partition is exact with sorted spans to
+  /// binary-search. nullopt: an ordinary hash join.
+  std::optional<ClosingEdge> ProbeEdge(const LogicalOp& join) {
+    if (join.kind != LogicalKind::kHashJoin) return std::nullopt;
+    ClosingEdge edge;
+    const LogicalOp* right = join.children[1].get();
+    while (right->kind == LogicalKind::kFilter) {
+      edge.filters.push_back(right);
+      right = right->children[0].get();
+    }
+    if (right->kind != LogicalKind::kEdgeScan) return std::nullopt;
+    const LogicalOp& left = *join.children[0];
+    if (!left.Produces(right->src_var) || !left.Produces(right->dst_var) ||
+        !SortedPartition(right->label)) {
+      return std::nullopt;
+    }
+    edge.scan = right;
+    return edge;
+  }
+
+  /// True iff EdgeScans over `label` read csr_'s exact label partition
+  /// and its spans are sorted by neighbor.
+  bool SortedPartition(const std::string& label) {
+    return csr_ != nullptr && csr_->label_spans_sorted() &&
+           LabelPartitionExact(label);
   }
 
   /// Records the physical engine the current operator chose into the
@@ -166,12 +336,16 @@ class Executor {
     return rs;
   }
 
-  Result<RowSet> EdgeScan(const LogicalOp& op) {
+  /// Label-partition scan: one pass over the label's CSR spans (the
+  /// list path walks every edge when no exact partition exists), pushing
+  /// each (src, dst) row — one column on the diagonal — into `sink`
+  /// until it asks to stop. Over sorted spans the rows come out in
+  /// (src, dst) order: a full scan visits sources ascending, a bound
+  /// endpoint reads one sorted span.
+  Status EdgeScan(const LogicalOp& op, const RowSink& sink, uint64_t* rows) {
     const bool partitions =
         csr_ != nullptr && LabelPartitionExact(op.label);
     ProfileEngine(partitions ? "csr" : "list");
-    RowSet rs;
-    rs.schema = op.schema;
     const bool diagonal = (op.src_var == op.dst_var);
     bool src_bound = false, dst_bound = false;
     NodeId src_at = kNoNode, dst_at = kNoNode;
@@ -179,19 +353,25 @@ class Executor {
                      &src_bound, &src_at) ||
         !UsableBound(op.has_bound_dst, op.bound_dst, view_.num_nodes(),
                      &dst_bound, &dst_at)) {
-      return rs;
+      return Status::OK();
     }
+    NodeId row[2];
+    // Emits (a, b) unless the bounds or the diagonal reject it; false
+    // once the sink asks to stop.
     auto emit = [&](NodeId a, NodeId b) {
-      if (src_bound && a != src_at) return;
-      if (dst_bound && b != dst_at) return;
-      if (diagonal) {
-        if (a == b) rs.rows.push_back({a});
-      } else {
-        rs.rows.push_back({a, b});
-      }
+      if (src_bound && a != src_at) return true;
+      if (dst_bound && b != dst_at) return true;
+      if (diagonal && a != b) return true;
+      row[0] = a;
+      row[1] = b;
+      ++*rows;
+      return sink(row, 1);
     };
     if (partitions) {
       std::optional<LabelId> lab = csr_->FindLabel(op.label);
+      // Entries of the spans this call opens, tallied here and added to
+      // the registry once.
+      uint64_t entries = 0;
       if (lab.has_value()) {
         // (a, b) pairs: forward atoms read a's out partition; backward
         // atoms read a's in partition (neighbor = the edge's source).
@@ -199,10 +379,11 @@ class Executor {
           CsrSnapshot::Span part = op.backward
                                        ? csr_->InForLabel(a, *lab)
                                        : csr_->OutForLabel(a, *lab);
-          KGQ_COUNTER_ADD("plan.scan.label_partition_entries", part.size());
+          entries += part.size();
           for (const CsrSnapshot::Entry& entry : part) {
-            emit(a, entry.neighbor);
+            if (!emit(a, entry.neighbor)) return false;
           }
+          return true;
         };
         if (src_bound) {
           scan_from(src_at);
@@ -211,27 +392,29 @@ class Executor {
           CsrSnapshot::Span part = op.backward
                                        ? csr_->OutForLabel(dst_at, *lab)
                                        : csr_->InForLabel(dst_at, *lab);
-          KGQ_COUNTER_ADD("plan.scan.label_partition_entries", part.size());
+          entries += part.size();
           for (const CsrSnapshot::Entry& entry : part) {
-            emit(entry.neighbor, dst_at);
+            if (!emit(entry.neighbor, dst_at)) break;
           }
         } else {
-          for (NodeId a = 0; a < csr_->num_nodes(); ++a) scan_from(a);
+          for (NodeId a = 0; a < csr_->num_nodes(); ++a) {
+            if (!scan_from(a)) break;
+          }
         }
       }
+      KGQ_COUNTER_ADD("plan.scan.label_partition_entries", entries);
     } else {
       const Multigraph& g = view_.topology();
       for (EdgeId e = 0; e < g.num_edges(); ++e) {
         if (!view_.EdgeLabelIs(e, op.label)) continue;
-        if (op.backward) {
-          emit(g.EdgeTarget(e), g.EdgeSource(e));
-        } else {
-          emit(g.EdgeSource(e), g.EdgeTarget(e));
-        }
+        const bool more = op.backward
+                              ? emit(g.EdgeTarget(e), g.EdgeSource(e))
+                              : emit(g.EdgeSource(e), g.EdgeTarget(e));
+        if (!more) break;
       }
     }
-    KGQ_COUNTER_ADD("plan.rows.edge_scan", rs.rows.size());
-    return rs;
+    KGQ_COUNTER_ADD("plan.rows.edge_scan", *rows);
+    return Status::OK();
   }
 
   Result<RowSet> PathAtom(const LogicalOp& op) {
@@ -435,32 +618,116 @@ class Executor {
     return rs;
   }
 
-  Result<RowSet> Filter(const LogicalOp& op) {
-    KGQ_ASSIGN_OR_RETURN(RowSet input, Exec(*op.children[0]));
-    size_t col = ColumnOf(input.schema, op.src_var);
-    if (col == static_cast<size_t>(-1)) {
-      return Status::Internal("filter variable '" + op.src_var +
-                              "' not in input schema");
+  /// Keeps the input rows whose variable passes the test (or equals the
+  /// bound node); streams when its input does.
+  Status Filter(const LogicalOp& op, const RowSink& sink, uint64_t* kept) {
+    const LogicalOp& input = *op.children[0];
+    KGQ_ASSIGN_OR_RETURN(RowCheck check, CheckOf(op, input.schema));
+    KGQ_RETURN_IF_ERROR(
+        ForEachRow(input, [&](const NodeId* row, uint64_t weight) {
+          if (!check(row)) return true;
+          *kept += weight;
+          return sink(row, weight);
+        }));
+    KGQ_COUNTER_ADD("plan.rows.filter", *kept);
+    return Status::OK();
+  }
+
+  /// A closing-edge join: each left row (u, v) probes the right scan's
+  /// sorted span for the matching edge — a binary search instead of a
+  /// hash table over the whole partition — and passes on once per
+  /// parallel edge that also satisfies the right side's Filters. The
+  /// right side is never scanned; its ProfileNodes report the rows the
+  /// probes found (engine "probe" on the scan and the join).
+  Status ProbeJoin(const LogicalOp& op, const ClosingEdge& edge,
+                   const RowSink& sink, uint64_t* kept) {
+    ProfileEngine("probe");
+    const LogicalOp& left = *op.children[0];
+    const LogicalOp& scan = *edge.scan;
+    const size_t u_col = ColumnOf(left.schema, scan.src_var);
+    const size_t v_col = ColumnOf(left.schema, scan.dst_var);
+    // Innermost Filter first, the order the right side would apply them.
+    std::vector<RowCheck> checks;
+    for (auto it = edge.filters.rbegin(); it != edge.filters.rend(); ++it) {
+      KGQ_ASSIGN_OR_RETURN(RowCheck check, CheckOf(**it, left.schema));
+      checks.push_back(std::move(check));
     }
-    RowSet rs;
-    rs.schema = std::move(input.schema);
-    std::optional<BoundTest> test;
-    if (op.test != nullptr) test.emplace(view_, *op.test);
-    for (auto& row : input.rows) {
-      bool keep;
-      if (test.has_value()) {
-        keep = test->MatchesNode(row[col]);
-      } else {
-        keep = (op.bound_src != kNoNode && row[col] == op.bound_src);
-      }
-      if (keep) rs.rows.push_back(std::move(row));
+    const std::optional<LabelId> lab = csr_->FindLabel(scan.label);
+    // The edge is found from either endpoint's span. Search the one of
+    // the endpoint in the left side's leading column when there is one:
+    // ordered left rows then share one span per run of equal leading
+    // values, read sequentially — a merge of that node's out- and
+    // in-spans — instead of one random span per row.
+    const bool anchor_dst = v_col == 0 && u_col != 0;
+    // Forward edges run u→v, backward ones v→u; the anchor's span on the
+    // matching side lists the other endpoint.
+    const bool use_in = scan.backward != anchor_dst;
+    NodeId anchored = kNoNode;
+    CsrSnapshot::Span span;
+    uint64_t found = 0;                              // right scan's rows
+    std::vector<uint64_t> passed(checks.size(), 0);  // per check
+    KGQ_RETURN_IF_ERROR(
+        ForEachRow(left, [&](const NodeId* row, uint64_t weight) {
+          const NodeId u = row[u_col];
+          const NodeId v = row[v_col];
+          if (!lab.has_value() || (scan.has_bound_src && u != scan.bound_src) ||
+              (scan.has_bound_dst && v != scan.bound_dst)) {
+            return true;
+          }
+          const NodeId anchor = anchor_dst ? v : u;
+          if (anchor != anchored) {
+            anchored = anchor;
+            span = use_in ? csr_->InForLabel(anchor, *lab)
+                          : csr_->OutForLabel(anchor, *lab);
+          }
+          auto [lo, hi] = std::equal_range(
+              span.begin(), span.end(),
+              CsrSnapshot::Entry{0, anchor_dst ? u : v, 0},
+              [](const CsrSnapshot::Entry& a, const CsrSnapshot::Entry& b) {
+                return a.neighbor < b.neighbor;
+              });
+          const uint64_t hits = static_cast<uint64_t>(hi - lo);
+          if (hits == 0) return true;
+          found += hits;
+          for (size_t i = 0; i < checks.size(); ++i) {
+            if (!checks[i](row)) return true;
+            passed[i] += hits;
+          }
+          *kept += weight * hits;
+          return sink(row, weight * hits);
+        }));
+    KGQ_COUNTER_ADD("plan.rows.edge_scan", found);
+    for ([[maybe_unused]] uint64_t rows : passed) {
+      KGQ_COUNTER_ADD("plan.rows.filter", rows);
     }
-    KGQ_COUNTER_ADD("plan.rows.filter", rs.rows.size());
-    return rs;
+    KGQ_COUNTER_ADD("plan.rows.hash_join", *kept);
+    ProfileProbedSide(edge, found, passed);
+    return Status::OK();
+  }
+
+  /// Appends the never-scanned right side of a probe join to the profile
+  /// tree, after the left side: its Filters (outermost first) over the
+  /// scan, each reporting the probed rows it kept.
+  static void ProfileProbedSide(const ClosingEdge& edge, uint64_t found,
+                                const std::vector<uint64_t>& passed) {
+    obs::TraceContext* trace = obs::CurrentTrace();
+    if (trace == nullptr) return;
+    const size_t depth = edge.filters.size();
+    for (size_t i = 0; i < depth; ++i) {
+      obs::ProfileNode* node =
+          trace->PushOp(LogicalKindName(LogicalKind::kFilter));
+      node->rows_in = i + 1 < depth ? passed[depth - i - 2] : found;
+      node->rows_out = passed[depth - i - 1];
+    }
+    obs::ProfileNode* node =
+        trace->PushOp(LogicalKindName(LogicalKind::kEdgeScan));
+    node->engine = "probe";
+    node->rows_out = found;
+    for (size_t i = 0; i <= depth; ++i) trace->PopOp();
   }
 
   Result<RowSet> Project(const LogicalOp& op) {
-    KGQ_ASSIGN_OR_RETURN(RowSet input, Exec(*op.children[0]));
+    const LogicalOp& input = *op.children[0];
     std::vector<size_t> cols;
     cols.reserve(op.columns.size());
     for (const std::string& var : op.columns) {
@@ -473,20 +740,37 @@ class Executor {
     }
     RowSet rs;
     rs.schema = op.columns;
-    rs.rows.reserve(input.rows.size());
-    for (const auto& row : input.rows) {
-      std::vector<NodeId> out;
-      out.reserve(cols.size());
-      for (size_t c : cols) out.push_back(row[c]);
-      rs.rows.push_back(std::move(out));
-    }
     // The canonical output discipline shared with the reference
-    // evaluators: sorted, deduplicated, limit applied last.
-    std::sort(rs.rows.begin(), rs.rows.end());
-    rs.rows.erase(std::unique(rs.rows.begin(), rs.rows.end()),
-                  rs.rows.end());
-    if (op.limit > 0 && rs.rows.size() > op.limit) {
-      rs.rows.resize(op.limit);
+    // evaluators: sorted, deduplicated, limit applied last. An ordered
+    // input whose leading columns are the projection already arrives
+    // sorted with duplicates adjacent, so it is deduplicated on the fly
+    // and the stream stops once `limit` distinct rows are in.
+    bool prefix = true;
+    for (size_t i = 0; i < cols.size(); ++i) prefix = prefix && cols[i] == i;
+    if (prefix && Ordered(input)) {
+      const size_t width = cols.size();
+      KGQ_RETURN_IF_ERROR(Stream(input, [&](const NodeId* row, uint64_t) {
+        if (rs.rows.empty() ||
+            !std::equal(row, row + width, rs.rows.back().begin())) {
+          rs.rows.emplace_back(row, row + width);
+        }
+        return op.limit == 0 || rs.rows.size() < op.limit;
+      }));
+    } else {
+      KGQ_ASSIGN_OR_RETURN(RowSet rows, Exec(input));
+      rs.rows.reserve(rows.rows.size());
+      for (const auto& row : rows.rows) {
+        std::vector<NodeId> out;
+        out.reserve(cols.size());
+        for (size_t c : cols) out.push_back(row[c]);
+        rs.rows.push_back(std::move(out));
+      }
+      std::sort(rs.rows.begin(), rs.rows.end());
+      rs.rows.erase(std::unique(rs.rows.begin(), rs.rows.end()),
+                    rs.rows.end());
+      if (op.limit > 0 && rs.rows.size() > op.limit) {
+        rs.rows.resize(op.limit);
+      }
     }
     KGQ_COUNTER_ADD("plan.rows.project", rs.rows.size());
     return rs;

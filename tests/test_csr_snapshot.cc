@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "graph/generators.h"
@@ -373,6 +375,65 @@ TEST(CsrSnapshot, FromLabeledEdgesMatchesFromGraph) {
   EXPECT_EQ(indirect.ToEdgeList(), direct.ToEdgeList());
   EXPECT_EQ(indirect.LabelFrequency("a"), direct.LabelFrequency("a"));
   EXPECT_EQ(indirect.LabelFrequency("b"), direct.LabelFrequency("b"));
+}
+
+// ---------------------------------------------------------------------
+// The sortedness property: every label-partition span sorted by
+// neighbor.
+
+/// Snapshot of `edges` in the given edge-id order over `n` nodes.
+CsrSnapshot FromEdges(size_t n,
+                      const std::vector<CsrSnapshot::EdgeRecord>& edges) {
+  Multigraph g(n);
+  for (const CsrSnapshot::EdgeRecord& e : edges) {
+    EXPECT_TRUE(g.AddEdge(e.from, e.to).ok());
+  }
+  return CsrSnapshot::FromLabeledEdges(
+      g, [&](EdgeId e) { return edges[e].label; });
+}
+
+TEST(CsrSnapshot, CanonicalInputHasSortedLabelSpans) {
+  Rng rng(31);
+  for (int round = 0; round < 8; ++round) {
+    const size_t n = 5 + rng.Below(20);
+    std::vector<CsrSnapshot::EdgeRecord> edges;
+    for (size_t i = 0, m = rng.Below(80); i < m; ++i) {
+      edges.push_back({static_cast<NodeId>(rng.Below(n)),
+                       static_cast<NodeId>(rng.Below(n)),
+                       rng.Bernoulli(0.5) ? "a" : "b"});
+    }
+    // Canonical (from, to, label) order, parallel edges included.
+    std::sort(edges.begin(), edges.end(), [](const auto& x, const auto& y) {
+      return std::tie(x.from, x.to, x.label) < std::tie(y.from, y.to, y.label);
+    });
+    CsrSnapshot snap = FromEdges(n, edges);
+    EXPECT_TRUE(snap.label_spans_sorted()) << "round " << round;
+    // The property as stated, checked span by span.
+    for (NodeId v = 0; v < n; ++v) {
+      for (LabelId l = 0; l < snap.num_labels(); ++l) {
+        for (CsrSnapshot::Span span :
+             {snap.OutForLabel(v, l), snap.InForLabel(v, l)}) {
+          for (size_t i = 1; i < span.size(); ++i) {
+            ASSERT_LE(span[i - 1].neighbor, span[i].neighbor);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(CsrSnapshot().label_spans_sorted());
+}
+
+TEST(CsrSnapshot, OutOfOrderInputHasUnsortedLabelSpans) {
+  // Out side: node 0's a-span lists target 2 before target 1.
+  EXPECT_FALSE(FromEdges(3, {{0, 2, "a"}, {0, 1, "a"}}).label_spans_sorted());
+  // In side only: every out-span has one edge, but node 0's a-span on
+  // the in side lists source 2 before source 1.
+  EXPECT_FALSE(FromEdges(3, {{2, 0, "a"}, {1, 0, "a"}}).label_spans_sorted());
+  // Different labels never share a span: this order is fine.
+  EXPECT_TRUE(FromEdges(3, {{0, 2, "a"}, {0, 1, "b"}}).label_spans_sorted());
+  // Insertion-ordered FromGraph input breaks it too.
+  EXPECT_FALSE(
+      CsrSnapshot::FromGraph(DiamondWithExtras()).label_spans_sorted());
 }
 
 }  // namespace

@@ -239,6 +239,12 @@ void ExpectSnapshotsIdentical(const EpochSnapshot& got,
     ASSERT_EQ(got.graph().NodeLabelString(n), got.nodes.label(n))
         << "node " << n;
   }
+  // Canonical edge order makes every label-partition span sorted by
+  // neighbor — the property the executor's ordered scans and probes
+  // rely on. The incremental merge must keep it (and derive it exactly,
+  // which the member-wise comparison below also pins).
+  ASSERT_TRUE(got.csr->label_spans_sorted());
+  ASSERT_TRUE(want_csr.label_spans_sorted());
   // The strongest form: every member of the snapshot (offset arrays,
   // partitioned views, interning tables) compares equal — bit-identity
   // of the incremental merge with the from-scratch build.

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datasets/dblp_synth.h"
@@ -14,6 +19,7 @@
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "plan/exec.h"
 #include "plan/ir.h"
 #include "plan/optimizer.h"
@@ -347,6 +353,25 @@ TEST(Executor, LimitTruncatesAfterSortAndDedup) {
   EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
 }
 
+/// Counts the events a sink receives for one counter name.
+class CounterEvents : public obs::ObsSink {
+ public:
+  explicit CounterEvents(std::string name) : name_(std::move(name)) {}
+  void OnCounter(std::string_view name, uint64_t delta) override {
+    if (name != name_) return;
+    ++events;
+    total += delta;
+  }
+  void OnHistogram(std::string_view, uint64_t) override {}
+  void OnSpan(std::string_view, uint64_t) override {}
+
+  uint64_t events = 0;
+  uint64_t total = 0;
+
+ private:
+  std::string name_;
+};
+
 TEST(Executor, EmitsObsCountersAndSpans) {
   obs::Registry::SetEnabled(true);
   obs::Registry::Get().Reset();
@@ -357,7 +382,11 @@ TEST(Executor, EmitsObsCountersAndSpans) {
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus)");
   CrpqOptions opts;
   opts.snapshot = &snap;
-  (void)*EvalCrpq(view, q, opts);
+  CounterEvents entries("plan.scan.label_partition_entries");
+  {
+    obs::ScopedSink sink(&entries);
+    (void)*EvalCrpq(view, q, opts);
+  }
 
   // A -DKGQ_OBS=OFF build compiles the macro call sites to nothing;
   // the execution itself must still work (checked above by EvalCrpq).
@@ -366,6 +395,229 @@ TEST(Executor, EmitsObsCountersAndSpans) {
   EXPECT_GT(reg.CounterValue("plan.rows.project"), 0u);
   EXPECT_GT(reg.SpanCount("plan.optimize"), 0u);
   EXPECT_GT(reg.SpanCount("plan.execute"), 0u);
+  // The full scan reads every rides entry once and reports the tally in
+  // one registry add per call, not one per node.
+  const uint64_t rides = snap.LabelFrequency("rides");
+  ASSERT_GT(rides, 0u);
+  EXPECT_EQ(reg.CounterValue("plan.scan.label_partition_entries"), rides);
+  EXPECT_EQ(entries.total, rides);
+  EXPECT_EQ(entries.events, 1u);
+}
+
+// ---------------------------------------------------------------------
+// The ordered pipeline: guards against a silent fallback to the
+// materialize → sort → dedup → limit path.
+
+/// A transit graph of 12k+ edges built in canonical (from, to, label)
+/// order, so its FromGraph snapshot has sorted label spans: persons
+/// 0..1999 ride buses 2000..2399 and know each other, a third of the
+/// `knows` edges reciprocated.
+LabeledGraph CanonicalTransitGraph() {
+  constexpr NodeId kPersons = 2000;
+  constexpr NodeId kBuses = 400;
+  Rng rng(17);
+  std::vector<CsrSnapshot::EdgeRecord> edges;
+  for (NodeId p = 0; p < kPersons; ++p) {
+    for (int i = 0; i < 3; ++i) {
+      edges.push_back(
+          {p, kPersons + static_cast<NodeId>(rng.Below(kBuses)), "rides"});
+      const NodeId q = static_cast<NodeId>(rng.Below(kPersons));
+      edges.push_back({p, q, "knows"});
+      if (i == 0) edges.push_back({q, p, "knows"});
+    }
+  }
+  std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.from, a.to, a.label) < std::tie(b.from, b.to, b.label);
+  });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  LabeledGraph g;
+  for (NodeId n = 0; n < kPersons + kBuses; ++n) {
+    g.AddNode(n < kPersons ? "person" : "bus");
+  }
+  for (const auto& e : edges) {
+    EXPECT_TRUE(g.AddEdge(e.from, e.to, e.label).ok());
+  }
+  return g;
+}
+
+/// Pre-order search for the first profile node of `kind`.
+const obs::ProfileNode* FindProfiled(const obs::ProfileNode& node,
+                                     const std::string& kind) {
+  if (node.kind == kind) return &node;
+  for (const auto& child : node.children) {
+    if (const obs::ProfileNode* hit = FindProfiled(*child, kind)) return hit;
+  }
+  return nullptr;
+}
+
+TEST(OrderedPipeline, LimitStopsTheScanEarly) {
+  obs::Registry::SetEnabled(true);
+  LabeledGraph g = CanonicalTransitGraph();
+  ASSERT_GE(g.num_edges(), 10000u);
+  LabeledGraphView view(g);
+  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  ASSERT_TRUE(snap.label_spans_sorted());
+
+  // Full-sort reference: every rides edge, sorted, deduplicated, cut.
+  std::vector<std::vector<NodeId>> want;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (g.EdgeLabelString(e) != "rides") continue;
+    want.push_back({g.topology().EdgeSource(e), g.topology().EdgeTarget(e)});
+  }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  want.resize(50);
+
+  MatchQuery mq = *ParseMatchQuery(
+      "MATCH (x: person) -[ rides ]-> (b: bus) RETURN x, b LIMIT 50");
+  MatchPlanOptions opts;
+  opts.snapshot = &snap;
+  obs::TraceContext trace;
+  Result<QueryResult> got = [&] {
+    obs::ScopedTrace scope(&trace);
+    return ExecuteMatchPlanned(view, mq, opts);
+  }();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->rows, want);
+  // The list path (no snapshot) materializes and sorts everything.
+  EXPECT_EQ((*ExecuteMatchPlanned(view, mq)).rows, want);
+
+  if (!obs::kCompiledIn) return;
+  std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
+  ASSERT_NE(profile, nullptr);
+  const obs::ProfileNode* scan = FindProfiled(*profile, "EdgeScan");
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->engine, "csr");
+  EXPECT_GE(scan->rows_out, 50u);
+  EXPECT_LT(scan->rows_out * 20, snap.LabelFrequency("rides"))
+      << "the scan read most of its partition: LIMIT did not stop it";
+}
+
+// The planner filters a variable on every leaf that binds it, so a
+// closing edge's own Filters repeat the left side's. A hand-built plan
+// where only the right side filters checks that the probe applies them.
+TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
+  LabeledGraph g;
+  for (const char* label : {"person", "bot", "person", "bot"}) g.AddNode(label);
+  // Canonical order: every pair of nodes knows each other both ways.
+  for (NodeId a = 0; a < 4; ++a) {
+    for (NodeId b = 0; b < 4; ++b) {
+      if (a != b) {
+        ASSERT_TRUE(g.AddEdge(a, b, "knows").ok());
+      }
+    }
+  }
+  LabeledGraphView view(g);
+  CsrSnapshot sorted = CsrSnapshot::FromGraph(g);
+  ASSERT_TRUE(sorted.label_spans_sorted());
+
+  auto scan = [](const std::string& src, const std::string& dst) {
+    auto op = std::make_shared<LogicalOp>();
+    op->kind = LogicalKind::kEdgeScan;
+    op->src_var = src;
+    op->dst_var = dst;
+    op->label = "knows";
+    op->schema = {src, dst};
+    return op;
+  };
+  auto filter = std::make_shared<LogicalOp>();
+  filter->kind = LogicalKind::kFilter;
+  filter->src_var = "x";
+  filter->test = TestExpr::Label("person");
+  filter->children = {scan("y", "x")};
+  filter->schema = {"y", "x"};
+  auto join = std::make_shared<LogicalOp>();
+  join->kind = LogicalKind::kHashJoin;
+  join->children = {scan("x", "y"), filter};
+  join->schema = {"x", "y"};
+  LogicalOp project;
+  project.kind = LogicalKind::kProject;
+  project.columns = {"x", "y"};
+  project.schema = {"x", "y"};
+  project.children = {join};
+
+  // x ∈ {0, 2} (the persons), y any other node.
+  const std::vector<std::vector<NodeId>> want = {
+      {0, 1}, {0, 2}, {0, 3}, {2, 0}, {2, 1}, {2, 3}};
+  // With the sorted snapshot the join probes; without one it hashes.
+  const CsrSnapshot* const snapshots[] = {&sorted, nullptr};
+  for (const CsrSnapshot* snap : snapshots) {
+    ExecOptions opts;
+    opts.snapshot = snap;
+    obs::TraceContext trace;
+    Result<RowSet> got = [&] {
+      obs::ScopedTrace scope(&trace);
+      return ExecutePlan(view, project, opts);
+    }();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->rows, want) << "snapshot=" << (snap != nullptr);
+    if (!obs::kCompiledIn || snap == nullptr) continue;
+    std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
+    ASSERT_NE(profile, nullptr);
+    const obs::ProfileNode* probe = FindProfiled(*profile, "HashJoin");
+    ASSERT_NE(probe, nullptr);
+    EXPECT_EQ(probe->engine, "probe");
+    // The probed side: every left row found its reverse edge, and the
+    // Filter kept the persons.
+    ASSERT_EQ(probe->children.size(), 2u);
+    const obs::ProfileNode& right = *probe->children[1];
+    EXPECT_EQ(right.kind, "Filter");
+    EXPECT_EQ(right.rows_in, 12u);
+    EXPECT_EQ(right.rows_out, 6u);
+  }
+}
+
+TEST(OrderedPipeline, ClosingEdgeProbesInsteadOfHashing) {
+  obs::Registry::SetEnabled(true);
+  LabeledGraph g = CanonicalTransitGraph();
+  LabeledGraphView view(g);
+  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  ASSERT_TRUE(snap.label_spans_sorted());
+
+  // Reference: the mutual-knows pairs, sorted.
+  std::set<std::pair<NodeId, NodeId>> knows;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (g.EdgeLabelString(e) == "knows") {
+      knows.emplace(g.topology().EdgeSource(e), g.topology().EdgeTarget(e));
+    }
+  }
+  std::vector<std::vector<NodeId>> mutual;
+  for (const auto& [x, y] : knows) {
+    if (knows.count({y, x}) != 0) mutual.push_back({x, y});
+  }
+  ASSERT_GT(mutual.size(), 100u);
+
+  for (size_t limit : {size_t{0}, size_t{40}}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    std::vector<std::vector<NodeId>> want = mutual;
+    if (limit > 0) want.resize(limit);
+    Crpq q = *ParseCrpq(
+        "q(x, y) :- (x) -[ knows ]-> (y), (y) -[ knows ]-> (x)");
+    q.limit = limit;
+    CrpqOptions opts;
+    opts.snapshot = &snap;
+    obs::TraceContext trace;
+    Result<RowSet> got = [&] {
+      obs::ScopedTrace scope(&trace);
+      return EvalCrpq(view, q, opts);
+    }();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->rows, want);
+    EXPECT_EQ((*EvalCrpq(view, q)).rows, want);  // list path, hash join
+
+    if (!obs::kCompiledIn) continue;
+    std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
+    ASSERT_NE(profile, nullptr);
+    const obs::ProfileNode* join = FindProfiled(*profile, "HashJoin");
+    ASSERT_NE(join, nullptr);
+    EXPECT_EQ(join->engine, "probe");
+    EXPECT_EQ(trace.FindHistogram("plan.join.build_rows"), nullptr)
+        << "the join built a hash table";
+    // One node per logical operator: the probed side is still there.
+    ASSERT_EQ(join->children.size(), 2u);
+    EXPECT_EQ(join->children[1]->engine, "probe");
+    EXPECT_EQ(join->rows_out, limit > 0 ? limit : mutual.size());
+  }
 }
 
 // ---------------------------------------------------------------------

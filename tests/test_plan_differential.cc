@@ -6,6 +6,13 @@
 // The planner may pick any join order and any physical operator — the
 // canonical output discipline (sorted, deduplicated, limited) makes the
 // comparison bit-exact.
+//
+// Two CSR legs cover the executor's two regimes. The FromGraph snapshot
+// of an insertion-ordered graph generally has unsorted label spans, so
+// scans materialize and Project sorts. The same graph published through
+// a DeltaStore is canonically ordered: its epoch view's own CSR has
+// sorted spans, so scans stream in order, LIMIT stops early and closing
+// edges probe instead of hash-joining.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +28,7 @@
 #include "rdf/rdf_view.h"
 #include "rdf/triple_store.h"
 #include "rpq/crpq.h"
+#include "serve/delta_store.h"
 #include "util/rng.h"
 
 namespace kgq {
@@ -55,9 +63,50 @@ RegexPtr RandomPath(Rng* rng, int depth) {
   }
 }
 
+/// Random cyclic two-atom CRPQ: x→y closed by y→x, over the same or
+/// different labels, either atom possibly inverse (the closing one also
+/// as (x) -[ l^- ]-> (y), or as a self-loop on x), random node tests, a
+/// head in or out of scan order, and a LIMIT below or above the answer
+/// size.
+Crpq RandomCyclicCrpq(Rng* rng) {
+  auto label_atom = [&](bool inverse) {
+    const char* label = rng->Bernoulli(0.5) ? "a" : "b";
+    return inverse ? Regex::EdgeLabelBwd(label) : Regex::EdgeLabel(label);
+  };
+  Crpq q;
+  q.atoms.push_back({"x", "y", label_atom(rng->Bernoulli(0.25))});
+  switch (rng->Below(4)) {
+    case 0:
+      q.atoms.push_back({"x", "y", label_atom(true)});
+      break;
+    case 1:
+      q.atoms.push_back({"x", "x", label_atom(rng->Bernoulli(0.5))});
+      break;
+    default:
+      q.atoms.push_back({"y", "x", label_atom(rng->Bernoulli(0.25))});
+      break;
+  }
+  for (const char* v : {"x", "y"}) {
+    if (rng->Bernoulli(0.3)) {
+      q.node_tests[v] = TestExpr::Label(rng->Bernoulli(0.5) ? "p" : "q");
+    }
+  }
+  const std::vector<std::vector<std::string>> heads = {
+      {"x", "y"}, {"x", "y"}, {"x"}, {"y"}, {"y", "x"}};
+  q.head = heads[rng->Below(heads.size())];
+  // Cyclic answers are small on these graphs: the tight limits fall
+  // below the answer size, the loose ones mostly above it.
+  if (rng->Bernoulli(0.6)) {
+    q.limit = 1 + rng->Below(rng->Bernoulli(0.5) ? 3 : 12);
+  }
+  return q;
+}
+
 /// Random CRPQ: 2–4 variables, 1–3 atoms over them, random node tests,
-/// maybe a test-only variable, random head and limit.
+/// maybe a test-only variable, random head and limit — or, one time in
+/// three, a cyclic two-atom shape.
 Crpq RandomCrpq(Rng* rng) {
+  if (rng->Bernoulli(1.0 / 3)) return RandomCyclicCrpq(rng);
   Crpq q;
   const std::vector<std::string> pool = {"v0", "v1", "v2", "v3"};
   size_t num_vars = 2 + rng->Below(3);
@@ -95,6 +144,26 @@ Crpq RandomCrpq(Rng* rng) {
 
 class PlanDifferential : public ::testing::TestWithParam<int> {};
 
+/// `g` published through a DeltaStore: the same nodes, labels and edge
+/// set (parallel duplicates collapse, which pair semantics cannot see),
+/// in canonical edge order.
+serve::EpochPtr PublishCanonical(const LabeledGraph& g) {
+  serve::DeltaStore store;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    store.AddNode(g.NodeLabelString(n));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_TRUE(store
+                    .InsertEdge(g.topology().EdgeSource(e),
+                                g.topology().EdgeTarget(e),
+                                g.EdgeLabelString(e))
+                    .ok());
+  }
+  serve::EpochPtr epoch = store.Publish();
+  EXPECT_TRUE(epoch->csr->label_spans_sorted());
+  return epoch;
+}
+
 TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
   const int seed = GetParam();
   Rng rng(9000 + seed);
@@ -108,6 +177,8 @@ TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
                            &rng);
   LabeledGraphView view(g);
   CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  serve::EpochPtr epoch = PublishCanonical(g);
+  const serve::EpochGraphView epoch_view = epoch->View();
 
   PlannerOptions naive;
   naive.push_filters = false;
@@ -141,6 +212,14 @@ TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
                 << "threads=" << threads << " snapshot=" << with_snapshot
                 << " optimized=" << optimized
                 << " matrix=" << (matrix == MatrixRpqMode::kAlways);
+            // The epoch leg: its own, sorted CSR.
+            opts.snapshot = nullptr;
+            got = EvalCrpq(epoch_view, q, opts);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ASSERT_EQ(got->rows, ref->rows)
+                << "epoch view threads=" << threads
+                << " optimized=" << optimized
+                << " matrix=" << (matrix == MatrixRpqMode::kAlways);
           }
         }
       }
@@ -155,6 +234,8 @@ TEST_P(PlanDifferential, PlannedMatchQueryMatchesReference) {
                               {"p", "q"}, {"a", "b"}, &rng);
   LabeledGraphView view(g);
   CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  serve::EpochPtr epoch = PublishCanonical(g);
+  const serve::EpochGraphView epoch_view = epoch->View();
 
   for (int round = 0; round < 4; ++round) {
     // Random chain of 1–3 hops with random endpoint tests.
@@ -190,6 +271,12 @@ TEST_P(PlanDifferential, PlannedMatchQueryMatchesReference) {
           ASSERT_EQ(got->columns, ref->columns);
           ASSERT_EQ(got->rows, ref->rows)
               << "threads=" << threads << " snapshot=" << with_snapshot
+              << " matrix=" << (matrix == MatrixRpqMode::kAlways);
+          opts.snapshot = nullptr;
+          got = ExecuteMatchPlanned(epoch_view, mq, opts);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ASSERT_EQ(got->rows, ref->rows)
+              << "epoch view threads=" << threads
               << " matrix=" << (matrix == MatrixRpqMode::kAlways);
         }
       }
