@@ -37,10 +37,9 @@ struct RowHash {
 };
 
 /// Consumer of a streamed operator's rows. `row` holds one value per
-/// column of the operator's schema; `weight` is the row's multiplicity
-/// (a closing edge joins one left row with every parallel edge it
-/// finds). Returns false to stop the producer early.
-using RowSink = std::function<bool(const NodeId* row, uint64_t weight)>;
+/// column of the operator's schema. Returns false to stop the producer
+/// early.
+using RowSink = std::function<bool(const NodeId* row)>;
 
 /// The right side of a closing-edge join: an EdgeScan under zero or
 /// more Filters (outermost first) whose endpoints the left side binds.
@@ -118,8 +117,8 @@ class Executor {
       RowSet rs;
       rs.schema = op.schema;
       const size_t width = op.schema.size();
-      KGQ_RETURN_IF_ERROR(Stream(op, [&](const NodeId* row, uint64_t weight) {
-        for (; weight > 0; --weight) rs.rows.emplace_back(row, row + width);
+      KGQ_RETURN_IF_ERROR(Stream(op, [&](const NodeId* row) {
+        rs.rows.emplace_back(row, row + width);
         return true;
       }));
       return rs;
@@ -222,7 +221,7 @@ class Executor {
     if (Streams(op)) return Stream(op, sink);
     KGQ_ASSIGN_OR_RETURN(RowSet input, Exec(op));
     for (const std::vector<NodeId>& row : input.rows) {
-      if (!sink(row.data(), 1)) break;
+      if (!sink(row.data())) break;
     }
     return Status::OK();
   }
@@ -365,7 +364,7 @@ class Executor {
       row[0] = a;
       row[1] = b;
       ++*rows;
-      return sink(row, 1);
+      return sink(row);
     };
     if (partitions) {
       std::optional<LabelId> lab = csr_->FindLabel(op.label);
@@ -624,10 +623,10 @@ class Executor {
     const LogicalOp& input = *op.children[0];
     KGQ_ASSIGN_OR_RETURN(RowCheck check, CheckOf(op, input.schema));
     KGQ_RETURN_IF_ERROR(
-        ForEachRow(input, [&](const NodeId* row, uint64_t weight) {
+        ForEachRow(input, [&](const NodeId* row) {
           if (!check(row)) return true;
-          *kept += weight;
-          return sink(row, weight);
+          ++*kept;
+          return sink(row);
         }));
     KGQ_COUNTER_ADD("plan.rows.filter", *kept);
     return Status::OK();
@@ -667,7 +666,7 @@ class Executor {
     uint64_t found = 0;                              // right scan's rows
     std::vector<uint64_t> passed(checks.size(), 0);  // per check
     KGQ_RETURN_IF_ERROR(
-        ForEachRow(left, [&](const NodeId* row, uint64_t weight) {
+        ForEachRow(left, [&](const NodeId* row) {
           const NodeId u = row[u_col];
           const NodeId v = row[v_col];
           if (!lab.has_value() || (scan.has_bound_src && u != scan.bound_src) ||
@@ -693,8 +692,11 @@ class Executor {
             if (!checks[i](row)) return true;
             passed[i] += hits;
           }
-          *kept += weight * hits;
-          return sink(row, weight * hits);
+          for (uint64_t i = 0; i < hits; ++i) {
+            ++*kept;
+            if (!sink(row)) return false;
+          }
+          return true;
         }));
     KGQ_COUNTER_ADD("plan.rows.edge_scan", found);
     for ([[maybe_unused]] uint64_t rows : passed) {
@@ -749,7 +751,7 @@ class Executor {
     for (size_t i = 0; i < cols.size(); ++i) prefix = prefix && cols[i] == i;
     if (prefix && Ordered(input)) {
       const size_t width = cols.size();
-      KGQ_RETURN_IF_ERROR(Stream(input, [&](const NodeId* row, uint64_t) {
+      KGQ_RETURN_IF_ERROR(Stream(input, [&](const NodeId* row) {
         if (rs.rows.empty() ||
             !std::equal(row, row + width, rs.rows.back().begin())) {
           rs.rows.emplace_back(row, row + width);
