@@ -126,6 +126,8 @@ class CsrSnapshot {
   NodeId EdgeTarget(EdgeId e) const { return targets_[e]; }
   /// Dense label of edge e.
   LabelId EdgeLabel(EdgeId e) const { return edge_labels_[e]; }
+  /// Dense labels of all edges, indexed by EdgeId.
+  const std::vector<LabelId>& edge_labels() const { return edge_labels_; }
 
   /// Spelling of a dense label id.
   const std::string& LabelName(LabelId l) const { return label_names_[l]; }

@@ -1,5 +1,7 @@
 #include "graph/graph_view.h"
 
+#include "graph/csr_snapshot.h"
+
 namespace kgq {
 namespace {
 
@@ -11,6 +13,22 @@ bool IdMatches(const Interner& dict, ConstId id, std::string_view s) {
 }
 
 }  // namespace
+
+DenseLabels DenseLabelsOf(const LabeledGraph& graph) {
+  auto find = [&dict = graph.dict()](std::string_view s) {
+    return dict.Find(s).value_or(kNullConst);
+  };
+  return {graph.node_labels().data(), graph.edge_labels().data(), find, find};
+}
+
+size_t GraphView::num_nodes() const {
+  const CsrSnapshot* snap = csr();
+  return snap != nullptr ? snap->num_nodes() : topology().num_nodes();
+}
+size_t GraphView::num_edges() const {
+  const CsrSnapshot* snap = csr();
+  return snap != nullptr ? snap->num_edges() : topology().num_edges();
+}
 
 bool GraphView::NodePropertyIs(NodeId, std::string_view,
                                std::string_view) const {

@@ -1,6 +1,7 @@
 #ifndef KGQ_GRAPH_GRAPH_VIEW_H_
 #define KGQ_GRAPH_GRAPH_VIEW_H_
 
+#include <functional>
 #include <string_view>
 
 #include "graph/labeled_graph.h"
@@ -11,6 +12,25 @@
 namespace kgq {
 
 class CsrSnapshot;
+
+/// A view's label atoms as dense ids: node n carries nodes[n], edge e
+/// carries edges[e], and NodeLabelIs(n, ℓ) iff nodes[n] == node_id(ℓ)
+/// (likewise for edges). The resolvers return kNullConst for a spelling
+/// no element carries. Node and edge ids may come from different
+/// dictionaries, so an id is only compared within its own column.
+/// Default-constructed (no resolvers): the view's labels are not dense.
+struct DenseLabels {
+  const ConstId* nodes = nullptr;
+  const ConstId* edges = nullptr;
+  std::function<ConstId(std::string_view)> node_id;
+  std::function<ConstId(std::string_view)> edge_id;
+
+  explicit operator bool() const { return static_cast<bool>(node_id); }
+};
+
+/// The dense labels of a labeled graph: λ's ConstIds, resolved through
+/// its dictionary.
+DenseLabels DenseLabelsOf(const LabeledGraph& graph);
 
 /// Model-independent read interface consumed by the query machinery.
 ///
@@ -44,13 +64,12 @@ class GraphView {
   virtual bool EdgeFeatureIs(EdgeId e, size_t feature,
                              std::string_view value) const;
 
-  /// The labeled graph whose λ answers this view's label atoms —
-  /// NodeLabelIs(n, ℓ) iff λ(n) is the ConstId of ℓ in its dictionary,
-  /// and likewise for edges — or nullptr when labels are not stored as
-  /// dense ids (feature row 0 of a vector graph, RDF type triples).
-  /// Lets a caller resolve a label spelling once per query and compare
-  /// ids per element instead of hashing the string per element.
-  virtual const LabeledGraph* labeled_graph() const { return nullptr; }
+  /// The dense ids behind this view's label atoms, or an empty
+  /// DenseLabels when labels are not stored as dense ids (feature row 0
+  /// of a vector graph, RDF type triples). Lets a caller resolve a label
+  /// spelling once per query and compare ids per element instead of
+  /// comparing strings per element.
+  virtual DenseLabels dense_labels() const { return {}; }
 
   /// A CSR snapshot whose topology and edge labels are this view's own
   /// *by construction* (same nodes, same edge ids and endpoints, and
@@ -63,8 +82,10 @@ class GraphView {
   /// view.
   virtual const CsrSnapshot* csr() const { return nullptr; }
 
-  size_t num_nodes() const { return topology().num_nodes(); }
-  size_t num_edges() const { return topology().num_edges(); }
+  /// Sizes, read off csr() when it is set so that sizing a view never
+  /// needs its topology().
+  size_t num_nodes() const;
+  size_t num_edges() const;
 };
 
 /// View over a labeled graph: label atoms only.
@@ -76,7 +97,9 @@ class LabeledGraphView final : public GraphView {
   const Multigraph& topology() const override { return graph_.topology(); }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
   bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
-  const LabeledGraph* labeled_graph() const override { return &graph_; }
+  DenseLabels dense_labels() const override {
+    return DenseLabelsOf(graph_);
+  }
 
   const LabeledGraph& graph() const { return graph_; }
 
@@ -99,8 +122,8 @@ class PropertyGraphView final : public GraphView {
                       std::string_view value) const override;
   bool EdgePropertyIs(EdgeId e, std::string_view name,
                       std::string_view value) const override;
-  const LabeledGraph* labeled_graph() const override {
-    return &graph_.labeled();
+  DenseLabels dense_labels() const override {
+    return DenseLabelsOf(graph_.labeled());
   }
 
   const PropertyGraph& graph() const { return graph_; }

@@ -44,6 +44,10 @@ class LabeledGraph {
   /// λ(e) for an edge.
   ConstId EdgeLabel(EdgeId e) const { return edge_labels_[e]; }
 
+  /// λ over all nodes (edges), indexed by NodeId (EdgeId).
+  const std::vector<ConstId>& node_labels() const { return node_labels_; }
+  const std::vector<ConstId>& edge_labels() const { return edge_labels_; }
+
   /// λ(n) as a string.
   const std::string& NodeLabelString(NodeId n) const {
     return dict_.Lookup(NodeLabel(n));

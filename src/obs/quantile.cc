@@ -20,13 +20,22 @@ void QuantileReservoir::Record(uint64_t sample) {
 }
 
 uint64_t QuantileReservoir::Quantile(double p) const {
-  std::vector<uint64_t> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = window_;
+  return Quantiles({p})[0];
+}
+
+std::vector<uint64_t> QuantileReservoir::Quantiles(
+    const std::vector<double>& ps) const {
+  std::vector<uint64_t> window = Samples();
+  std::vector<uint64_t> out(ps.size(), 0);
+  if (window.empty()) return out;
+  // Each rank's element is what a full sort would put there.
+  for (size_t i = 0; i < ps.size(); ++i) {
+    auto nth = window.begin() +
+               static_cast<ptrdiff_t>(RankOf(window.size(), ps[i]));
+    std::nth_element(window.begin(), nth, window.end());
+    out[i] = *nth;
   }
-  std::sort(sorted.begin(), sorted.end());
-  return PercentileOfSorted(sorted, p);
+  return out;
 }
 
 uint64_t QuantileReservoir::TotalCount() const {
@@ -51,13 +60,16 @@ void QuantileReservoir::Reset() {
   total_ = 0;
 }
 
+size_t QuantileReservoir::RankOf(size_t n, double p) {
+  size_t idx =
+      static_cast<size_t>(p * static_cast<double>(n - 1) / 100.0 + 0.5);
+  return idx >= n ? n - 1 : idx;
+}
+
 uint64_t QuantileReservoir::PercentileOfSorted(
     const std::vector<uint64_t>& sorted, double p) {
   if (sorted.empty()) return 0;
-  size_t idx = static_cast<size_t>(
-      p * static_cast<double>(sorted.size() - 1) / 100.0 + 0.5);
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
+  return sorted[RankOf(sorted.size(), p)];
 }
 
 }  // namespace obs

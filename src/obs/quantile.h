@@ -25,8 +25,8 @@ namespace obs {
 ///    computed from the same samples agree to the byte.
 ///
 /// Thread-safe: one mutex around the window. Recording is O(1); reading
-/// a quantile copies and sorts the window (an introspection surface,
-/// not a hot path).
+/// copies the window once and selects each rank with nth_element (an
+/// introspection surface, not a hot path).
 class QuantileReservoir {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 20;
@@ -39,6 +39,10 @@ class QuantileReservoir {
   /// Nearest-rank percentile of the current window; p in [0, 100].
   /// 0 when no samples have been recorded.
   uint64_t Quantile(double p) const;
+
+  /// Quantile(p) for each p of `ps`, in order, from one copy of the
+  /// window.
+  std::vector<uint64_t> Quantiles(const std::vector<double>& ps) const;
 
   /// Samples ever recorded (including ones that have aged out).
   uint64_t TotalCount() const;
@@ -58,6 +62,9 @@ class QuantileReservoir {
                                      double p);
 
  private:
+  /// The index PercentileOfSorted reads for p over n > 0 samples.
+  static size_t RankOf(size_t n, double p);
+
   mutable std::mutex mu_;
   size_t capacity_;
   std::vector<uint64_t> window_;

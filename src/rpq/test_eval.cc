@@ -51,26 +51,33 @@ bool EvalEdgeTest(const GraphView& view, const TestExpr& test, EdgeId e) {
 }
 
 BoundTest::BoundTest(const GraphView& view, const TestExpr& test)
-    : view_(view), graph_(view.labeled_graph()) {
-  Add(test);
+    : view_(view) {
+  const DenseLabels dense = view.dense_labels();
+  if (dense) {
+    dense_ = true;
+    node_labels_ = dense.nodes;
+    edge_labels_ = dense.edges;
+  }
+  Add(test, dense);
 }
 
-uint32_t BoundTest::Add(const TestExpr& test) {
+uint32_t BoundTest::Add(const TestExpr& test, const DenseLabels& dense) {
   const uint32_t at = static_cast<uint32_t>(ops_.size());
   ops_.push_back({test.kind(), &test});
   switch (test.kind()) {
     case TestExpr::Kind::kLabel:
-      if (graph_ != nullptr) {
-        ops_[at].id = graph_->dict().Find(test.label()).value_or(kNullConst);
+      if (dense_) {
+        ops_[at].node_id = dense.node_id(test.label());
+        ops_[at].edge_id = dense.edge_id(test.label());
       }
       break;
     case TestExpr::Kind::kNot:
-      ops_[at].lhs = Add(*test.lhs());
+      ops_[at].lhs = Add(*test.lhs(), dense);
       break;
     case TestExpr::Kind::kAnd:
     case TestExpr::Kind::kOr:
-      ops_[at].lhs = Add(*test.lhs());
-      ops_[at].rhs = Add(*test.rhs());
+      ops_[at].lhs = Add(*test.lhs(), dense);
+      ops_[at].rhs = Add(*test.rhs(), dense);
       break;
     default:
       break;
@@ -83,10 +90,10 @@ bool BoundTest::Eval(uint32_t op, uint32_t element) const {
   const Op& o = ops_[op];
   switch (o.kind) {
     case TestExpr::Kind::kLabel:
-      if (graph_ != nullptr) {
-        return o.id != kNullConst &&
-               (kNode ? graph_->NodeLabel(element)
-                      : graph_->EdgeLabel(element)) == o.id;
+      if (dense_) {
+        const ConstId id = kNode ? o.node_id : o.edge_id;
+        return id != kNullConst &&
+               (kNode ? node_labels_ : edge_labels_)[element] == id;
       }
       return kNode ? view_.NodeLabelIs(element, o.expr->label())
                    : view_.EdgeLabelIs(element, o.expr->label());
@@ -104,8 +111,9 @@ bool BoundTest::Eval(uint32_t op, uint32_t element) const {
 
 Bitset MatchNodes(const GraphView& view, const TestExpr& test) {
   BoundTest bound(view, test);
-  Bitset out(view.num_nodes());
-  for (NodeId n = 0; n < view.num_nodes(); ++n) {
+  const size_t n_nodes = view.num_nodes();
+  Bitset out(n_nodes);
+  for (NodeId n = 0; n < n_nodes; ++n) {
     if (bound.MatchesNode(n)) out.Set(n);
   }
   return out;
@@ -113,8 +121,9 @@ Bitset MatchNodes(const GraphView& view, const TestExpr& test) {
 
 Bitset MatchEdges(const GraphView& view, const TestExpr& test) {
   BoundTest bound(view, test);
-  Bitset out(view.num_edges());
-  for (EdgeId e = 0; e < view.num_edges(); ++e) {
+  const size_t n_edges = view.num_edges();
+  Bitset out(n_edges);
+  for (EdgeId e = 0; e < n_edges; ++e) {
     if (bound.MatchesEdge(e)) out.Set(e);
   }
   return out;

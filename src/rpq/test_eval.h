@@ -19,11 +19,11 @@ bool EvalEdgeTest(const GraphView& view, const TestExpr& test, EdgeId e);
 
 /// `test` bound to one view for evaluation over many elements: every
 /// label atom is resolved to the view's dense label id once (when the
-/// view has a labeled_graph()), so each element costs an id compare
-/// instead of a dictionary hash. Other atoms, and label atoms of views
-/// without dense ids, evaluate exactly as EvalNodeTest / EvalEdgeTest
-/// do; results are identical to those. `view` and `test` must outlive
-/// the BoundTest.
+/// view has dense_labels()), so each element costs one id compare — no
+/// virtual call, no string compare. Other atoms, and label atoms of
+/// views without dense ids, evaluate exactly as EvalNodeTest /
+/// EvalEdgeTest do; results are identical to those. `view` and `test`
+/// must outlive the BoundTest.
 class BoundTest {
  public:
   BoundTest(const GraphView& view, const TestExpr& test);
@@ -33,22 +33,26 @@ class BoundTest {
 
  private:
   // The test tree in pre-order (root at 0); `id` is the resolved label
-  // of a kLabel node (kNullConst: no element carries it).
+  // of a kLabel node (kNullConst: no element carries it) — a node-label
+  // id for MatchesNode, an edge-label id for MatchesEdge.
   struct Op {
     TestExpr::Kind kind;
     const TestExpr* expr;
-    ConstId id = kNullConst;
+    ConstId node_id = kNullConst;
+    ConstId edge_id = kNullConst;
     uint32_t lhs = 0;
     uint32_t rhs = 0;
   };
 
-  uint32_t Add(const TestExpr& test);
+  uint32_t Add(const TestExpr& test, const DenseLabels& dense);
 
   template <bool kNode>
   bool Eval(uint32_t op, uint32_t element) const;
 
   const GraphView& view_;
-  const LabeledGraph* graph_;
+  bool dense_ = false;
+  const ConstId* node_labels_ = nullptr;
+  const ConstId* edge_labels_ = nullptr;
   std::vector<Op> ops_;
 };
 

@@ -1,11 +1,60 @@
 #include "serve/delta_store.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/obs.h"
 
 namespace kgq {
 namespace serve {
+
+NodeId NodeTable::Add(std::string_view label) {
+  if (size_ == capacity_) {
+    // Grow into a new buffer: published views keep the old one, whose
+    // slots below their watermarks never change.
+    capacity_ = std::max<size_t>(1024, 2 * capacity_);
+    std::shared_ptr<ConstId[]> grown = std::make_shared<ConstId[]>(capacity_);
+    std::copy_n(ids_.get(), size_, grown.get());
+    ids_ = std::move(grown);
+  }
+  ids_[size_] = names_.Intern(label);
+  return static_cast<NodeId>(size_++);
+}
+
+NodeTableView NodeTable::View() {
+  if (published_names_->size() != names_.size()) {
+    published_names_ = std::make_shared<const Interner>(names_);
+  }
+  NodeTableView view;
+  view.ids = ids_;
+  view.size = size_;
+  view.names = published_names_;
+  return view;
+}
+
+const Multigraph& EpochGraphView::topology() const {
+  return snap_->graph().topology();
+}
+
+bool EpochGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
+  return snap_->nodes.label(n) == label;
+}
+
+bool EpochGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
+  return csr_->LabelName(csr_->EdgeLabel(e)) == label;
+}
+
+DenseLabels EpochGraphView::dense_labels() const {
+  const Interner* names = snap_->nodes.names.get();
+  const CsrSnapshot* csr = csr_;
+  return {snap_->nodes.ids.get(), csr->edge_labels().data(),
+          [names](std::string_view s) {
+            return names->Find(s).value_or(kNullConst);
+          },
+          [csr](std::string_view s) {
+            return csr->FindLabel(s).value_or(kNullConst);
+          }};
+}
 
 const LabeledGraph& EpochSnapshot::graph() const {
   std::call_once(lazy_graph->once, [this] {
@@ -28,7 +77,7 @@ DeltaStore::DeltaStore(DeltaStoreOptions options) : options_(options) {
   auto snap = std::make_shared<EpochSnapshot>();
   snap->epoch = 0;
   snap->content_version = 0;
-  snap->nodes = NodeViewLocked();
+  snap->nodes = nodes_.View();
   snap->csr = FullCsrLocked(snap.get());
   snap->node_label_counts =
       std::make_shared<const std::map<std::string, size_t>>();
@@ -37,41 +86,23 @@ DeltaStore::DeltaStore(DeltaStoreOptions options) : options_(options) {
 
 NodeId DeltaStore::AddNode(std::string_view label) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (num_nodes_ % kNodeChunk == 0) {
-    // Full-capacity chunks from the start: a published view's chunk
-    // pointers never see a reallocation, only slot writes that the
-    // publish mutex already ordered before the view existed.
-    node_chunks_.push_back(
-        std::make_shared<std::vector<std::string>>(kNodeChunk));
-  }
-  (*node_chunks_.back())[num_nodes_ % kNodeChunk] = std::string(label);
+  const NodeId id = nodes_.Add(label);
   ++node_label_counts_[std::string(label)];
-  ++num_nodes_;
-  ++pending_ops_;
   ++writes_applied_;
   KGQ_COUNTER_INC("serve.writes.applied");
-  return static_cast<NodeId>(num_nodes_ - 1);
+  return id;
 }
 
 Result<bool> DeltaStore::InsertEdge(NodeId from, NodeId to,
                                     std::string_view label) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (from >= num_nodes_ || to >= num_nodes_) {
+  if (from >= nodes_.size() || to >= nodes_.size()) {
     return Status::InvalidArgument("insert_edge: no such node");
   }
   EdgeKey key{from, to, std::string(label)};
   bool applied = edges_.insert(key).second;
   if (applied) {
-    // Net-delta bookkeeping: re-inserting an edge deleted earlier this
-    // epoch cancels the pending delete (state is back to the base
-    // epoch's); otherwise this is a pending insert.
-    auto it = delta_.find(key);
-    if (it != delta_.end()) {
-      delta_.erase(it);
-    } else {
-      delta_.emplace(std::move(key), true);
-    }
-    ++pending_ops_;
+    log_.push_back({std::move(key), true});
     ++writes_applied_;
     KGQ_COUNTER_INC("serve.writes.applied");
   } else {
@@ -84,19 +115,13 @@ Result<bool> DeltaStore::InsertEdge(NodeId from, NodeId to,
 Result<bool> DeltaStore::DeleteEdge(NodeId from, NodeId to,
                                     std::string_view label) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (from >= num_nodes_ || to >= num_nodes_) {
+  if (from >= nodes_.size() || to >= nodes_.size()) {
     return Status::InvalidArgument("delete_edge: no such node");
   }
   EdgeKey key{from, to, std::string(label)};
   bool applied = edges_.erase(key) > 0;
   if (applied) {
-    auto it = delta_.find(key);
-    if (it != delta_.end()) {
-      delta_.erase(it);  // Deleting an intra-epoch insert: full cancel.
-    } else {
-      delta_.emplace(std::move(key), false);
-    }
-    ++pending_ops_;
+    log_.push_back({std::move(key), false});
     ++writes_applied_;
     KGQ_COUNTER_INC("serve.writes.applied");
   } else {
@@ -106,21 +131,38 @@ Result<bool> DeltaStore::DeleteEdge(NodeId from, NodeId to,
   return applied;
 }
 
-NodeTableView DeltaStore::NodeViewLocked() const {
-  NodeTableView view;
-  view.chunks.assign(node_chunks_.begin(), node_chunks_.end());
-  view.size = num_nodes_;
-  return view;
+void DeltaStore::NetLogLocked(EpochDelta* delta) {
+  // Sorting groups each key's writes in canonical order. The effective
+  // writes of one key alternate insert/delete (each flips membership),
+  // so a key nets to +1 (inserted), -1 (deleted) or 0 (cancelled: the
+  // key is back to its base-epoch state).
+  std::sort(log_.begin(), log_.end(),
+            [](const LoggedWrite& a, const LoggedWrite& b) {
+              return a.key < b.key;
+            });
+  for (size_t i = 0; i < log_.size();) {
+    int balance = 0;
+    size_t j = i;
+    for (; j < log_.size() && log_[j].key == log_[i].key; ++j) {
+      balance += log_[j].insert ? 1 : -1;
+    }
+    if (balance != 0) {
+      EdgeKey& key = log_[i].key;
+      (balance > 0 ? delta->inserted : delta->deleted)
+          .push_back({key.from, key.to, std::move(key.label)});
+    }
+    i = j;
+  }
+  // Release the array: after a bulk load it would otherwise pin the
+  // load's whole write volume until the next publish.
+  std::vector<LoggedWrite>().swap(log_);
 }
 
 std::shared_ptr<const CsrSnapshot> DeltaStore::FullCsrLocked(
     EpochSnapshot* snap) const {
   auto graph = std::make_unique<LabeledGraph>();
-  for (size_t c = 0, n = 0; n < num_nodes_; ++c) {
-    const std::vector<std::string>& chunk = *node_chunks_[c];
-    for (size_t i = 0; i < kNodeChunk && n < num_nodes_; ++i, ++n) {
-      graph->AddNode(chunk[i]);
-    }
+  for (NodeId n = 0; n < snap->nodes.size; ++n) {
+    graph->AddNode(snap->nodes.label(n));
   }
   // std::set iterates in canonical (from, to, label) order, so edge ids
   // — and with them the CSR label interning — depend only on the
@@ -142,20 +184,22 @@ EpochPtr DeltaStore::Publish() {
   std::lock_guard<std::mutex> lock(mu_);
   KGQ_SPAN("serve.publish");
   const EpochSnapshot& prev = *current_;
+  const size_t num_nodes = nodes_.size();
   auto snap = std::make_shared<EpochSnapshot>();
   snap->epoch = epoch_ + 1;
-  snap->nodes = NodeViewLocked();
+  snap->nodes = nodes_.View();
   snap->delta.has_base = true;
   snap->delta.base_epoch = prev.epoch;
-  snap->delta.nodes_added = num_nodes_ - base_nodes_;
-  for (const auto& [key, is_insert] : delta_) {
-    (is_insert ? snap->delta.inserted : snap->delta.deleted)
-        .push_back({key.from, key.to, key.label});
-  }
+  snap->delta.nodes_added = num_nodes - base_nodes_;
+  NetLogLocked(&snap->delta);
   std::set<std::string_view> dirty_labels;
-  for (const auto& [key, is_insert] : delta_) dirty_labels.insert(key.label);
+  for (const auto* list : {&snap->delta.inserted, &snap->delta.deleted}) {
+    for (const CsrSnapshot::EdgeRecord& r : *list) dirty_labels.insert(r.label);
+  }
 
-  const bool content_changed = !delta_.empty() || num_nodes_ != base_nodes_;
+  const bool content_changed = !snap->delta.inserted.empty() ||
+                               !snap->delta.deleted.empty() ||
+                               num_nodes != base_nodes_;
   if (!content_changed) {
     // Empty net delta: the epoch number bumps but every materialized
     // artifact — CSR, node-label stats, even an already-built graph —
@@ -167,13 +211,13 @@ EpochPtr DeltaStore::Publish() {
   } else {
     snap->content_version = prev.content_version + 1;
     snap->node_label_counts =
-        num_nodes_ != base_nodes_
+        num_nodes != base_nodes_
             ? std::make_shared<const std::map<std::string, size_t>>(
                   node_label_counts_)
             : prev.node_label_counts;
     if (options_.incremental_publish) {
       snap->csr = std::make_shared<CsrSnapshot>(CsrSnapshot::ApplyCanonicalDelta(
-          *prev.csr, num_nodes_, snap->delta.inserted, snap->delta.deleted));
+          *prev.csr, num_nodes, snap->delta.inserted, snap->delta.deleted));
     } else {
       snap->csr = FullCsrLocked(snap.get());
     }
@@ -185,9 +229,7 @@ EpochPtr DeltaStore::Publish() {
   KGQ_HISTOGRAM_RECORD("serve.publish.dirty_labels", dirty_labels.size());
 
   epoch_ = snap->epoch;
-  base_nodes_ = num_nodes_;
-  delta_.clear();
-  pending_ops_ = 0;
+  base_nodes_ = num_nodes;
   current_ = snap;
   KGQ_GAUGE_SET("serve.epoch", epoch_);
   KGQ_HISTOGRAM_RECORD("serve.publish.edges", edges_.size());
@@ -206,7 +248,7 @@ uint64_t DeltaStore::CurrentEpoch() const {
 
 size_t DeltaStore::NumNodes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return num_nodes_;
+  return nodes_.size();
 }
 
 size_t DeltaStore::NumLiveEdges() const {
@@ -216,7 +258,8 @@ size_t DeltaStore::NumLiveEdges() const {
 
 size_t DeltaStore::PendingOps() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pending_ops_;
+  // Every node add and every effective edge write is one op.
+  return nodes_.size() - base_nodes_ + log_.size();
 }
 
 uint64_t DeltaStore::WritesApplied() const {

@@ -14,6 +14,7 @@
 #include "graph/csr_snapshot.h"
 #include "graph/graph_view.h"
 #include "graph/labeled_graph.h"
+#include "util/interner.h"
 #include "util/result.h"
 
 namespace kgq {
@@ -32,23 +33,44 @@ struct EdgeKey {
   auto operator<=>(const EdgeKey&) const = default;
 };
 
-/// Node labels per chunk of the shared node table.
-inline constexpr size_t kNodeChunk = 1024;
-
-/// A read-only view of the append-only node table: the chunk pointers
-/// plus a size watermark. Chunks are allocated at full size and slots
+/// A read-only view of the append-only node table: one interned label id
+/// per node plus a size watermark, and the spellings of those ids. The
+/// id buffer is shared with the table and with every other epoch; slots
 /// are only written before a publish makes them visible (the store's
-/// mutex orders the write before the view's construction), so readers
-/// may touch any slot below the watermark without synchronization.
-/// Epoch memory cost: one pointer per ~kNodeChunk nodes, shared across
-/// every epoch — node labels themselves are never copied per epoch.
+/// mutex orders the write before the view's construction), and a table
+/// that outgrows its buffer moves to a new one while views keep theirs,
+/// so readers may touch any slot below the watermark without
+/// synchronization. Node labels themselves are never copied per epoch.
 struct NodeTableView {
-  std::vector<std::shared_ptr<const std::vector<std::string>>> chunks;
+  std::shared_ptr<const ConstId[]> ids;
   size_t size = 0;  ///< watermark: ids in [0, size) are readable.
+  /// Spells the ids: every id below the watermark is interned here.
+  std::shared_ptr<const Interner> names;
 
-  const std::string& label(NodeId n) const {
-    return (*chunks[n / kNodeChunk])[n % kNodeChunk];
-  }
+  const std::string& label(NodeId n) const { return names->Lookup(ids[n]); }
+};
+
+/// The append-only node table behind NodeTableView — the store's, and
+/// the one way to build an epoch's node table. Not thread-safe (the
+/// store serializes it under its mutex).
+class NodeTable {
+ public:
+  /// Appends a node labeled `label`; returns its id.
+  NodeId Add(std::string_view label);
+
+  size_t size() const { return size_; }
+
+  /// The table at its current size. The spelling table is shared with
+  /// the previous view unless a new label was added since.
+  NodeTableView View();
+
+ private:
+  std::shared_ptr<ConstId[]> ids_;
+  size_t capacity_ = 0;
+  size_t size_ = 0;
+  Interner names_;
+  std::shared_ptr<const Interner> published_names_ =
+      std::make_shared<const Interner>();
 };
 
 /// The logical change between a snapshot and the epoch it was published
@@ -64,32 +86,30 @@ struct EpochDelta {
   size_t nodes_added = 0;
 };
 
-/// The GraphView of one epoch: label atoms over its materialized
-/// LabeledGraph, and its CSR as csr(). The pairing holds by
-/// construction — EpochSnapshot::graph() is built from that CSR in
-/// edge-id order — so kernels compile against the CSR's label ids and
-/// attach it without re-verification. Only EpochSnapshot::View()
-/// creates one; the snapshot must outlive the view.
+struct EpochSnapshot;
+
+/// The GraphView of one epoch, answered from the epoch's dense parts
+/// alone: edges, topology sizes and edge labels from its CSR (csr()),
+/// node labels from its node table. dense_labels() hands both label
+/// columns to BoundTest, so a label test costs one id compare per
+/// element. Only topology() reaches EpochSnapshot::graph() — it
+/// materializes the LabeledGraph on first use, and nothing a served
+/// query runs calls it. Only EpochSnapshot::View() creates one; the
+/// snapshot must outlive the view.
 class EpochGraphView final : public GraphView {
  public:
-  const Multigraph& topology() const override { return labels_.topology(); }
-  bool NodeLabelIs(NodeId n, std::string_view label) const override {
-    return labels_.NodeLabelIs(n, label);
-  }
-  bool EdgeLabelIs(EdgeId e, std::string_view label) const override {
-    return labels_.EdgeLabelIs(e, label);
-  }
-  const LabeledGraph* labeled_graph() const override {
-    return labels_.labeled_graph();
-  }
+  const Multigraph& topology() const override;
+  bool NodeLabelIs(NodeId n, std::string_view label) const override;
+  bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
+  DenseLabels dense_labels() const override;
   const CsrSnapshot* csr() const override { return csr_; }
 
  private:
   friend struct EpochSnapshot;
-  EpochGraphView(const LabeledGraph& graph, const CsrSnapshot& csr)
-      : labels_(graph), csr_(&csr) {}
+  EpochGraphView(const EpochSnapshot& snap, const CsrSnapshot& csr)
+      : snap_(&snap), csr_(&csr) {}
 
-  LabeledGraphView labels_;
+  const EpochSnapshot* snap_;
   const CsrSnapshot* csr_;
 };
 
@@ -126,15 +146,16 @@ struct EpochSnapshot {
   size_t num_edges() const { return csr->num_edges(); }
 
   /// The materialized LabeledGraph of this epoch — identical to what a
-  /// from-scratch canonical build constructs. Built lazily on first use
-  /// (the plan compiler and scalar engines need it; the CSR-native
-  /// kernels do not), or pre-seeded by the full-rebuild publish path.
-  /// Thread-safe; snapshots with identical content share one build.
+  /// from-scratch canonical build constructs. A convenience for callers
+  /// that want a LabeledGraph (reference oracles, list-based kernels):
+  /// built lazily on first use, or pre-seeded by the full-rebuild
+  /// publish path. No served request reaches it. Thread-safe; snapshots
+  /// with identical content share one build.
   const LabeledGraph& graph() const;
 
-  /// graph() paired with csr — the view every served query plans and
-  /// executes on (materializes graph() on first use).
-  EpochGraphView View() const { return EpochGraphView(graph(), *csr); }
+  /// The view every served query plans and executes on: the CSR and the
+  /// node table, O(1) to create (graph() stays unbuilt).
+  EpochGraphView View() const { return EpochGraphView(*this, *csr); }
 
   /// Shared lazy cell so content-identical epochs (empty publishes)
   /// reuse one graph build.
@@ -171,13 +192,14 @@ struct DeltaStoreOptions {
 /// differential suite (tests/test_delta_store.cc) pins against
 /// from-scratch FromLabeledEdges builds.
 ///
-/// Publication is *incremental* by default: the store tracks the net
-/// edge delta since the last publish (insert-then-delete of the same key
-/// cancels), reuses the previous epoch's CSR wholesale when the net
-/// delta is empty and the node table did not grow, and otherwise merges
-/// the delta into the previous canonical edge stream — never rebuilding
-/// the LabeledGraph or re-interning label strings. The node table is
-/// shared append-only (chunk pointers + watermark) rather than copied.
+/// Publication is *incremental* by default: the store logs every
+/// effective edge write since the last publish in a flat array and nets
+/// it at publish (insert-then-delete of the same key cancels), reuses
+/// the previous epoch's CSR wholesale when the net delta is empty and
+/// the node table did not grow, and otherwise merges the delta into the
+/// previous canonical edge stream — never building the LabeledGraph or
+/// re-interning edge label strings. The node table is shared
+/// append-only (one id buffer + watermark) rather than copied.
 ///
 /// All public methods are thread-safe; writes are serialized by one
 /// mutex (publication included), reads of the current epoch are a
@@ -247,27 +269,29 @@ class DeltaStore {
   std::shared_ptr<const CsrSnapshot> FullCsrLocked(
       EpochSnapshot* snap) const;
 
-  /// Read-only view of the node table at the current watermark. Caller
-  /// holds mu_.
-  NodeTableView NodeViewLocked() const;
+  /// One effective edge write: it changed the logical edge set.
+  struct LoggedWrite {
+    EdgeKey key;
+    bool insert;
+  };
+
+  /// Nets log_ into `delta`'s canonical inserted/deleted lists and
+  /// empties the log. Caller holds mu_.
+  void NetLogLocked(EpochDelta* delta);
 
   DeltaStoreOptions options_;
 
   mutable std::mutex mu_;
-  /// Append-only chunked node table: chunks are allocated at kNodeChunk
-  /// capacity up front so published views never observe a reallocation.
-  std::vector<std::shared_ptr<std::vector<std::string>>> node_chunks_;
-  size_t num_nodes_ = 0;
+  NodeTable nodes_;
   std::map<std::string, size_t> node_label_counts_;
 
   std::set<EdgeKey> edges_;
-  /// Net edge changes since the last publish: true = insert, false =
-  /// delete; cancelling pairs are dropped as they happen. std::map keeps
-  /// canonical order for free.
-  std::map<EdgeKey, bool> delta_;
+  /// Effective edge writes since the last publish, in arrival order.
+  /// Appending is O(1) and the publish frees one array, not one heap
+  /// node per write.
+  std::vector<LoggedWrite> log_;
   size_t base_nodes_ = 0;  ///< node watermark at the last publish
 
-  size_t pending_ops_ = 0;
   uint64_t writes_applied_ = 0;
   uint64_t writes_noop_ = 0;
   uint64_t epoch_ = 0;

@@ -89,13 +89,13 @@ std::string RenderBgpCanonical(const std::vector<TriplePattern>& patterns) {
   return out;
 }
 
-/// Resolves a BGP constant against the served graph's node space. The
+/// Resolves a BGP constant against the served epoch's node space. The
 /// serving layer names nodes "n<i>" — the same convention as the RDF
 /// encoding of a labeled graph (rdf/convert.h) — so clients address
 /// nodes by the ids the write path handed out. Anything else (including
 /// out-of-range ids) resolves to kNoNode, the uniform "no match"
 /// binding CompileBgp also uses.
-NodeId ResolveBgpConstant(const std::string& term, const LabeledGraph& g) {
+NodeId ResolveBgpConstant(const std::string& term, size_t num_nodes) {
   if (term.size() < 2 || term[0] != 'n') return kNoNode;
   uint64_t v = 0;
   for (size_t i = 1; i < term.size(); ++i) {
@@ -104,18 +104,19 @@ NodeId ResolveBgpConstant(const std::string& term, const LabeledGraph& g) {
     v = v * 10 + static_cast<uint64_t>(c - '0');
     if (v > 0xFFFFFFFFull) return kNoNode;
   }
-  if (v >= g.num_nodes()) return kNoNode;
+  if (v >= num_nodes) return kNoNode;
   return static_cast<NodeId>(v);
 }
 
-/// Lowers a BGP to the shared IR over the served labeled graph — the
-/// serving-layer sibling of CompileBgp (rdf/bgp.cc), with two
-/// differences: constants are "n<i>" node names instead of RDF terms,
-/// and a plain pattern whose predicate is kgq:label with a constant
-/// object becomes a node-label test on the subject (mirroring the
-/// LabeledToRdf encoding, where node labels live on kgq:label triples).
+/// Lowers a BGP to the shared IR over a served epoch of `num_nodes`
+/// nodes — the serving-layer sibling of CompileBgp (rdf/bgp.cc), with
+/// two differences: constants are "n<i>" node names instead of RDF
+/// terms, and a plain pattern whose predicate is kgq:label with a
+/// constant object becomes a node-label test on the subject (mirroring
+/// the LabeledToRdf encoding, where node labels live on kgq:label
+/// triples).
 Result<ConjunctiveQuery> CompileBgpOverLabeled(
-    const std::vector<TriplePattern>& patterns, const LabeledGraph& graph) {
+    const std::vector<TriplePattern>& patterns, size_t num_nodes) {
   if (patterns.empty()) {
     return Status::InvalidArgument("empty basic graph pattern");
   }
@@ -131,7 +132,7 @@ Result<ConjunctiveQuery> CompileBgpOverLabeled(
     if (t.is_var) return t.text;
     std::string name = "$c" + std::to_string(next_const++);
     while (user_vars.count(name) > 0) name += "_";
-    cq.bound[name] = ResolveBgpConstant(t.text, graph);
+    cq.bound[name] = ResolveBgpConstant(t.text, num_nodes);
     return name;
   };
   for (const TriplePattern& p : patterns) {
@@ -208,7 +209,7 @@ Result<LogicalOpPtr> PlanPrepared(const Server::PreparedQuery& prep,
         } else if constexpr (std::is_same_v<Form, Crpq>) {
           return CompileCrpq(form);
         } else {
-          return CompileBgpOverLabeled(form, snap.graph());
+          return CompileBgpOverLabeled(form, snap.num_nodes());
         }
       },
       prep.form);
@@ -514,8 +515,9 @@ StatsBody Server::BuildStats() {
   s.cache_size = cache_.size();
   s.writes_applied = store_.WritesApplied();
   s.writes_noop = store_.WritesNoop();
-  s.p50_ns = latency_.Quantile(50);
-  s.p99_ns = latency_.Quantile(99);
+  const std::vector<uint64_t> q = latency_.Quantiles({50, 99});
+  s.p50_ns = q[0];
+  s.p99_ns = q[1];
   return s;
 }
 
@@ -523,9 +525,10 @@ MetricsBody Server::BuildMetrics() {
   MetricsBody m;
   m.epoch = store_.CurrentEpoch();
   m.samples = latency_.WindowSize();
-  m.p50_ns = latency_.Quantile(50);
-  m.p95_ns = latency_.Quantile(95);
-  m.p99_ns = latency_.Quantile(99);
+  const std::vector<uint64_t> q = latency_.Quantiles({50, 95, 99});
+  m.p50_ns = q[0];
+  m.p95_ns = q[1];
+  m.p99_ns = q[2];
   std::ostringstream os;
   obs::JsonWriter w(os, /*compact=*/true);
   obs::Registry::Get().WriteJson(&w);

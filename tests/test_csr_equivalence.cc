@@ -105,16 +105,10 @@ LabeledGraph MakeGraph(uint64_t seed, Rng* rng) {
 /// node and edge ids (parallel edges included), and its View() is a
 /// view whose csr() is set.
 serve::EpochSnapshot EpochOf(const LabeledGraph& g) {
+  serve::NodeTable nodes;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) nodes.Add(g.NodeLabelString(n));
   serve::EpochSnapshot epoch;
-  std::shared_ptr<std::vector<std::string>> chunk;
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    if (n % serve::kNodeChunk == 0) {
-      chunk = std::make_shared<std::vector<std::string>>(serve::kNodeChunk);
-      epoch.nodes.chunks.push_back(chunk);
-    }
-    (*chunk)[n % serve::kNodeChunk] = g.NodeLabelString(n);
-  }
-  epoch.nodes.size = g.num_nodes();
+  epoch.nodes = nodes.View();
   epoch.csr = std::make_shared<CsrSnapshot>(CsrSnapshot::FromGraph(g));
   return epoch;
 }

@@ -8,13 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/csr_snapshot.h"
+#include "graph/graph_view.h"
 #include "graph/labeled_graph.h"
+#include "rpq/test_eval.h"
+#include "rpq/test_expr.h"
 #include "serve/delta_store.h"
 #include "util/rng.h"
 
@@ -188,6 +193,102 @@ TEST(DeltaStore, ContentVersionBumpsOnlyOnContentChange) {
 }
 
 // ---------------------------------------------------------------------------
+// Delta-log netting within one epoch, against hand-computed deltas.
+
+std::vector<CsrSnapshot::EdgeRecord> Records(
+    std::initializer_list<CsrSnapshot::EdgeRecord> records) {
+  return records;
+}
+
+TEST(DeltaStoreNetting, InsertDeleteInsertNetsToOneInsert) {
+  DeltaStore store;
+  store.AddNode("n");
+  store.AddNode("n");
+  EpochPtr base = store.Publish();
+  ASSERT_TRUE(*store.InsertEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.DeleteEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.InsertEdge(0, 1, "e"));
+  EXPECT_EQ(store.PendingOps(), 3u);
+  EpochPtr next = store.Publish();
+  EXPECT_EQ(next->delta.inserted, Records({{0, 1, "e"}}));
+  EXPECT_TRUE(next->delta.deleted.empty());
+  EXPECT_EQ(next->content_version, base->content_version + 1);
+  EXPECT_EQ(next->num_edges(), 1u);
+  EXPECT_EQ(store.PendingOps(), 0u);
+}
+
+TEST(DeltaStoreNetting, DeleteAndReinsertOfABaseEdgeNetsToNothing) {
+  DeltaStore store;
+  for (int i = 0; i < 3; ++i) store.AddNode("n");
+  ASSERT_TRUE(*store.InsertEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.InsertEdge(1, 2, "f"));
+  EpochPtr base = store.Publish();
+
+  // 0->1 deleted and re-inserted twice (cancels); 1->2 deleted,
+  // re-inserted and deleted again (nets to a delete); 2->0 inserted and
+  // deleted (cancels).
+  ASSERT_TRUE(*store.DeleteEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.InsertEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.DeleteEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.InsertEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.DeleteEdge(1, 2, "f"));
+  ASSERT_TRUE(*store.InsertEdge(1, 2, "f"));
+  ASSERT_TRUE(*store.DeleteEdge(1, 2, "f"));
+  ASSERT_TRUE(*store.InsertEdge(2, 0, "e"));
+  ASSERT_TRUE(*store.DeleteEdge(2, 0, "e"));
+  EXPECT_EQ(store.PendingOps(), 9u);
+  EpochPtr next = store.Publish();
+  EXPECT_TRUE(next->delta.inserted.empty());
+  EXPECT_EQ(next->delta.deleted, Records({{1, 2, "f"}}));
+  EXPECT_EQ(next->content_version, base->content_version + 1);
+
+  // Only the cancelling part: an empty publish, content version kept.
+  ASSERT_TRUE(*store.DeleteEdge(0, 1, "e"));
+  ASSERT_TRUE(*store.InsertEdge(0, 1, "e"));
+  EXPECT_EQ(store.PendingOps(), 2u);
+  EpochPtr same = store.Publish();
+  EXPECT_TRUE(same->delta.inserted.empty());
+  EXPECT_TRUE(same->delta.deleted.empty());
+  EXPECT_EQ(same->content_version, next->content_version);
+  EXPECT_EQ(same->csr, next->csr);
+}
+
+TEST(DeltaStoreNetting, NoOpWritesNeitherLogNorCount) {
+  DeltaStore store;
+  for (int i = 0; i < 3; ++i) store.AddNode("n");
+  ASSERT_TRUE(*store.InsertEdge(0, 1, "e"));
+  EpochPtr base = store.Publish();
+
+  // Repeated inserts of a live edge and deletes of an absent one.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_FALSE(*store.InsertEdge(0, 1, "e"));
+    ASSERT_FALSE(*store.DeleteEdge(1, 0, "e"));
+  }
+  EXPECT_EQ(store.PendingOps(), 0u);
+  EXPECT_EQ(store.WritesNoop(), 6u);
+  EpochPtr same = store.Publish();
+  EXPECT_TRUE(same->delta.inserted.empty());
+  EXPECT_TRUE(same->delta.deleted.empty());
+  EXPECT_EQ(same->content_version, base->content_version);
+
+  // Mixed with effective writes: only those count, and the delta lists
+  // come out canonical whatever the write order.
+  ASSERT_TRUE(*store.InsertEdge(2, 0, "b"));
+  ASSERT_FALSE(*store.InsertEdge(2, 0, "b"));
+  ASSERT_TRUE(*store.InsertEdge(0, 2, "z"));
+  ASSERT_TRUE(*store.InsertEdge(0, 2, "a"));
+  ASSERT_FALSE(*store.DeleteEdge(2, 1, "b"));
+  ASSERT_TRUE(*store.DeleteEdge(0, 1, "e"));
+  ASSERT_FALSE(*store.DeleteEdge(0, 1, "e"));
+  EXPECT_EQ(store.PendingOps(), 4u);
+  EpochPtr next = store.Publish();
+  EXPECT_EQ(next->delta.inserted,
+            Records({{0, 2, "a"}, {0, 2, "z"}, {2, 0, "b"}}));
+  EXPECT_EQ(next->delta.deleted, Records({{0, 1, "e"}}));
+  EXPECT_EQ(next->content_version, base->content_version + 1);
+}
+
+// ---------------------------------------------------------------------------
 // Differential: every published epoch == the from-scratch build.
 
 /// Reference model: plain node-label list + std::set of edge keys.
@@ -327,6 +428,155 @@ TEST(DeltaStoreDifferential, PublishedEpochsMatchFromScratchBuilds) {
     EpochPtr replayed = replay.Publish();
     ExpectSnapshotsIdentical(*replayed, snap->graph(), *snap->csr);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The epoch view answers from the CSR and the node table exactly what a
+// LabeledGraphView over the materialized graph answers.
+
+/// Label tests over the spellings in play: node labels, edge labels,
+/// "rides" (both), "zzz" (neither), and Not/And/Or/True trees of them.
+std::vector<TestPtr> ViewTests() {
+  std::vector<TestPtr> tests;
+  for (const char* label : {"person", "bus", "rides", "knows", "zzz"}) {
+    tests.push_back(TestExpr::Label(label));
+  }
+  TestPtr rides = TestExpr::Label("rides");
+  TestPtr person = TestExpr::Label("person");
+  TestPtr knows = TestExpr::Label("knows");
+  TestPtr zzz = TestExpr::Label("zzz");
+  tests.push_back(TestExpr::True());
+  tests.push_back(TestExpr::Not(rides));
+  tests.push_back(TestExpr::Not(zzz));
+  tests.push_back(TestExpr::And(TestExpr::Not(person), TestExpr::True()));
+  tests.push_back(TestExpr::Or(rides, person));
+  tests.push_back(TestExpr::Or(knows, TestExpr::And(rides, TestExpr::Not(zzz))));
+  tests.push_back(TestExpr::Not(TestExpr::Or(TestExpr::Not(TestExpr::True()),
+                                             TestExpr::Or(rides, knows))));
+  return tests;
+}
+
+void ExpectViewsAgree(const EpochSnapshot& snap) {
+  const EpochGraphView got = snap.View();
+  const std::vector<TestPtr> tests = ViewTests();
+  // Answer from the epoch view first: none of it may build graph() (the
+  // constructor's full build pre-seeds epoch 0's).
+  const bool prebuilt = snap.lazy_graph->graph != nullptr;
+  std::vector<Bitset> node_sets;
+  std::vector<Bitset> edge_sets;
+  for (const TestPtr& t : tests) {
+    node_sets.push_back(MatchNodes(got, *t));
+    edge_sets.push_back(MatchEdges(got, *t));
+  }
+  const size_t nodes = got.num_nodes();
+  const size_t edges = got.num_edges();
+  ASSERT_EQ(snap.lazy_graph->graph != nullptr, prebuilt);
+
+  const LabeledGraphView want(snap.graph());
+  ASSERT_EQ(nodes, want.num_nodes());
+  ASSERT_EQ(edges, want.num_edges());
+  for (size_t i = 0; i < tests.size(); ++i) {
+    SCOPED_TRACE(tests[i]->ToString());
+    ASSERT_EQ(node_sets[i], MatchNodes(want, *tests[i]));
+    ASSERT_EQ(edge_sets[i], MatchEdges(want, *tests[i]));
+    const BoundTest bound(got, *tests[i]);
+    for (NodeId n = 0; n < nodes; ++n) {
+      ASSERT_EQ(bound.MatchesNode(n), EvalNodeTest(want, *tests[i], n));
+      ASSERT_EQ(EvalNodeTest(got, *tests[i], n),
+                EvalNodeTest(want, *tests[i], n));
+    }
+    for (EdgeId e = 0; e < edges; ++e) {
+      ASSERT_EQ(bound.MatchesEdge(e), EvalEdgeTest(want, *tests[i], e));
+      ASSERT_EQ(EvalEdgeTest(got, *tests[i], e),
+                EvalEdgeTest(want, *tests[i], e));
+    }
+  }
+}
+
+TEST(DeltaStoreViews, EpochViewMatchesLabeledGraphView) {
+  const std::vector<std::string> kNodeLabels = {"person", "bus", "rides"};
+  const std::vector<std::string> kEdgeLabels = {"rides", "knows", "stops"};
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(100 + seed);
+    DeltaStore store;
+    ExpectViewsAgree(*store.Acquire());  // The empty epoch 0.
+    size_t num_nodes = 0;
+    for (int round = 0; round < 5; ++round) {
+      const size_t add = 1 + rng.Below(6);
+      for (size_t i = 0; i < add; ++i) {
+        store.AddNode(kNodeLabels[rng.Below(kNodeLabels.size())]);
+        ++num_nodes;
+      }
+      for (size_t i = 0, n = rng.Below(20); i < n; ++i) {
+        // Edges only among the older nodes, so the newest ones are
+        // trailing nodes without edges.
+        const size_t span = num_nodes > add ? num_nodes - add : 1;
+        const NodeId from = static_cast<NodeId>(rng.Below(span));
+        const NodeId to = static_cast<NodeId>(rng.Below(span));
+        const std::string& label = kEdgeLabels[rng.Below(kEdgeLabels.size())];
+        if (rng.Bernoulli(0.3)) {
+          ASSERT_TRUE(store.DeleteEdge(from, to, label).ok());
+        } else {
+          ASSERT_TRUE(store.InsertEdge(from, to, label).ok());
+        }
+      }
+      EpochPtr snap = store.Publish();
+      ASSERT_EQ(snap->csr->num_nodes(), num_nodes);
+      ExpectViewsAgree(*snap);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// Readers of pinned epochs race a writer that grows the node table past
+// several buffer moves and adds new label spellings (TSan-checked in CI
+// via the `delta` clause of the tsan job's -R regex).
+TEST(DeltaStoreViews, NodeTableGrowsUnderPinnedReaders) {
+  constexpr size_t kNodes = 5000;
+  auto label_of = [](size_t n) {
+    return n % 3 == 0 ? std::string("person")
+                      : "l" + std::to_string(n / 700);
+  };
+  constexpr int kReaders = 3;
+  DeltaStore store;
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    while (started < kReaders) std::this_thread::yield();
+    for (size_t n = 0; n < kNodes; ++n) {
+      store.AddNode(label_of(n));
+      if (n % 37 == 0) store.Publish();
+    }
+    store.Publish();
+    done = true;
+  });
+  const TestPtr person = TestExpr::Label("person");
+  std::vector<std::thread> readers;
+  std::atomic<size_t> reads{0};
+  std::atomic<size_t> mismatches{0};
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      ++started;
+      while (!done) {
+        ++reads;
+        EpochPtr snap = store.Acquire();
+        const EpochGraphView view = snap->View();
+        const Bitset people = MatchNodes(view, *person);
+        for (NodeId n = 0; n < snap->num_nodes(); ++n) {
+          if (snap->nodes.label(n) != label_of(n) ||
+              people.Test(n) != (n % 3 == 0)) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(store.Acquire()->num_nodes(), kNodes);
 }
 
 }  // namespace

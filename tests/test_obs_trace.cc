@@ -77,6 +77,28 @@ TEST_F(ObsTraceTest, ReservoirQuantileEqualsOfflineRecompute) {
   EXPECT_EQ(r.Quantile(50.0), 500u);
 }
 
+TEST_F(ObsTraceTest, ReservoirQuantilesEqualPerPercentileReads) {
+  // One copy and nth_element per rank must pick exactly what a full sort
+  // does — ties, an unsorted percentile list and repeated p included.
+  QuantileReservoir r(/*capacity=*/4096);
+  const std::vector<double> ps = {99.0, 50.0, 0.0, 95.0, 100.0, 50.0, 12.5};
+  EXPECT_EQ(r.Quantiles(ps), std::vector<uint64_t>(ps.size(), 0u));
+  uint64_t x = 12345;
+  for (int i = 0; i < 3000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    r.Record((x >> 33) % 997);  // Many duplicates.
+  }
+  std::vector<uint64_t> sorted = r.Samples();
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<uint64_t> got = r.Quantiles(ps);
+  ASSERT_EQ(got.size(), ps.size());
+  for (size_t i = 0; i < ps.size(); ++i) {
+    EXPECT_EQ(got[i], r.Quantile(ps[i])) << "p=" << ps[i];
+    EXPECT_EQ(got[i], QuantileReservoir::PercentileOfSorted(sorted, ps[i]))
+        << "p=" << ps[i];
+  }
+}
+
 TEST_F(ObsTraceTest, ReservoirRingOverwritesOldestBeyondCapacity) {
   QuantileReservoir r(/*capacity=*/4);
   for (uint64_t v = 1; v <= 10; ++v) r.Record(v);

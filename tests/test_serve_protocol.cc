@@ -434,6 +434,73 @@ TEST(ServeProtocolFuzz, RandomGarbageLines) {
 // them in automatically; malformed grammars come back as structured
 // ParseError responses, never as dropped lines.
 
+// No served request may build an epoch's LabeledGraph: the epoch view
+// answers from the CSR and the node table, and graph() stays a lazy
+// convenience for oracles. Every served shape runs on every kind of
+// publish; then every pinned epoch must still have an unbuilt graph.
+TEST(ServeEpochViews, NoServedRequestMaterializesTheGraph) {
+  Server server;
+  const std::vector<std::string> kRequests = {
+      // MATCH, CRPQ and BGP (n<i> constants, kgq:label, ASK).
+      R"x({"op":"query","lang":"match","text":"MATCH (x: person) -[ rides ]-> (b: bus) RETURN x, b"})x",
+      R"x({"op":"query","lang":"crpq","text":"q(x, y) :- (x) -[ rides ]-> (b), (y) -[ rides ]-> (b)"})x",
+      R"x({"op":"query","lang":"bgp","text":"n0 rides ?b . ?y rides ?b . ?y kgq:label person"})x",
+      R"x({"op":"query","lang":"bgp","text":"n0 knows n2"})x",
+      R"x({"op":"query","lang":"bgp","text":"?x (rides/stops_at) ?s"})x",
+      // Regexes with node tests and a filtered edge atom; a grammar.
+      R"x({"op":"query","lang":"crpq","text":"q(x, y) :- (x) -[ rides/?bus/rides^- ]-> (y)"})x",
+      R"x({"op":"query","lang":"crpq","text":"q(x, y) :- (x) -[ ?person/[!rides]* ]-> (y)"})x",
+      R"x({"op":"query","lang":"crpq","text":"grammar SG { SG -> rides SG rides^- | rides rides^- } q(x, y) :- (x) -[ SG ]-> (y)"})x",
+      // EXPLAIN and a profiled query.
+      R"x({"op":"explain","lang":"match","text":"MATCH (x: person) -[ knows ]-> (y: person) RETURN x, y"})x",
+      R"x({"op":"query","lang":"match","text":"MATCH (x: person) -[ knows ]-> (y: person) RETURN x, y","profile":true})x",
+      // The maintained analytics views.
+      R"x({"op":"analytics","view":"pagerank","top":3})x",
+      R"x({"op":"analytics","view":"components","node":0})x",
+      R"x({"op":"analytics","view":"reach","label":"rides","node":0})x",
+      R"x({"op":"stats"})x",
+  };
+  std::vector<EpochPtr> pinned;
+  auto serve_all = [&] {
+    pinned.push_back(server.store().Acquire());
+    for (const std::string& line : kRequests) {
+      const std::string resp = server.HandleLine(line);
+      EXPECT_EQ(resp.find("\"error\""), std::string::npos) << line << "\n"
+                                                           << resp;
+    }
+  };
+  auto line = [&server](const std::string& text) {
+    const std::string resp = server.HandleLine(text);
+    ASSERT_EQ(resp.find("\"error\""), std::string::npos) << resp;
+  };
+
+  for (const char* label : {"person", "bus", "person", "stop", "person"}) {
+    line(std::string(R"({"op":"add_node","label":")") + label + "\"}");
+  }
+  line(R"({"op":"insert_edge","from":0,"to":1,"label":"rides"})");
+  line(R"({"op":"insert_edge","from":2,"to":1,"label":"rides"})");
+  line(R"({"op":"insert_edge","from":1,"to":3,"label":"stops_at"})");
+  line(R"({"op":"insert_edge","from":0,"to":2,"label":"knows"})");
+  line(R"({"op":"publish"})");  // Content-changing.
+  serve_all();
+  line(R"({"op":"publish"})");  // Empty.
+  serve_all();
+  line(R"({"op":"add_node","label":"bus"})");
+  line(R"({"op":"publish"})");  // Node-adding only.
+  serve_all();
+  line(R"({"op":"insert_edge","from":4,"to":5,"label":"rides"})");
+  line(R"({"op":"delete_edge","from":2,"to":1,"label":"rides"})");
+  line(R"({"op":"insert_edge","from":2,"to":4,"label":"knows"})");
+  line(R"({"op":"publish"})");  // Content-changing with a delete.
+  serve_all();
+
+  ASSERT_EQ(pinned.size(), 4u);
+  EXPECT_EQ(pinned[1]->content_version, pinned[0]->content_version);
+  for (const EpochPtr& snap : pinned) {
+    EXPECT_EQ(snap->lazy_graph->graph, nullptr) << "epoch " << snap->epoch;
+  }
+}
+
 TEST(ServeCfpq, GrammarQueriesAndErrorPaths) {
   Server server;
   // Papers 1 and 2 both cite paper 0 — the same-generation relation is
