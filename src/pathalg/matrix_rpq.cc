@@ -263,11 +263,11 @@ inline size_t OrWords(uint64_t* dst, const uint64_t* src, size_t words) {
   return words;
 }
 
-}  // namespace
-
-Result<std::vector<Bitset>> MatrixReachFromAll(const PathNfa& nfa,
-                                               const std::vector<NodeId>& sources,
-                                               const PathQueryOptions& opts) {
+/// The product-graph fixpoint: per automaton state, the nodes ×
+/// sources bits of every configuration reached.
+Result<std::vector<BitMatrix>> Fixpoint(const PathNfa& nfa,
+                                        const std::vector<NodeId>& sources,
+                                        const PathQueryOptions& opts) {
   const CsrSnapshot* csr = nfa.snapshot();
   if (csr == nullptr) {
     return Status::InvalidArgument(
@@ -431,36 +431,69 @@ Result<std::vector<Bitset>> MatrixReachFromAll(const PathNfa& nfa,
   }
   KGQ_HISTOGRAM_RECORD("matrix_rpq.fixpoint_iterations", iterations);
 
-  // Harvest: source si reaches node n iff some accepting state holds
-  // bit si in row n.
-  std::vector<Bitset> out(num_src);
-  for (size_t si = 0; si < num_src; ++si) out[si] = Bitset(num_nodes);
-  PathNfa::StateMask final_mask = nfa.final_mask();
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    PathNfa::StateMask fm = final_mask;
+  return visited;
+}
+
+/// Calls fn(si, n) for every source si that reaches node n in some
+/// accepting state (only n == opts.end when set), nodes ascending.
+template <typename Fn>
+void ForEachHit(const PathNfa& nfa, const std::vector<BitMatrix>& visited,
+                const PathQueryOptions& opts, Fn&& fn) {
+  const size_t words = visited.empty() ? 0 : visited[0].words_per_row();
+  std::vector<uint64_t> hits(words);
+  for (NodeId n = 0; n < nfa.num_nodes(); ++n) {
+    if (opts.end != kNoNode && n != opts.end) continue;
+    std::fill(hits.begin(), hits.end(), 0);
+    PathNfa::StateMask fm = nfa.final_mask();
     while (fm != 0) {
       uint32_t q = static_cast<uint32_t>(__builtin_ctzll(fm));
       fm &= fm - 1;
-      const uint64_t* row = visited[q].Row(n);
-      for (size_t w = 0; w < words; ++w) {
-        uint64_t word = row[w];
-        while (word != 0) {
-          size_t si = w * 64 + static_cast<size_t>(__builtin_ctzll(word));
-          word &= word - 1;
-          if (si < num_src) out[si].Set(n);
-        }
+      OrWords(hits.data(), visited[q].Row(n), words);
+    }
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t word = hits[w]; word != 0; word &= word - 1) {
+        fn(w * 64 + static_cast<size_t>(__builtin_ctzll(word)), n);
       }
     }
   }
-  if (opts.end != kNoNode) {
-    for (size_t si = 0; si < num_src; ++si) {
-      Bitset only_end(num_nodes);
-      if (opts.end < num_nodes && out[si].Test(opts.end)) {
-        only_end.Set(opts.end);
-      }
-      out[si] = std::move(only_end);
-    }
+}
+
+}  // namespace
+
+Result<BoolCsr> MatrixPairRelation(const PathNfa& nfa,
+                                   const std::vector<NodeId>& sources,
+                                   const PathQueryOptions& opts) {
+  KGQ_ASSIGN_OR_RETURN(std::vector<BitMatrix> visited,
+                       Fixpoint(nfa, sources, opts));
+  // Node-major harvest in two passes: the first sizes each source's
+  // row, the second fills it; nodes ascend, so every row comes out
+  // sorted.
+  const size_t num_src = sources.size();
+  BoolCsr out;
+  out.num_rows = num_src;
+  out.num_cols = nfa.num_nodes();
+  out.offsets.assign(num_src + 1, 0);
+  ForEachHit(nfa, visited, opts, [&](size_t si, NodeId) {
+    ++out.offsets[si + 1];
+  });
+  for (size_t si = 0; si < num_src; ++si) {
+    out.offsets[si + 1] += out.offsets[si];
   }
+  out.cols.resize(out.offsets[num_src]);
+  std::vector<size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  ForEachHit(nfa, visited, opts, [&](size_t si, NodeId n) {
+    out.cols[cursor[si]++] = n;
+  });
+  return out;
+}
+
+Result<std::vector<Bitset>> MatrixReachFromAll(
+    const PathNfa& nfa, const std::vector<NodeId>& sources,
+    const PathQueryOptions& opts) {
+  KGQ_ASSIGN_OR_RETURN(std::vector<BitMatrix> visited,
+                       Fixpoint(nfa, sources, opts));
+  std::vector<Bitset> out(sources.size(), Bitset(nfa.num_nodes()));
+  ForEachHit(nfa, visited, opts, [&](size_t si, NodeId n) { out[si].Set(n); });
   return out;
 }
 

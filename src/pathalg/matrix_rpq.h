@@ -151,14 +151,21 @@ class BitMatrix {
 // ---------------------------------------------------------------------
 // Product-graph fixpoint evaluator
 
-/// Multi-source existential reachability on the matrix engine: one
-/// result row per entry of `sources` (row i = nodes reachable from
-/// sources[i] via some conforming path), bit-identical to
-/// ReachableFrom(nfa, sources[i], opts) for every i. `opts.engine` is
-/// ignored (this *is* the matrix engine); start/end/avoid are honored.
+/// Multi-source existential reachability on the matrix engine, as a
+/// sources × nodes relation: row i holds, ascending, the nodes
+/// reachable from sources[i] via some conforming path — row for row
+/// the targets of ReachableFrom(nfa, sources[i], opts). `opts.engine`
+/// is ignored (this *is* the matrix engine); start/end/avoid are
+/// honored. The frontiers stay nodes × sources bits per automaton
+/// state; the result is sized by its pairs.
 ///
 /// Fails with InvalidArgument when no snapshot is attached — the
 /// per-label partitions are the CSR operands of the products.
+Result<BoolCsr> MatrixPairRelation(const PathNfa& nfa,
+                                   const std::vector<NodeId>& sources,
+                                   const PathQueryOptions& opts = {});
+
+/// MatrixPairRelation as one Bitset of num_nodes bits per source.
 Result<std::vector<Bitset>> MatrixReachFromAll(
     const PathNfa& nfa, const std::vector<NodeId>& sources,
     const PathQueryOptions& opts = {});

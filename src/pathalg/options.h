@@ -7,16 +7,30 @@
 namespace kgq {
 
 /// Which physical engine evaluates saturating (existential) queries —
-/// ReachableFrom / AllPairs and the ReachTable layers.
+/// ReachableFrom / PairRelation (and its AllPairs / CountPairs wrappers)
+/// and the ReachTable layers.
 enum class PathEngine {
   /// Product-configuration BFS per source over the PathNfa (the
-  /// reference engine; always available).
+  /// reference engine; always available). A multi-source call reuses
+  /// one search scratch per thread, so each source costs what it
+  /// reaches.
   kNfa,
   /// Boolean-semiring matrix fixpoint (pathalg/matrix_rpq): one masked
   /// SpGEMM per iteration covers every source at once, 64 sources per
   /// machine word. Requires an attached CsrSnapshot — silently falls
   /// back to kNfa without one, so requesting it is never wrong.
   kMatrix,
+  /// Decided per call from observed density (PairRelation only): the
+  /// NFA engine runs a deterministic strided sample of up to 64
+  /// sources, stopping once their visited nodes total n. The call goes
+  /// to kMatrix iff the graph has at least 64 nodes, a snapshot is
+  /// attached and the sample's mean reach is at least n/64 — one
+  /// frontier word's worth, the matrix engine's break-even; otherwise
+  /// the NFA engine finishes the remaining sources and keeps the
+  /// sampled rows. The choice depends only on the graph and the query,
+  /// never on the thread count. A single source (ReachableFrom) and
+  /// the ReachTable layers treat it as kNfa.
+  kAuto,
 };
 
 /// Restrictions shared by all path algorithms. The unrestricted problem
@@ -34,9 +48,10 @@ struct PathQueryOptions {
   /// multi-source pair evaluation). Results are identical for every
   /// thread count; see ParallelOptions.
   ParallelOptions parallel;
-  /// Physical engine for the saturating entry points. Both engines are
+  /// Physical engine for the saturating entry points. Every engine is
   /// bit-identical (tests/test_regex_fuzz.cc five-way); kMatrix is the
-  /// raw-speed play for bulk multi-source workloads.
+  /// raw-speed play for dense bulk multi-source workloads, kAuto picks
+  /// between the two from a sample.
   PathEngine engine = PathEngine::kNfa;
 };
 

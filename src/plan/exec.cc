@@ -269,10 +269,11 @@ class Executor {
            LabelPartitionExact(label);
   }
 
-  /// Records the physical engine the current operator chose into the
+  /// Records the physical engine the current operator ran into the
   /// active profile node (no-op without a trace). The choice depends
-  /// only on the plan and the snapshot, never on thread count — the
-  /// "engine" field is one of the deterministic profile fields.
+  /// only on the plan, the graph and the snapshot, never on thread
+  /// count — the "engine" field is one of the deterministic profile
+  /// fields.
   static void ProfileEngine(const char* engine) {
     if (obs::TraceContext* trace = obs::CurrentTrace()) {
       if (obs::ProfileNode* node = trace->CurrentOp()) node->engine = engine;
@@ -446,38 +447,37 @@ class Executor {
     // Planner-selected physical engine. The matrix fixpoint needs the
     // snapshot's label partitions; without a usable attach the request
     // degrades to the BFS engine (results are bit-identical either way).
-    const bool matrix = op.use_matrix_rpq && nfa.snapshot() != nullptr;
-    if (matrix) popts.engine = PathEngine::kMatrix;
-    ProfileEngine(matrix ? "matrix" : "nfa");
+    popts.engine = op.engine;
+    // A bound target is the engines' end restriction: they emit it
+    // alone instead of whole rows.
+    if (dst_bound) popts.end = dst_at;
     auto emit = [&](NodeId a, NodeId b) {
-      if (dst_bound && b != dst_at) return;
       if (diagonal) {
         if (a == b) rs.rows.push_back({a});
       } else {
         rs.rows.push_back({a, b});
       }
     };
-    auto evaluate = [&] {
-      if (src_bound) {
-        // Single-source fast path: one saturating configuration BFS
-        // instead of n of them.
-        ReachableFrom(nfa, src_at, popts).ForEach([&](size_t b) {
-          emit(src_at, static_cast<NodeId>(b));
-        });
-      } else {
-        std::vector<Bitset> pairs = AllPairs(nfa, popts);
-        for (NodeId a = 0; a < pairs.size(); ++a) {
-          pairs[a].ForEach(
-              [&](size_t b) { emit(a, static_cast<NodeId>(b)); });
+    PathEngine ran = PathEngine::kNfa;
+    if (src_bound) {
+      // Single-source fast path: one saturating configuration BFS
+      // instead of n of them.
+      if (op.engine == PathEngine::kMatrix && nfa.snapshot() != nullptr) {
+        ran = PathEngine::kMatrix;
+      }
+      ReachableFrom(nfa, src_at, popts).ForEach([&](size_t b) {
+        emit(src_at, static_cast<NodeId>(b));
+      });
+    } else {
+      const BoolCsr pairs = PairRelation(nfa, popts, &ran);
+      if (!diagonal && !dst_bound) rs.rows.reserve(pairs.nnz());
+      for (size_t a = 0; a < pairs.num_rows; ++a) {
+        for (size_t k = pairs.offsets[a]; k < pairs.offsets[a + 1]; ++k) {
+          emit(static_cast<NodeId>(a), pairs.cols[k]);
         }
       }
-    };
-    if (matrix) {
-      KGQ_SPAN("plan.op.matrix_rpq");
-      evaluate();
-    } else {
-      evaluate();
     }
+    ProfileEngine(ran == PathEngine::kMatrix ? "matrix" : "nfa");
     KGQ_COUNTER_ADD("plan.rows.path_atom", rs.rows.size());
     return rs;
   }
@@ -503,7 +503,7 @@ class Executor {
     }
     const CnfGrammar& grammar = *op.path->grammar();
     const uint32_t nt = op.path->nonterminal();
-    bool matrix = op.use_matrix_rpq && csr_ != nullptr;
+    bool matrix = op.engine == PathEngine::kMatrix && csr_ != nullptr;
     for (const CnfGrammar::TermProd& t : grammar.term_prods()) {
       matrix = matrix && LabelPartitionExact(t.label);
     }

@@ -74,7 +74,9 @@ void Render(const LogicalOp& op, size_t indent, std::string* out) {
       if (op.has_bound_dst) {
         out->append(" " + op.dst_var + "=" + std::to_string(op.bound_dst));
       }
-      if (op.use_matrix_rpq) {
+      // A kAuto atom's engine is chosen at run time; only the profile
+      // can name it.
+      if (op.engine == PathEngine::kMatrix) {
         out->append(op.path->kind() == PathExpr::Kind::kContextFree
                         ? " engine=cfpq-matrix"
                         : " engine=matrix");

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/multigraph.h"
+#include "pathalg/options.h"
 #include "rpq/path_expr.h"
 #include "rpq/regex.h"
 
@@ -101,14 +102,16 @@ class LogicalOp {
   /// direction (the ℓ⁻ atom).
   std::string label;
   bool backward = false;
-  /// kPathAtom: evaluate on the boolean-matrix engine — matrix RPQ
+  /// kPathAtom: the physical engine, set by the planner's matrix_rpq
+  /// rule. kMatrix runs the boolean-matrix engine — matrix RPQ
   /// (pathalg/matrix_rpq) for regular atoms, the CFPQ fixpoint
-  /// (pathalg/cfpq_matrix) for context-free atoms — instead of the
-  /// per-source/naive reference path. Set by the planner's matrix_rpq
-  /// rule; the executor honors it only when a usable snapshot is
-  /// attached (the engines are bit-identical, so the flag is pure
-  /// physics — never semantics).
-  bool use_matrix_rpq = false;
+  /// (pathalg/cfpq_matrix) for context-free atoms — and kNfa the
+  /// per-source BFS / CYK-style reference. kAuto (regular atoms only)
+  /// leaves the choice to PairRelation's run-time sample. The executor
+  /// runs a matrix engine only when a usable snapshot is attached (the
+  /// engines are bit-identical, so this is pure physics — never
+  /// semantics).
+  PathEngine engine = PathEngine::kNfa;
   /// kNodeScan / kFilter: the test (null = none).
   TestPtr test;
   /// Constant restriction on src_var / dst_var (kNoNode = none) — set

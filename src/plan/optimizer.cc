@@ -95,18 +95,15 @@ bool SharesVar(const LogicalOp& a, const LogicalOp& b) {
   return false;
 }
 
-/// The matrix_rpq rule: should this PathAtom leaf run on the boolean-
-/// matrix engine (matrix RPQ for regular atoms, the CFPQ fixpoint for
-/// context-free ones)? kAuto picks it only for bulk evaluations — no
-/// bound endpoint (a bound source is one BFS, which the fixpoint's
-/// dense N-column frontier would dwarf; context-free atoms always
-/// compute the full relation, but a bound endpoint still signals a
-/// selective query), a graph big enough for word-level batching to pay
-/// (≥ 64 nodes, one frontier word), and an estimated pair count of at
-/// least one per node (a dense-enough relation that the per-source /
-/// naive evaluation would re-traverse shared structure n times over).
-/// `est_pairs` is the atom's pair-relation estimate
-/// (EstimatePathPairs / EstimateCfpqPairs), before endpoint scaling.
+/// The matrix_rpq rule for a context-free PathAtom leaf: should it run
+/// on the CFPQ matrix fixpoint? kAuto picks it only for bulk
+/// evaluations — no bound endpoint (the fixpoint always computes the
+/// full relation, but a bound endpoint signals a selective query), a
+/// graph big enough for word-level batching to pay (≥ 64 nodes, one
+/// frontier word), and an estimated pair count of at least one per
+/// node (a dense-enough relation that the naive evaluation would
+/// re-traverse shared structure n times over). `est_pairs` is the
+/// atom's EstimateCfpqPairs, before endpoint scaling.
 bool ChooseMatrixRpq(const LogicalOp& leaf, const GraphStats& stats,
                      MatrixRpqMode mode, double est_pairs) {
   switch (mode) {
@@ -121,6 +118,23 @@ bool ChooseMatrixRpq(const LogicalOp& leaf, const GraphStats& stats,
   double n = stats.num_nodes();
   if (n < 64.0) return false;
   return est_pairs >= n;
+}
+
+/// The matrix_rpq rule for a regular PathAtom leaf. kAuto defers an
+/// unbound atom to PairRelation, which decides from the reach of a
+/// sample of sources (PathEngine::kAuto); a bound endpoint runs one
+/// BFS.
+PathEngine RegularEngine(const LogicalOp& leaf, MatrixRpqMode mode) {
+  switch (mode) {
+    case MatrixRpqMode::kOff:
+      return PathEngine::kNfa;
+    case MatrixRpqMode::kAlways:
+      return PathEngine::kMatrix;
+    case MatrixRpqMode::kAuto:
+      break;
+  }
+  if (leaf.has_bound_src || leaf.has_bound_dst) return PathEngine::kNfa;
+  return PathEngine::kAuto;
 }
 
 }  // namespace
@@ -271,9 +285,8 @@ Result<LogicalOpPtr> PlanQuery(const ConjunctiveQuery& query,
       if (a.src == a.dst) leaf->est_rows /= n;
       if (leaf->has_bound_src) leaf->est_rows /= n;
       if (leaf->has_bound_dst) leaf->est_rows /= n;
-      leaf->use_matrix_rpq =
-          ChooseMatrixRpq(*leaf, stats, options.matrix_rpq, est_pairs);
-      if (leaf->use_matrix_rpq) {
+      if (ChooseMatrixRpq(*leaf, stats, options.matrix_rpq, est_pairs)) {
+        leaf->engine = PathEngine::kMatrix;
         KGQ_COUNTER_INC("plan.optimizer.matrix_rpq");
       }
       if (options.push_filters) {
@@ -325,14 +338,12 @@ Result<LogicalOpPtr> PlanQuery(const ConjunctiveQuery& query,
       leaf->path =
           full == a.path->regex() ? a.path : PathExpr::Regular(full);
       leaf->schema = PairSchema(a.src, a.dst);
-      double est_pairs = stats.EstimatePathPairs(*full);
-      leaf->est_rows = est_pairs;
+      leaf->est_rows = stats.EstimatePathPairs(*full);
       if (a.src == a.dst) leaf->est_rows /= n;
       if (leaf->has_bound_src) leaf->est_rows /= n;
       if (leaf->has_bound_dst) leaf->est_rows /= n;
-      leaf->use_matrix_rpq =
-          ChooseMatrixRpq(*leaf, stats, options.matrix_rpq, est_pairs);
-      if (leaf->use_matrix_rpq) {
+      leaf->engine = RegularEngine(*leaf, options.matrix_rpq);
+      if (leaf->engine == PathEngine::kMatrix) {
         KGQ_COUNTER_INC("plan.optimizer.matrix_rpq");
       }
     }

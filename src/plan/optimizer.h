@@ -12,9 +12,13 @@ enum class MatrixRpqMode {
   /// Never annotate: every PathAtom runs on the configuration-BFS
   /// engine (part of the all-off naive baseline).
   kOff,
-  /// Cost-based: pick the matrix engine for bulk (unbound) atoms whose
-  /// estimated pair count is large enough that the one-SpGEMM-per-
-  /// generation fixpoint beats n independent BFS runs; see PlanQuery.
+  /// Measured for regular atoms: an unbound atom's engine is decided
+  /// when it runs (PathEngine::kAuto) — the matrix engine iff a sample
+  /// of up to 64 sources reaches, on average, at least n/64 nodes, the
+  /// density at which one frontier word pays; bound atoms stay on the
+  /// BFS engine. Context-free atoms are estimated: the CFPQ fixpoint
+  /// for unbound atoms whose estimated pair count is at least n, on
+  /// graphs of ≥ 64 nodes.
   kAuto,
   /// Annotate every PathAtom (the force-matrix knob benches use).
   kAlways,
@@ -39,14 +43,16 @@ struct PlannerOptions {
   /// EdgeScan(label) — executed over the snapshot's contiguous label
   /// partitions instead of a product-automaton run.
   bool edge_scan_fastpath = true;
-  /// Annotate PathAtom leaves with the boolean-matrix engine: matrix
-  /// RPQ (pathalg/matrix_rpq) for regular atoms, the CFPQ fixpoint
-  /// (pathalg/cfpq_matrix) for context-free atoms. Purely physical:
-  /// the engines return bit-identical rows, the rule only moves the
-  /// work onto masked SpGEMM sweeps when the atom is a bulk all-pairs
-  /// evaluation (EstimateCfpqPairs drives the context-free cost
-  /// estimate). The executor falls back to the BFS / CYK-reference
-  /// engine when no usable snapshot is attached.
+  /// Annotate PathAtom leaves with their engine: matrix RPQ
+  /// (pathalg/matrix_rpq) or the per-source BFS for regular atoms, the
+  /// CFPQ fixpoint (pathalg/cfpq_matrix) or the CYK-style reference for
+  /// context-free atoms. Purely physical: the engines return
+  /// bit-identical rows, the rule only moves the work onto masked
+  /// SpGEMM sweeps when the atom is a dense bulk all-pairs evaluation —
+  /// measured by a source sample at run time for regular atoms,
+  /// estimated by EstimateCfpqPairs for context-free ones. The executor
+  /// falls back to the BFS / CYK-reference engine when no usable
+  /// snapshot is attached.
   MatrixRpqMode matrix_rpq = MatrixRpqMode::kAuto;
 };
 

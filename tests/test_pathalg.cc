@@ -5,11 +5,13 @@
 #include <set>
 
 #include "datasets/figure2.h"
+#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
 #include "pathalg/fpras.h"
+#include "pathalg/pairs.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
 #include "rpq/reference_eval.h"
@@ -413,6 +415,111 @@ TEST(ShortestLengthsTest, AvoidReroutesOrDisconnects) {
   auto dist = ShortestAcceptedLengths(*nfa, fig2::kJuan, 10, opts);
   EXPECT_FALSE(dist[fig2::kPedro].has_value());  // Only route was the bus.
   EXPECT_EQ(dist[fig2::kRosa], 2u);              // contact/contact still works.
+}
+
+// ------------------------------------------ shared-scratch pair search
+
+/// Per-source reachability with a freshly zeroed state array for every
+/// source: the product BFS the multi-source engine must match row for
+/// row, written independently of its scratch reuse.
+Bitset FreshReach(const PathNfa& nfa, NodeId start,
+                  const PathQueryOptions& opts) {
+  const size_t n = nfa.num_nodes();
+  Bitset out(n);
+  if (start == opts.avoid) return out;
+  if (opts.start != kNoNode && start != opts.start) return out;
+  std::vector<PathNfa::StateMask> seen(n, 0);
+  std::vector<std::pair<NodeId, uint32_t>> stack;
+  auto push = [&](NodeId v, PathNfa::StateMask mask) {
+    PathNfa::StateMask fresh = mask & ~seen[v];
+    seen[v] |= fresh;
+    for (uint32_t q = 0; q < 64; ++q) {
+      if (fresh & (1ull << q)) stack.emplace_back(v, q);
+    }
+  };
+  push(start, nfa.StartMask(start));
+  while (!stack.empty()) {
+    auto [v, q] = stack.back();
+    stack.pop_back();
+    nfa.ForEachSuccessor(v, q, [&](NodeId to, uint32_t to_state) {
+      if (to != opts.avoid) push(to, nfa.CloseAt(to, 1ull << to_state));
+    });
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    if (nfa.Accepting(seen[v]) && (opts.end == kNoNode || v == opts.end)) {
+      out.Set(v);
+    }
+  }
+  return out;
+}
+
+// Consecutive sources of one chunk share a thread's scratch, and on
+// these graphs their reaches overlap heavily (a giant component under
+// the closures), so a scratch entry left dirty by one source would hide
+// nodes from the next. Every multi-source entry point must equal the
+// fresh per-source search under every restriction, at 1 and 4 threads,
+// on both the NFA engine and kAuto.
+TEST(PairSearchTest, ReusedScratchMatchesFreshSearch) {
+  Rng rng(7);
+  struct Case {
+    LabeledGraph graph;
+    std::vector<std::string> queries;
+  };
+  std::vector<Case> cases;
+  cases.push_back({ErdosRenyi(300, 900, {"p", "q"}, {"a", "b"}, &rng),
+                   {"a*", "(a+b)*", "a/b^-", "(a/b)*/a", "?p/(a+b^-)*/?q"}});
+  // Sparse rows spread over a wide id range (a*: small ancestor sets)
+  // next to one dense closure.
+  cases.push_back({BarabasiAlbert(600, 2, {"p", "q"}, {"a", "b"}, &rng),
+                   {"a*", "(a+a^-)*", "b/a^-"}});
+  for (const Case& c : cases) {
+    LabeledGraphView view(c.graph);
+    CsrSnapshot snap = CsrSnapshot::FromGraph(c.graph);
+    const NodeId mid = static_cast<NodeId>(c.graph.num_nodes() / 2);
+    std::vector<PathQueryOptions> restrictions(5);
+    restrictions[1].start = mid;
+    restrictions[2].end = mid;
+    restrictions[3].avoid = 0;
+    restrictions[4].start = 1;
+    restrictions[4].end = mid;
+    restrictions[4].avoid = 2;
+    for (const std::string& q : c.queries) {
+      Result<PathNfa> nfa = PathNfa::Compile(view, *Parse(q));
+      ASSERT_TRUE(nfa.ok()) << q;
+      ASSERT_TRUE(nfa->AttachSnapshot(&snap).ok());
+      for (size_t r = 0; r < restrictions.size(); ++r) {
+        std::vector<Bitset> want;
+        double want_count = 0;
+        for (NodeId a = 0; a < c.graph.num_nodes(); ++a) {
+          want.push_back(FreshReach(*nfa, a, restrictions[r]));
+          want_count += static_cast<double>(want.back().Count());
+        }
+        for (size_t threads : {1, 4}) {
+          for (PathEngine engine : {PathEngine::kNfa, PathEngine::kAuto}) {
+            SCOPED_TRACE(q + " restriction " + std::to_string(r) + " threads " +
+                         std::to_string(threads) + " auto " +
+                         std::to_string(engine == PathEngine::kAuto));
+            PathQueryOptions opts = restrictions[r];
+            opts.parallel.num_threads = threads;
+            opts.engine = engine;
+            ASSERT_EQ(AllPairs(*nfa, opts), want);
+            BoolCsr rel = PairRelation(*nfa, opts);
+            ASSERT_EQ(rel.num_rows, want.size());
+            for (NodeId a = 0; a < want.size(); ++a) {
+              std::vector<uint32_t> row(rel.cols.begin() + rel.offsets[a],
+                                        rel.cols.begin() + rel.offsets[a + 1]);
+              ASSERT_EQ(row, want[a].ToVector()) << "row " << a;
+            }
+            ASSERT_EQ(CountPairs(*nfa, opts), want_count);
+          }
+        }
+        PathQueryOptions single = restrictions[r];
+        for (NodeId a : {NodeId{0}, NodeId{1}, mid}) {
+          ASSERT_EQ(ReachableFrom(*nfa, a, single), want[a]) << q << " " << a;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -748,6 +749,79 @@ TEST(FrontEnds, DblpGraphHasTheDocumentedShape) {
       "q(p) :- (p: paper) -[ about ]-> (k: property_graph)");
   EXPECT_GT((*EvalCrpq(view, q)).rows.size(),
             (*EvalCrpq(view, rare)).rows.size());
+}
+
+// kAuto decides a regular atom's engine when it runs, from the reach of
+// a sample of its sources: the matrix engine for a dense closure, the
+// BFS engine for a sparse composition. EXPLAIN names no engine for such
+// an atom; the profile names the one that ran. Every mode returns the
+// same rows at 1 and 4 threads. (The closure runs on the diagonal so
+// the test does not materialize its 3.8M pairs as rows; the engines
+// still evaluate the whole relation.)
+TEST(MatrixRpqRule, AutoChoosesTheEngineFromObservedDensity) {
+  obs::Registry::SetEnabled(true);
+  Rng rng(20260807);
+  LabeledGraph er = ErdosRenyi(2000, 8000, {"p", "q"}, {"a", "b"}, &rng);
+  DblpGraphOptions dblp_opts;
+  dblp_opts.num_papers = 1000;
+  dblp_opts.num_authors = 300;
+  dblp_opts.num_venues = 10;
+  Rng dblp_rng(dblp_opts.seed);
+  LabeledGraph dblp = BuildDblpGraph(dblp_opts, &dblp_rng);
+  struct Case {
+    const LabeledGraph* graph;
+    const char* text;
+    const char* auto_engine;
+  };
+  const Case cases[] = {
+      {&er, "q(x) :- (x) -[ (a+b)* ]-> (x)", "matrix"},
+      {&dblp, "q(a1, a2) :- (a1) -[ writes / writes^- ]-> (a2)", "nfa"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    LabeledGraphView view(*c.graph);
+    CsrSnapshot snap = CsrSnapshot::FromGraph(*c.graph);
+    Crpq q = *ParseCrpq(c.text);
+    GraphStats stats = GraphStats::From(&view, &snap);
+    Result<LogicalOpPtr> plan = PlanQuery(*CompileCrpq(q), stats);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(ExplainPlan(**plan).find("engine="), std::string::npos)
+        << ExplainPlan(**plan);
+
+    std::optional<std::vector<std::vector<NodeId>>> want;
+    for (size_t threads : {1, 4}) {
+      for (MatrixRpqMode mode : {MatrixRpqMode::kAuto, MatrixRpqMode::kOff,
+                                 MatrixRpqMode::kAlways}) {
+        CrpqOptions opts;
+        opts.parallel.num_threads = threads;
+        opts.snapshot = &snap;
+        opts.planner.matrix_rpq = mode;
+        obs::TraceContext trace;
+        Result<RowSet> got = [&] {
+          obs::ScopedTrace scope(&trace);
+          return EvalCrpq(view, q, opts);
+        }();
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_FALSE(got->rows.empty());
+        if (!want.has_value()) want = got->rows;
+        ASSERT_EQ(got->rows, *want) << "threads " << threads;
+        if (!obs::kCompiledIn) continue;
+        std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
+        ASSERT_NE(profile, nullptr);
+        const obs::ProfileNode* atom = FindProfiled(*profile, "PathAtom");
+        ASSERT_NE(atom, nullptr);
+        const char* expected = mode == MatrixRpqMode::kAuto ? c.auto_engine
+                               : mode == MatrixRpqMode::kOff ? "nfa"
+                                                             : "matrix";
+        EXPECT_EQ(atom->engine, expected) << "threads " << threads;
+        if (mode == MatrixRpqMode::kAuto) {
+          EXPECT_GT(trace.CounterValue("pathalg.auto.sampled_sources"), 0u);
+          EXPECT_EQ(trace.CounterValue("pathalg.auto.matrix"),
+                    std::string(c.auto_engine) == "matrix" ? 1u : 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
