@@ -56,8 +56,8 @@ int main() {
   gopts.max_coauthors = 4;
   Rng rng(gopts.seed);
   LabeledGraph g = BuildDblpGraph(gopts, &rng);
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  const CsrSnapshot& snap = *view.csr();
   GraphStats stats = GraphStats::From(&view, &snap);
 
   std::printf("DBLP-synth graph: %zu nodes, %zu edges "
@@ -117,7 +117,6 @@ int main() {
 
       ExecOptions eopts;
       eopts.parallel.num_threads = mode.threads;
-      eopts.snapshot = &snap;
       Timer exec_timer;
       RowSet result = *ExecutePlan(view, *plan, eopts);
       double exec_ms = exec_timer.Millis();

@@ -130,8 +130,7 @@ int main() {
   double gate_nfa_ms = 0.0, gate_matrix_ms = 0.0;
 
   for (const Workload& w : workloads) {
-    LabeledGraphView view(*w.graph);
-    CsrSnapshot snap = CsrSnapshot::FromGraph(*w.graph);
+    const LabeledGraphView view = LabeledGraphView::WithCsr(*w.graph);
     std::printf("%s: %zu nodes, %zu edges\n", w.name, w.graph->num_nodes(),
                 w.graph->num_edges());
 
@@ -140,7 +139,7 @@ int main() {
       RegexPtr regex = *ParseRegex(query);
       Result<PathNfa> nfa =
           PathNfa::Compile(view, *regex, PathNfa::Construction::kGlushkov);
-      if (!nfa.ok() || !nfa->AttachSnapshot(&snap).ok()) {
+      if (!nfa.ok()) {
         std::fprintf(stderr, "FAIL: could not compile %s\n", query.c_str());
         return 1;
       }

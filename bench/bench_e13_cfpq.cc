@@ -24,7 +24,8 @@
 // CYK reference on the DBLP same-generation query single-threaded, and
 // the regular over-approximation strictly larger than the exact
 // same-generation relation. Everything is mirrored to
-// BENCH_e13_cfpq.json, including the full obs registry
+// BENCH_e13_cfpq.json behind a provenance header (bench/provenance.h),
+// including the full obs registry
 // (cfpq.fixpoint_rounds, cfpq.spgemm.entries, the SpGEMM kernel
 // counters).
 
@@ -35,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "datasets/dblp_synth.h"
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
@@ -196,11 +198,10 @@ int main() {
   size_t overapprox_pairs = 0;
   double overapprox_ms = 0.0;
   {
-    LabeledGraphView view(dblp);
-    CsrSnapshot snap = CsrSnapshot::FromGraph(dblp);
+    const LabeledGraphView view = LabeledGraphView::WithCsr(dblp);
     RegexPtr regex = *ParseRegex("(cites/cites*)/(cites^-/(cites^-)*)");
     Result<PathNfa> nfa = PathNfa::Compile(view, *regex);
-    if (!nfa.ok() || !nfa->AttachSnapshot(&snap).ok()) {
+    if (!nfa.ok()) {
       std::fprintf(stderr, "FAIL: could not compile over-approximation\n");
       return 1;
     }
@@ -235,6 +236,7 @@ int main() {
     w.BeginObject();
     w.Key("benchmark");
     w.String("e13_cfpq");
+    bench::WriteProvenance(&w);
     w.Key("runs");
     w.BeginArray();
     for (const BenchRow& r : rows) {

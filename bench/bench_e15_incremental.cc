@@ -22,8 +22,9 @@
 //
 // Reported: publish p50/p99 for both stores (QuantileReservoir), the
 // latency ratio, per-epoch warm/cold iteration counts, view maintenance
-// vs rebuild timings — mirrored to BENCH_e15_incremental.json with the
-// gates and the full obs registry (serve.publish.dirty_labels,
+// vs rebuild timings — mirrored to BENCH_e15_incremental.json behind a
+// provenance header (bench/provenance.h), with the gates and the full
+// obs registry (serve.publish.dirty_labels,
 // serve.view.*, pagerank.warm_iterations...).
 
 #include <algorithm>
@@ -37,6 +38,7 @@
 
 #include "analytics/components.h"
 #include "analytics/pagerank.h"
+#include "bench/provenance.h"
 #include "graph/generators.h"
 #include "obs/obs.h"
 #include "obs/quantile.h"
@@ -266,6 +268,7 @@ int main() {
     w.BeginObject();
     w.Key("benchmark");
     w.String("e15_incremental");
+    bench::WriteProvenance(&w);
     w.Key("nodes");
     w.UInt(kNodes);
     w.Key("epochs");

@@ -117,13 +117,13 @@ int main() {
     for (size_t layers : {6, 10, 14}) {
       const size_t width = 6;
       LabeledGraph g = LayeredDag(layers, width, "n", "e");
-      LabeledGraphView view(g);
-      CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+      const LabeledGraphView list_view(g);
+      const LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
       RegexPtr regex = *ParseRegex("e*");
 
       for (const char* backend : {"list", "csr"}) {
-        PathNfa nfa = *PathNfa::Compile(view, *regex);
-        if (backend[0] == 'c' && !nfa.AttachSnapshot(&snap).ok()) continue;
+        PathNfa nfa = *PathNfa::Compile(
+            backend[0] == 'c' ? csr_view : list_view, *regex);
 
         ExactPathIndex index(nfa, layers);
         double total = index.Count(layers);
@@ -180,7 +180,7 @@ int main() {
   Rng gen(4242);
   LabeledGraph g = ErdosRenyi(150, 600, {"p"}, {"a", "b"}, &gen);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  const LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
   {
     KGQ_SPAN("e2.ablation");
     for (const char* q : {"(a+b/b^-)*", "((a+b)/a + b/(a+b)/(a+b))*"}) {
@@ -188,8 +188,8 @@ int main() {
       const size_t k = 8, want = 5000;
 
       for (const char* backend : {"list", "csr"}) {
-        PathNfa nfa = *PathNfa::Compile(view, *regex);
-        if (backend[0] == 'c' && !nfa.AttachSnapshot(&snap).ok()) continue;
+        PathNfa nfa =
+            *PathNfa::Compile(backend[0] == 'c' ? csr_view : view, *regex);
         Timer t_config;
         PathEnumerator enumerator(nfa, k);
         Path p;

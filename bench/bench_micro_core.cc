@@ -206,23 +206,17 @@ void BM_LabelScanCsr(benchmark::State& state) {
 BENCHMARK(BM_LabelScanCsr);
 
 /// End-to-end multi-source pair evaluation (8 edge labels, query over 2
-/// of them). Arg = thread count; the CSR variant additionally steps over
-/// label partitions via the attached snapshot.
+/// of them). Arg = thread count; the CSR variant runs over a view that
+/// carries a CSR and so additionally steps over label partitions.
 void AllPairsBench(benchmark::State& state, bool use_csr) {
   static Rng rng(29);
   static const LabeledGraph g = ErdosRenyi(
       300, 2400, {"p"}, {"a", "b", "c", "d", "e", "f", "g", "h"}, &rng);
-  static const LabeledGraphView view(g);
-  static const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  static const LabeledGraphView list_view(g);
+  static const LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
   RegexPtr regex = *ParseRegex("(a/b)*");
-  Result<PathNfa> nfa = PathNfa::Compile(view, *regex);
-  if (use_csr) {
-    Status st = nfa->AttachSnapshot(&snap);
-    if (!st.ok()) {
-      state.SkipWithError("snapshot attach failed");
-      return;
-    }
-  }
+  Result<PathNfa> nfa =
+      PathNfa::Compile(use_csr ? csr_view : list_view, *regex);
   PathQueryOptions opts;
   opts.parallel.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {

@@ -34,8 +34,10 @@ int main() {
   DblpGraphOptions gopts;
   Rng rng(gopts.seed);
   LabeledGraph g = BuildDblpGraph(gopts, &rng);
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  // A view that carries a CSR of the graph: per-label statistics for the
+  // planner and contiguous label partitions for the executor.
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  const CsrSnapshot& snap = *view.csr();
   std::cout << "DBLP-synth: " << g.num_nodes() << " nodes, " << g.num_edges()
             << " edges; about[property_graph] is the rare keyword ("
             << "writes=" << snap.LabelFrequency("writes")
@@ -75,9 +77,7 @@ int main() {
   // report below covers exactly this one execution.
   obs::Registry::SetEnabled(true);
   obs::Registry::Get().Reset();
-  ExecOptions eopts;
-  eopts.snapshot = &snap;
-  Result<RowSet> rows = ExecutePlan(view, **plan, eopts);
+  Result<RowSet> rows = ExecutePlan(view, **plan);
   if (!rows.ok()) {
     std::cerr << rows.status() << "\n";
     return 1;

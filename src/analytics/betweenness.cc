@@ -140,9 +140,6 @@ Result<std::vector<double>> RegexBetweenness(const GraphView& view,
                                              const BcrOptions& opts) {
   KGQ_SPAN("analytics.bcr_exact");
   KGQ_ASSIGN_OR_RETURN(PathNfa nfa, PathNfa::Compile(view, regex));
-  if (opts.snapshot != nullptr) {
-    KGQ_RETURN_IF_ERROR(nfa.AttachSnapshot(opts.snapshot));
-  }
   size_t n = view.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0) return bc;
@@ -200,9 +197,6 @@ Result<std::vector<double>> RegexBetweennessApprox(const GraphView& view,
                                                    Rng* rng) {
   KGQ_SPAN("analytics.bcr_approx");
   KGQ_ASSIGN_OR_RETURN(PathNfa nfa, PathNfa::Compile(view, regex));
-  if (opts.snapshot != nullptr) {
-    KGQ_RETURN_IF_ERROR(nfa.AttachSnapshot(opts.snapshot));
-  }
   size_t n = view.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0) return bc;

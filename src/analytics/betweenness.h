@@ -56,12 +56,6 @@ struct BcrOptions {
   /// bit-identical at every thread count; the approximate variant is
   /// bit-identical at every thread count for a fixed rng seed.
   ParallelOptions parallel;
-  /// Optional CSR snapshot of the queried graph, attached to the
-  /// compiled product automaton so every configuration BFS, enumeration
-  /// and FPRAS pass scans contiguous adjacency. Results are
-  /// bit-identical with or without it; a snapshot of a different
-  /// topology is an InvalidArgument.
-  const CsrSnapshot* snapshot = nullptr;
 };
 
 /// Regex-constrained betweenness centrality of Section 4.2:
@@ -71,7 +65,9 @@ struct BcrOptions {
 /// conforming distances; per pair, paths are counted with the exact
 /// (determinized) DP, and through-counts are obtained as
 /// total − count(avoiding x) for each candidate x. Ground truth for
-/// small/medium graphs.
+/// small/medium graphs. Over a view that carries a CSR (GraphView::
+/// csr()) every configuration BFS, enumeration and FPRAS pass scans its
+/// contiguous adjacency; results are bit-identical either way.
 Result<std::vector<double>> RegexBetweenness(const GraphView& view,
                                              const Regex& regex,
                                              const BcrOptions& opts = {});

@@ -45,6 +45,7 @@ CsrSnapshot CsrSnapshot::Build(const Multigraph& g,
     if (inserted) {
       snap.label_names_.push_back(spell(c));
       snap.label_counts_.push_back(0);
+      if (c == kNullConst) snap.null_label_ = it->second;
     }
     snap.edge_labels_[e] = it->second;
     ++snap.label_counts_[it->second];
@@ -575,7 +576,7 @@ size_t CsrSnapshot::LabelFrequency(std::string_view name) const {
 
 std::optional<LabelId> CsrSnapshot::FindLabel(std::string_view name) const {
   for (LabelId l = 0; l < label_names_.size(); ++l) {
-    if (label_names_[l] == name) return l;
+    if (l != null_label_ && label_names_[l] == name) return l;
   }
   return std::nullopt;
 }

@@ -152,6 +152,9 @@ class CsrSnapshot {
   size_t LabelFrequency(std::string_view name) const;
 
   /// Dense id of a label spelling, or nullopt if no edge carries it.
+  /// The label of edges whose source label is ⊥ (a vector graph's
+  /// empty feature row 0) is found by no spelling: like
+  /// VectorGraphView::EdgeLabelIs, no label atom matches those edges.
   std::optional<LabelId> FindLabel(std::string_view name) const;
 
   /// Out-entries of n in ascending edge id (== Multigraph insertion
@@ -230,7 +233,9 @@ class CsrSnapshot {
   ///   * `inserted` and `deleted` are canonically sorted and duplicate
   ///     free; every deleted edge is present in prev and no inserted
   ///     edge is (net-delta semantics);
-  ///   * num_nodes >= prev.num_nodes().
+  ///   * num_nodes >= prev.num_nodes();
+  ///   * prev has no ⊥ label (records carry spellings, and "⊥" would
+  ///     come back as an ordinary label).
   ///
   /// Label ids are re-derived in first-appearance order over the merged
   /// stream; labels whose last edge was deleted drop out — exactly what
@@ -290,6 +295,7 @@ class CsrSnapshot {
   std::vector<LabelId> edge_labels_;
   std::vector<std::string> label_names_;
   std::vector<size_t> label_counts_;  // edges per label, by LabelId.
+  LabelId null_label_ = kNoLabel;     // the ⊥ label FindLabel skips.
 
   // The two views share their offset arrays between the edge-id-ordered
   // and the label-partitioned copies (same per-node sizes).

@@ -45,6 +45,27 @@ bool GraphView::EdgeFeatureIs(EdgeId, size_t, std::string_view) const {
   return false;
 }
 
+LabeledGraphView LabeledGraphView::WithCsr(const LabeledGraph& graph) {
+  LabeledGraphView view(graph);
+  view.csr_ =
+      std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph));
+  return view;
+}
+
+PropertyGraphView PropertyGraphView::WithCsr(const PropertyGraph& graph) {
+  PropertyGraphView view(graph);
+  view.csr_ =
+      std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph));
+  return view;
+}
+
+VectorGraphView VectorGraphView::WithCsr(const VectorGraph& graph) {
+  VectorGraphView view(graph);
+  view.csr_ =
+      std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph));
+  return view;
+}
+
 bool LabeledGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
   return IdMatches(graph_.dict(), graph_.NodeLabel(n), label);
 }

@@ -2,6 +2,7 @@
 #define KGQ_GRAPH_GRAPH_VIEW_H_
 
 #include <functional>
+#include <memory>
 #include <string_view>
 
 #include "graph/labeled_graph.h"
@@ -71,15 +72,15 @@ class GraphView {
   /// comparing strings per element.
   virtual DenseLabels dense_labels() const { return {}; }
 
-  /// A CSR snapshot whose topology and edge labels are this view's own
-  /// *by construction* (same nodes, same edge ids and endpoints, and
-  /// EdgeLabelIs(e, ℓ) iff the snapshot's label of e spells ℓ), or
-  /// nullptr (the default). Kernels compile against it and trust it
-  /// without the O(|E|) topology and label checks that a snapshot passed
-  /// in separately gets. Only views that build the pairing themselves
-  /// may return one — today the epoch views of the serving layer
-  /// (serve::EpochSnapshot::View). The snapshot lives as long as the
-  /// view.
+  /// The CSR this view carries, or nullptr (the default). Its topology
+  /// and edge labels are the view's own *by construction*: same nodes,
+  /// same edge ids and endpoints, and EdgeLabelIs(e, ℓ) iff
+  /// FindLabel(ℓ) is the CSR's label of e. Only a view builds its
+  /// CSR — the WithCsr constructors of the model views below and
+  /// RdfGraphView, and the epoch views of the serving layer
+  /// (serve::EpochSnapshot::View) — and it is the only way a CSR
+  /// reaches the query kernels, which trust it without checks. The CSR
+  /// lives as long as the view.
   virtual const CsrSnapshot* csr() const { return nullptr; }
 
   /// Sizes, read off csr() when it is set so that sizing a view never
@@ -91,8 +92,13 @@ class GraphView {
 /// View over a labeled graph: label atoms only.
 class LabeledGraphView final : public GraphView {
  public:
-  /// The graph must outlive the view.
+  /// A plain view: csr() is nullptr. The graph must outlive the view.
   explicit LabeledGraphView(const LabeledGraph& graph) : graph_(graph) {}
+  /// A view that carries its own CSR, built from `graph`. The graph
+  /// must outlive the view and stay unchanged.
+  static LabeledGraphView WithCsr(const LabeledGraph& graph);
+
+  const CsrSnapshot* csr() const override { return csr_.get(); }
 
   const Multigraph& topology() const override { return graph_.topology(); }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
@@ -105,13 +111,19 @@ class LabeledGraphView final : public GraphView {
 
  private:
   const LabeledGraph& graph_;
+  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 /// View over a property graph: label and property atoms.
 class PropertyGraphView final : public GraphView {
  public:
-  /// The graph must outlive the view.
+  /// A plain view: csr() is nullptr. The graph must outlive the view.
   explicit PropertyGraphView(const PropertyGraph& graph) : graph_(graph) {}
+  /// A view that carries its own CSR, built from `graph`. The graph
+  /// must outlive the view and stay unchanged.
+  static PropertyGraphView WithCsr(const PropertyGraph& graph);
+
+  const CsrSnapshot* csr() const override { return csr_.get(); }
 
   const Multigraph& topology() const override {
     return graph_.labeled().topology();
@@ -130,6 +142,7 @@ class PropertyGraphView final : public GraphView {
 
  private:
   const PropertyGraph& graph_;
+  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 /// View over a vector-labeled graph: feature atoms. As a convenience —
@@ -137,8 +150,13 @@ class PropertyGraphView final : public GraphView {
 /// label in feature row 0 — label atoms are answered by feature row 0.
 class VectorGraphView final : public GraphView {
  public:
-  /// The graph must outlive the view.
+  /// A plain view: csr() is nullptr. The graph must outlive the view.
   explicit VectorGraphView(const VectorGraph& graph) : graph_(graph) {}
+  /// A view that carries its own CSR, built from `graph`. The graph
+  /// must outlive the view and stay unchanged.
+  static VectorGraphView WithCsr(const VectorGraph& graph);
+
+  const CsrSnapshot* csr() const override { return csr_.get(); }
 
   const Multigraph& topology() const override { return graph_.topology(); }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
@@ -152,6 +170,7 @@ class VectorGraphView final : public GraphView {
 
  private:
   const VectorGraph& graph_;
+  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 }  // namespace kgq

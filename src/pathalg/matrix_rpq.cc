@@ -271,7 +271,7 @@ Result<std::vector<BitMatrix>> Fixpoint(const PathNfa& nfa,
   const CsrSnapshot* csr = nfa.snapshot();
   if (csr == nullptr) {
     return Status::InvalidArgument(
-        "the matrix RPQ engine requires an attached CsrSnapshot");
+        "the matrix RPQ engine requires a view that carries a CSR");
   }
   KGQ_SPAN("matrix_rpq.eval");
   const size_t num_nodes = nfa.num_nodes();

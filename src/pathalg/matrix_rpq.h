@@ -159,8 +159,8 @@ class BitMatrix {
 /// honored. The frontiers stay nodes × sources bits per automaton
 /// state; the result is sized by its pairs.
 ///
-/// Fails with InvalidArgument when no snapshot is attached — the
-/// per-label partitions are the CSR operands of the products.
+/// Fails with InvalidArgument when the compiled view carries no CSR —
+/// its per-label partitions are the CSR operands of the products.
 Result<BoolCsr> MatrixPairRelation(const PathNfa& nfa,
                                    const std::vector<NodeId>& sources,
                                    const PathQueryOptions& opts = {});
@@ -183,7 +183,7 @@ Result<std::vector<Bitset>> MatrixAllPairs(const PathNfa& nfa,
 /// (size (max_len+1) · num_nodes, layer-major — the ReachTable layout)
 /// with masks bit-identical to the scalar per-step construction. Layer
 /// j is one product sweep over layer j-1 per NFA transition instead of
-/// a per-node step scan. Requires an attached snapshot.
+/// a per-node step scan. Requires a view that carries a CSR.
 void MatrixReachTableLayers(const PathNfa& nfa, size_t max_len,
                             const PathQueryOptions& opts,
                             std::vector<PathNfa::StateMask>* table);

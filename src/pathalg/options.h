@@ -17,14 +17,14 @@ enum class PathEngine {
   kNfa,
   /// Boolean-semiring matrix fixpoint (pathalg/matrix_rpq): one masked
   /// SpGEMM per iteration covers every source at once, 64 sources per
-  /// machine word. Requires an attached CsrSnapshot — silently falls
+  /// machine word. Requires a view that carries a CSR — silently falls
   /// back to kNfa without one, so requesting it is never wrong.
   kMatrix,
   /// Decided per call from observed density (PairRelation only): the
   /// NFA engine runs a deterministic strided sample of up to 64
   /// sources, stopping once their visited nodes total n. The call goes
-  /// to kMatrix iff the graph has at least 64 nodes, a snapshot is
-  /// attached and the sample's mean reach is at least n/64 — one
+  /// to kMatrix iff the graph has at least 64 nodes, its view carries a
+  /// CSR and the sample's mean reach is at least n/64 — one
   /// frontier word's worth, the matrix engine's break-even; otherwise
   /// the NFA engine finishes the remaining sources and keeps the
   /// sampled rows. The choice depends only on the graph and the query,

@@ -19,18 +19,21 @@ constexpr size_t kSampleSources = 64;
 /// One thread's search state, reused across the sources of a call.
 /// Between sources `seen` is all-zero and `touched` empty: a search
 /// records each node it makes nonzero and clears exactly those.
-/// `targets` holds the current source's row.
+/// `targets` holds the current source's row; `tally` counts the
+/// successor scans of the searches since it was last flushed.
 struct BfsScratch {
   explicit BfsScratch(size_t num_nodes) : seen(num_nodes, 0) {}
   std::vector<PathNfa::StateMask> seen;
   std::vector<NodeId> touched;
   std::vector<std::pair<NodeId, uint32_t>> frontier;
   std::vector<uint32_t> targets;
+  PathNfa::SuccessorTally tally;
 };
 
 /// Lends a BfsScratch to each running chunk of one call. A new one is
 /// made only while every existing one is lent out, so a call holds at
-/// most one per participating thread.
+/// most one per participating thread. Return flushes the chunk's
+/// successor tally to the registry.
 class ScratchPool {
  public:
   explicit ScratchPool(size_t num_nodes) : num_nodes_(num_nodes) {}
@@ -44,6 +47,7 @@ class ScratchPool {
   }
 
   void Return(std::unique_ptr<BfsScratch> scratch) {
+    scratch->tally.Flush();
     std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(std::move(scratch));
   }
@@ -63,7 +67,7 @@ class ScratchPool {
 /// Existential semantics only asks whether *some* run reaches a final
 /// state, so a BFS over single product states (node, q) suffices — no
 /// subset construction, O(n·|Q|) states at most. Expansion goes per
-/// automaton state (ForEachSuccessor): with a snapshot attached, each
+/// automaton state (ForEachSuccessor): over a view's CSR, each
 /// pure-label transition scans one contiguous per-label range.
 /// Saturation makes the discovery order irrelevant — `seen` converges
 /// to the same fixpoint as the step-at-a-time reference.
@@ -96,7 +100,7 @@ size_t Search(const PathNfa& nfa, NodeId start, const PathQueryOptions& opts,
   while (!frontier.empty()) {
     auto [n, q] = frontier.back();
     frontier.pop_back();
-    nfa.ForEachSuccessor(n, q, [&](NodeId to, uint32_t to_state) {
+    nfa.ForEachSuccessor(n, q, &s->tally, [&](NodeId to, uint32_t to_state) {
       if (avoid != kNoNode && to == avoid) return;
       push(to, nfa.CloseAt(to, 1ull << to_state));
     });
@@ -223,6 +227,7 @@ Bitset ReachableFrom(const PathNfa& nfa, NodeId start,
   Bitset out(nfa.num_nodes());
   BfsScratch scratch(nfa.num_nodes());
   Search(nfa, start, opts, &scratch, &scratch.targets);
+  scratch.tally.Flush();
   for (uint32_t b : scratch.targets) out.Set(b);
   return out;
 }

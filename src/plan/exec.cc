@@ -94,16 +94,7 @@ class OpProfile {
 class Executor {
  public:
   Executor(const GraphView& view, const ExecOptions& options)
-      : view_(view), options_(options) {
-    // The view's own CSR is paired with it by construction. A snapshot
-    // passed separately is used only when its topology matches: one of
-    // some other graph is ignored, never trusted.
-    const CsrSnapshot* snap =
-        options.snapshot != nullptr ? options.snapshot : view.csr();
-    if (snap == view.csr() || snap->MatchesTopology(view.topology())) {
-      csr_ = snap;
-    }
-  }
+      : view_(view), options_(options), csr_(view.csr()) {}
 
   /// Evaluates `op` into a RowSet. Pipeline operators (Streams) run
   /// their stream into it; the rest materialize operator by operator.
@@ -184,7 +175,7 @@ class Executor {
   bool Ordered(const LogicalOp& op) {
     switch (op.kind) {
       case LogicalKind::kEdgeScan:
-        return SortedPartition(op.label);
+        return SortedSpans();
       case LogicalKind::kFilter:
         return Ordered(*op.children[0]);
       case LogicalKind::kHashJoin:
@@ -255,25 +246,24 @@ class Executor {
     if (right->kind != LogicalKind::kEdgeScan) return std::nullopt;
     const LogicalOp& left = *join.children[0];
     if (!left.Produces(right->src_var) || !left.Produces(right->dst_var) ||
-        !SortedPartition(right->label)) {
+        !SortedSpans()) {
       return std::nullopt;
     }
     edge.scan = right;
     return edge;
   }
 
-  /// True iff EdgeScans over `label` read csr_'s exact label partition
-  /// and its spans are sorted by neighbor.
-  bool SortedPartition(const std::string& label) {
-    return csr_ != nullptr && csr_->label_spans_sorted() &&
-           LabelPartitionExact(label);
+  /// True iff EdgeScans read csr_'s label partitions and their spans
+  /// are sorted by neighbor.
+  bool SortedSpans() const {
+    return csr_ != nullptr && csr_->label_spans_sorted();
   }
 
   /// Records the physical engine the current operator ran into the
   /// active profile node (no-op without a trace). The choice depends
-  /// only on the plan, the graph and the snapshot, never on thread
-  /// count — the "engine" field is one of the deterministic profile
-  /// fields.
+  /// only on the plan, the graph and whether the view carries a CSR,
+  /// never on thread count — the "engine" field is one of the
+  /// deterministic profile fields.
   static void ProfileEngine(const char* engine) {
     if (obs::TraceContext* trace = obs::CurrentTrace()) {
       if (obs::ProfileNode* node = trace->CurrentOp()) node->engine = engine;
@@ -290,26 +280,6 @@ class Executor {
     *active = true;
     *out = node;
     return true;
-  }
-
-  /// True iff csr_'s partition for `label` holds exactly the view's
-  /// edges labelled `label` (an absent label: none). Holds by
-  /// construction for the view's own CSR. A snapshot passed separately
-  /// shares only a verified topology, so its labels are checked here —
-  /// O(|E|) once per label and call — and a mismatch sends the operator
-  /// to the list path instead of changing results.
-  bool LabelPartitionExact(const std::string& label) {
-    if (csr_ == view_.csr()) return true;
-    auto [it, inserted] = exact_labels_.emplace(label, true);
-    if (!inserted) return it->second;
-    const std::optional<LabelId> lab = csr_->FindLabel(label);
-    const TestPtr test = TestExpr::Label(label);
-    const BoundTest bound(view_, *test);
-    for (EdgeId e = 0; e < csr_->num_edges() && it->second; ++e) {
-      it->second = bound.MatchesEdge(e) ==
-                    (lab.has_value() && csr_->EdgeLabel(e) == *lab);
-    }
-    return it->second;
   }
 
   Result<RowSet> NodeScan(const LogicalOp& op) {
@@ -343,8 +313,7 @@ class Executor {
   /// (src, dst) order: a full scan visits sources ascending, a bound
   /// endpoint reads one sorted span.
   Status EdgeScan(const LogicalOp& op, const RowSink& sink, uint64_t* rows) {
-    const bool partitions =
-        csr_ != nullptr && LabelPartitionExact(op.label);
+    const bool partitions = csr_ != nullptr;
     ProfileEngine(partitions ? "csr" : "list");
     const bool diagonal = (op.src_var == op.dst_var);
     bool src_bound = false, dst_bound = false;
@@ -434,19 +403,11 @@ class Executor {
     }
     KGQ_ASSIGN_OR_RETURN(PathNfa nfa,
                          PathNfa::Compile(view_, *op.path->regex()));
-    if (csr_ != nullptr) {
-      // Attach is best-effort: free for the view's own CSR (the NFA
-      // compiled against it), and for another snapshot the topology was
-      // pre-checked and a label mismatch silently falls back to bitset
-      // filtering inside the product, so a failure cannot change
-      // results.
-      (void)nfa.AttachSnapshot(csr_);
-    }
     PathQueryOptions popts;
     popts.parallel = options_.parallel;
     // Planner-selected physical engine. The matrix fixpoint needs the
-    // snapshot's label partitions; without a usable attach the request
-    // degrades to the BFS engine (results are bit-identical either way).
+    // CSR's label partitions; without a CSR the request degrades to the
+    // BFS engine (results are bit-identical either way).
     popts.engine = op.engine;
     // A bound target is the engines' end restriction: they emit it
     // alone instead of whole rows.
@@ -462,7 +423,7 @@ class Executor {
     if (src_bound) {
       // Single-source fast path: one saturating configuration BFS
       // instead of n of them.
-      if (op.engine == PathEngine::kMatrix && nfa.snapshot() != nullptr) {
+      if (op.engine == PathEngine::kMatrix && csr_ != nullptr) {
         ran = PathEngine::kMatrix;
       }
       ReachableFrom(nfa, src_at, popts).ForEach([&](size_t b) {
@@ -483,7 +444,7 @@ class Executor {
   }
 
   /// Context-free PathAtom: the full pair relation of the grammar
-  /// nonterminal (matrix fixpoint with a snapshot + planner opt-in, the
+  /// nonterminal (matrix fixpoint with a CSR + planner opt-in, the
   /// CYK-style reference otherwise — bit-identical), then endpoint
   /// bounds filter the relation. Unlike the regular engines there is no
   /// single-source shortcut: the grammar's derivations are not
@@ -503,10 +464,7 @@ class Executor {
     }
     const CnfGrammar& grammar = *op.path->grammar();
     const uint32_t nt = op.path->nonterminal();
-    bool matrix = op.engine == PathEngine::kMatrix && csr_ != nullptr;
-    for (const CnfGrammar::TermProd& t : grammar.term_prods()) {
-      matrix = matrix && LabelPartitionExact(t.label);
-    }
+    const bool matrix = op.engine == PathEngine::kMatrix && csr_ != nullptr;
     ProfileEngine(matrix ? "cfpq-matrix" : "cfpq-ref");
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
@@ -780,8 +738,7 @@ class Executor {
 
   const GraphView& view_;
   const ExecOptions& options_;
-  const CsrSnapshot* csr_ = nullptr;
-  std::unordered_map<std::string, bool> exact_labels_;  // By label.
+  const CsrSnapshot* const csr_;  // view_.csr().
 };
 
 }  // namespace

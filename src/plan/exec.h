@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/csr_snapshot.h"
 #include "graph/graph_view.h"
 #include "plan/ir.h"
 #include "util/result.h"
@@ -19,23 +18,18 @@ struct RowSet {
   std::vector<std::vector<NodeId>> rows;
 };
 
-/// Execution knobs shared by all physical operators.
+/// Execution knobs shared by all physical operators. The CSR the
+/// operators run on is the view's own (GraphView::csr()): with one,
+/// EdgeScans read contiguous label partitions and PathAtoms run the
+/// product on it; when its label spans are also sorted
+/// (CsrSnapshot::label_spans_sorted, true of every canonically ordered
+/// build such as a serving epoch), scans emit rows in order, so LIMIT
+/// can stop them early and a closing edge is a binary-search probe.
 struct ExecOptions {
   /// Thread budget for the parallel phases (PathAtom pair evaluation
   /// fans out per start node). Results are identical for every thread
   /// count.
   ParallelOptions parallel;
-  /// Optional CSR snapshot of the view's topology; defaults to the
-  /// view's own `csr()`. When it matches, EdgeScan runs over contiguous
-  /// label partitions and PathAtom product runs attach it
-  /// (PathNfa::AttachSnapshot); when it doesn't, it is ignored — never
-  /// wrong, only slower. When its label spans are also sorted
-  /// (CsrSnapshot::label_spans_sorted, true of every canonically ordered
-  /// build such as a serving epoch), scans emit rows in order, so LIMIT
-  /// can stop them early and a closing edge is a binary-search probe.
-  /// The view's own CSR is trusted as is; any other snapshot costs an
-  /// O(|E|) topology check per call. Must outlive the call.
-  const CsrSnapshot* snapshot = nullptr;
 };
 
 /// Executes a logical plan over `view` and returns the projected rows.

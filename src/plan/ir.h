@@ -108,7 +108,7 @@ class LogicalOp {
   /// (pathalg/cfpq_matrix) for context-free atoms — and kNfa the
   /// per-source BFS / CYK-style reference. kAuto (regular atoms only)
   /// leaves the choice to PairRelation's run-time sample. The executor
-  /// runs a matrix engine only when a usable snapshot is attached (the
+  /// runs a matrix engine only when the view carries a CSR (the
   /// engines are bit-identical, so this is pure physics — never
   /// semantics).
   PathEngine engine = PathEngine::kNfa;

@@ -51,8 +51,8 @@ struct PlannerOptions {
   /// SpGEMM sweeps when the atom is a dense bulk all-pairs evaluation —
   /// measured by a source sample at run time for regular atoms,
   /// estimated by EstimateCfpqPairs for context-free ones. The executor
-  /// falls back to the BFS / CYK-reference engine when no usable
-  /// snapshot is attached.
+  /// falls back to the BFS / CYK-reference engine when the view
+  /// carries no CSR.
   MatrixRpqMode matrix_rpq = MatrixRpqMode::kAuto;
 };
 

@@ -265,16 +265,11 @@ Result<QueryResult> ExecuteMatchPlanned(const GraphView& view,
                                         const MatchQuery& query,
                                         const MatchPlanOptions& options) {
   KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq, CompileMatch(query));
-  const CsrSnapshot* snap = options.snapshot;
-  if (snap != nullptr && !snap->MatchesTopology(view.topology())) {
-    snap = nullptr;
-  }
-  GraphStats stats = GraphStats::From(&view, snap);
+  GraphStats stats = GraphStats::From(&view, view.csr());
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanQuery(cq, stats, options.planner));
   ExecOptions eopts;
   eopts.parallel = options.parallel;
-  eopts.snapshot = snap;
   KGQ_ASSIGN_OR_RETURN(RowSet rows, ExecutePlan(view, *plan, eopts));
   QueryResult result;
   result.columns = std::move(rows.schema);

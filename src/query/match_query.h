@@ -80,13 +80,11 @@ Result<ConjunctiveQuery> CompileMatch(const MatchQuery& query);
 /// Knobs for planned MATCH execution.
 struct MatchPlanOptions {
   ParallelOptions parallel;
-  /// Optional CSR snapshot of view's topology (stats + fast scans); may
-  /// be null. Ignored if it doesn't match the view.
-  const CsrSnapshot* snapshot = nullptr;
   PlannerOptions planner;
 };
 
-/// Compile → optimize → execute through the unified physical operators.
+/// Compile → optimize → execute through the unified physical operators,
+/// over the view's csr() when it carries one (stats + fast scans).
 /// Produces exactly ExecuteMatch's rows (sorted, deduplicated, limited)
 /// for every PlannerOptions configuration and thread count.
 Result<QueryResult> ExecuteMatchPlanned(const GraphView& view,

@@ -219,7 +219,13 @@ Result<ConjunctiveQuery> CompileBgp(const std::vector<TriplePattern>& patterns,
 Result<std::vector<Binding>> EvalBgpPlanned(
     const TripleStore& store, const std::vector<TriplePattern>& patterns,
     const BgpPlanOptions& options) {
-  RdfGraphView view(store);
+  return EvalBgpPlanned(RdfGraphView::WithCsr(store), patterns, options);
+}
+
+Result<std::vector<Binding>> EvalBgpPlanned(
+    const RdfGraphView& view, const std::vector<TriplePattern>& patterns,
+    const BgpPlanOptions& options) {
+  const TripleStore& store = view.store();
   Result<ConjunctiveQuery> cq = CompileBgp(patterns, view);
   if (!cq.ok()) {
     if (cq.status().code() == StatusCode::kUnsupported) {
@@ -233,18 +239,11 @@ Result<std::vector<Binding>> EvalBgpPlanned(
   bool ask_query = cq->projection.empty();
   if (ask_query) cq->projection.push_back(cq->bound.begin()->first);
 
-  CsrSnapshot snapshot;
-  const CsrSnapshot* snap = nullptr;
-  if (options.use_snapshot) {
-    snapshot = view.Snapshot();
-    snap = &snapshot;
-  }
-  GraphStats stats = GraphStats::From(&view, snap);
+  GraphStats stats = GraphStats::From(&view, view.csr());
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanQuery(*cq, stats, options.planner));
   ExecOptions eopts;
   eopts.parallel = options.parallel;
-  eopts.snapshot = snap;
   KGQ_ASSIGN_OR_RETURN(RowSet rows, ExecutePlan(view, *plan, eopts));
 
   std::vector<Binding> out;

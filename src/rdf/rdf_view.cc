@@ -52,10 +52,14 @@ bool RdfGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
   return label_id.has_value() && edge_preds_[e] == *label_id;
 }
 
-CsrSnapshot RdfGraphView::Snapshot() const {
-  return CsrSnapshot::FromLabeledEdges(graph_, [this](EdgeId e) {
-    return store_.dict().Lookup(edge_preds_[e]);
-  });
+RdfGraphView RdfGraphView::WithCsr(const TripleStore& store,
+                                   const RdfsVocabulary& vocab) {
+  RdfGraphView view(store, vocab);
+  view.csr_ = std::make_shared<const CsrSnapshot>(
+      CsrSnapshot::FromLabeledEdges(view.graph_, [&view](EdgeId e) {
+        return view.store_.dict().Lookup(view.edge_preds_[e]);
+      }));
+  return view;
 }
 
 NodeId RdfGraphView::NodeOf(std::string_view term) const {

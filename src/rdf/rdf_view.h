@@ -1,6 +1,7 @@
 #ifndef KGQ_RDF_RDF_VIEW_H_
 #define KGQ_RDF_RDF_VIEW_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,9 +25,16 @@ namespace kgq {
 /// Later inserts into the store are not reflected in the view.
 class RdfGraphView final : public GraphView {
  public:
-  /// The store must outlive the view.
+  /// A plain view: csr() is nullptr. The store must outlive the view.
   explicit RdfGraphView(const TripleStore& store,
                         const RdfsVocabulary& vocab = {});
+  /// A view that also carries a CSR of its topology with
+  /// predicate-labeled edge partitions — the planner's per-label
+  /// statistics and the executor's label-partition scans read it.
+  static RdfGraphView WithCsr(const TripleStore& store,
+                              const RdfsVocabulary& vocab = {});
+
+  const CsrSnapshot* csr() const override { return csr_.get(); }
 
   const Multigraph& topology() const override { return graph_; }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
@@ -43,11 +51,6 @@ class RdfGraphView final : public GraphView {
 
   const TripleStore& store() const { return store_; }
 
-  /// CSR snapshot of this view's topology with predicate-labeled edge
-  /// partitions — feeds the query planner's cardinality estimator and
-  /// the EdgeScan label-partition fast path.
-  CsrSnapshot Snapshot() const;
-
  private:
   const TripleStore& store_;
   Multigraph graph_;
@@ -57,6 +60,7 @@ class RdfGraphView final : public GraphView {
   // Predicates whose triples define node "labels": the vocabulary's
   // type, the full rdf:type IRI (Turtle `a`), and kgq:label.
   std::vector<ConstId> label_preds_;
+  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 }  // namespace kgq

@@ -168,16 +168,11 @@ Result<ConjunctiveQuery> CompileCrpq(const Crpq& q) {
 Result<RowSet> EvalCrpq(const GraphView& view, const Crpq& q,
                         const CrpqOptions& options) {
   KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq, CompileCrpq(q));
-  const CsrSnapshot* snap = options.snapshot;
-  if (snap != nullptr && !snap->MatchesTopology(view.topology())) {
-    snap = nullptr;
-  }
-  GraphStats stats = GraphStats::From(&view, snap);
+  GraphStats stats = GraphStats::From(&view, view.csr());
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanQuery(cq, stats, options.planner));
   ExecOptions eopts;
   eopts.parallel = options.parallel;
-  eopts.snapshot = snap;
   return ExecutePlan(view, *plan, eopts);
 }
 

@@ -69,16 +69,14 @@ Result<ConjunctiveQuery> CompileCrpq(const Crpq& q);
 /// Knobs for planned CRPQ execution.
 struct CrpqOptions {
   ParallelOptions parallel;
-  /// Optional CSR snapshot of view's topology (cardinality stats +
-  /// label-partition scans); may be null, ignored on mismatch.
-  const CsrSnapshot* snapshot = nullptr;
   PlannerOptions planner;
 };
 
-/// Compile → optimize (PlanQuery) → execute (ExecutePlan). Rows are
-/// canonical: sorted, deduplicated, limited — identical to
-/// EvalCrpqReference for every PlannerOptions configuration, snapshot
-/// presence, and thread count.
+/// Compile → optimize (PlanQuery) → execute (ExecutePlan); the view's
+/// csr(), when set, feeds the cardinality stats and the label-partition
+/// scans. Rows are canonical: sorted, deduplicated, limited — identical
+/// to EvalCrpqReference for every PlannerOptions configuration, with or
+/// without a CSR, and at every thread count.
 Result<RowSet> EvalCrpq(const GraphView& view, const Crpq& q,
                         const CrpqOptions& options = {});
 

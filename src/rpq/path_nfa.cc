@@ -30,11 +30,9 @@ Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
   for (uint32_t f : qa.accepting()) nfa.final_mask_ |= 1ull << f;
   nfa.fwd_trans_.resize(nfa.num_q_);
   nfa.bwd_trans_.resize(nfa.num_q_);
-  if (view.csr() != nullptr) {
-    // The view's own CSR: attached by construction, labels resolved
-    // per atom (AddEdgeAtom).
-    nfa.csr_ = view.csr();
-    nfa.own_csr_ = true;
+  nfa.csr_ = view.csr();
+  if (nfa.csr_ != nullptr) {
+    // Label atoms resolve to the CSR's label ids (AddEdgeAtom).
     nfa.label_dirs_.assign(nfa.csr_->num_labels(), 0);
   } else {
     nfa.edge_fwd_usable_ = Bitset(nfa.num_edges_);
@@ -130,11 +128,8 @@ void PathNfa::AddEdgeAtom(uint32_t from, uint32_t to, const TestExpr& test,
                           bool backward) {
   const uint32_t atom = static_cast<uint32_t>(edge_match_.size());
   (backward ? bwd_trans_ : fwd_trans_)[from].push_back({atom, to});
-  const bool pure_label = test.kind() == TestExpr::Kind::kLabel;
-  atom_pure_label_.push_back(pure_label ? std::optional(test.label())
-                                        : std::nullopt);
-  if (own_csr_ && pure_label) {
-    // The view's own CSR spells its labels: O(1), no per-edge pass.
+  if (csr_ != nullptr && test.kind() == TestExpr::Kind::kLabel) {
+    // The view's CSR spells its labels: O(1), no per-edge pass.
     std::optional<LabelId> lab = csr_->FindLabel(test.label());
     atom_csr_label_.push_back(lab.value_or(kAtomDead));
     if (lab.has_value()) label_dirs_[*lab] |= backward ? kBwd : kFwd;
@@ -145,74 +140,31 @@ void PathNfa::AddEdgeAtom(uint32_t from, uint32_t to, const TestExpr& test,
   Bitset& usable = backward ? edge_bwd_usable_ : edge_fwd_usable_;
   if (usable.size() != num_edges_) usable = Bitset(num_edges_);
   usable |= match;
-  if (own_csr_) atom_csr_label_.push_back(kAtomFiltered);
+  atom_csr_label_.push_back(kAtomFiltered);
   edge_match_.push_back(std::move(match));
 }
 
-void PathNfa::MaterializeLabelAtoms() {
-  for (size_t a = 0; a < edge_match_.size(); ++a) {
-    const LabelId lab = atom_csr_label_[a];
-    if (lab == kAtomFiltered) continue;
-    edge_match_[a] = Bitset(num_edges_);
-    for (EdgeId e = 0; e < num_edges_; ++e) {
-      if (csr_->EdgeLabel(e) == lab) edge_match_[a].Set(e);
-    }
-  }
-  edge_fwd_usable_ = Bitset(num_edges_);
-  edge_bwd_usable_ = Bitset(num_edges_);
-  for (uint32_t q = 0; q < num_q_; ++q) {
-    for (const EdgeTrans& t : fwd_trans_[q]) {
-      edge_fwd_usable_ |= edge_match_[t.atom];
-    }
-    for (const EdgeTrans& t : bwd_trans_[q]) {
-      edge_bwd_usable_ |= edge_match_[t.atom];
-    }
-  }
-  label_dirs_.clear();
-  own_csr_ = false;
+Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) const {
+  if (snapshot == csr_) return Status::OK();
+  return Status::InvalidArgument(
+      "a CSR reaches the product only through its view: attach the "
+      "compiled view's own csr()");
 }
 
-Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) {
-  if (own_csr_) {
-    if (snapshot == csr_) return Status::OK();  // Paired by construction.
-    MaterializeLabelAtoms();
+void PathNfa::SuccessorTally::Flush() {
+  // A counter appears once some successor scan ran, as it did when
+  // every scan added to it directly.
+  if (label_partition_hits + bitset_fallback_hits == 0) return;
+  KGQ_COUNTER_ADD("rpq.successor.edges_scanned", edges_scanned);
+  if (label_partition_hits != 0) {
+    KGQ_COUNTER_ADD("rpq.successor.label_partition_hits",
+                    label_partition_hits);
   }
-  if (snapshot == nullptr) {
-    csr_ = nullptr;
-    atom_csr_label_.clear();
-    return Status::OK();
+  if (bitset_fallback_hits != 0) {
+    KGQ_COUNTER_ADD("rpq.successor.bitset_fallback_hits",
+                    bitset_fallback_hits);
   }
-  KGQ_COUNTER_INC("rpq.snapshot_attaches");
-  if (!snapshot->MatchesTopology(view_->topology())) {
-    return Status::InvalidArgument(
-        "CsrSnapshot topology does not match the compiled graph (" +
-        std::to_string(snapshot->num_nodes()) + " nodes / " +
-        std::to_string(snapshot->num_edges()) + " edges vs " +
-        std::to_string(num_nodes_) + " / " +
-        std::to_string(view_->num_edges()) + ")");
-  }
-  // Resolve pure-label atoms to the snapshot's dense label ids. The
-  // partition is only trusted when it reproduces the compiled match
-  // bitset exactly — snapshots of the graph the query was compiled
-  // against always pass; a topology-equal snapshot with different
-  // labels degrades to bitset filtering instead of changing results.
-  size_t m = view_->num_edges();
-  atom_csr_label_.assign(edge_match_.size(), kAtomFiltered);
-  for (size_t a = 0; a < edge_match_.size(); ++a) {
-    if (!atom_pure_label_[a].has_value()) continue;
-    std::optional<LabelId> lab = snapshot->FindLabel(*atom_pure_label_[a]);
-    if (!lab.has_value()) {
-      if (edge_match_[a].None()) atom_csr_label_[a] = kAtomDead;
-      continue;
-    }
-    bool exact = true;
-    for (EdgeId e = 0; e < m && exact; ++e) {
-      exact = (edge_match_[a].Test(e) == (snapshot->EdgeLabel(e) == *lab));
-    }
-    if (exact) atom_csr_label_[a] = *lab;
-  }
-  csr_ = snapshot;
-  return Status::OK();
+  *this = SuccessorTally();
 }
 
 std::vector<PathNfa::TransitionView> PathNfa::Transitions() const {
@@ -229,11 +181,6 @@ std::vector<PathNfa::TransitionView> PathNfa::Transitions() const {
 }
 
 PathNfa::AtomClass PathNfa::ClassifyAtom(uint32_t atom) const {
-  // Without an attached snapshot there are no resolved labels; an atom
-  // is dead iff its match bitset is empty, filtered otherwise.
-  if (atom_csr_label_.empty()) {
-    return edge_match_[atom].None() ? AtomClass::kDead : AtomClass::kFiltered;
-  }
   LabelId l = atom_csr_label_[atom];
   if (l == kAtomDead) return AtomClass::kDead;
   if (l == kAtomFiltered) {
@@ -255,7 +202,7 @@ PathNfa::StateMask PathNfa::CloseAt(NodeId n, StateMask m) const {
 
 PathNfa::StateMask PathNfa::Advance(StateMask m, const Step& s) const {
   bool self = (s.from == s.to);
-  const LabelId label = own_csr_ ? csr_->EdgeLabel(s.edge) : kNoLabel;
+  const LabelId label = csr_ != nullptr ? csr_->EdgeLabel(s.edge) : kNoLabel;
   StateMask raw = 0;
   StateMask rest = m;
   while (rest != 0) {

@@ -2,8 +2,6 @@
 #define KGQ_RPQ_PATH_NFA_H_
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "graph/csr_snapshot.h"
@@ -34,10 +32,14 @@ namespace kgq {
 ///    backward atoms (direction normalization keeps the path↔word map a
 ///    bijection).
 ///
-/// Edge atoms are matched by label id where the graph pairs with a CSR
-/// by construction (GraphView::csr()): a pure label atom then compiles
-/// in O(1), and only other tests get an O(|E|) per-edge match bitset.
-/// Over any other view every edge atom gets a match bitset (Compile).
+/// Over a view that carries a CSR (GraphView::csr()) the product runs
+/// on it: steps scan its contiguous adjacency, and a pure label atom is
+/// matched by label id — it compiles in O(1) and saturating searches
+/// scan its label partition — while only other tests get an O(|E|)
+/// per-edge match bitset. Over a plain view every edge atom gets a
+/// match bitset and steps walk the multigraph's per-node lists. Both
+/// produce the same steps in the same order, so every algorithm returns
+/// bit-identical results either way.
 ///
 /// The automaton component is limited to 64 states (bitmask fast path).
 /// With the default Glushkov construction that is one state per regex
@@ -65,40 +67,23 @@ class PathNfa {
 
   /// Compiles `regex` against `view`; the view must outlive the PathNfa.
   ///
-  /// When `view.csr()` is set, the PathNfa starts out attached to it:
-  /// label atoms resolve to its label ids (unknown labels are dead
-  /// atoms), and only non-label atoms pay an O(|E|) match bitset.
-  /// Otherwise every edge atom gets a match bitset. Node-test atoms get
-  /// an O(|N|) match bitset and per-node ε-closures shared by node-test
-  /// signature; without node tests the closure is one row shared by
-  /// every node.
+  /// When `view.csr()` is set, the product runs on it: label atoms
+  /// resolve to its label ids (unknown labels are dead atoms), and only
+  /// non-label atoms pay an O(|E|) match bitset. Otherwise every edge
+  /// atom gets a match bitset. Node-test atoms get an O(|N|) match
+  /// bitset and per-node ε-closures shared by node-test signature;
+  /// without node tests the closure is one row shared by every node.
   static Result<PathNfa> Compile(
       const GraphView& view, const Regex& regex,
       Construction construction = Construction::kGlushkov);
 
-  /// Attaches an immutable CSR snapshot of the same topology (or
-  /// detaches with nullptr). Step iteration then scans the snapshot's
-  /// contiguous adjacency instead of the multigraph's per-node lists,
-  /// and pure-label edge atoms are resolved to the snapshot's label
-  /// partitions so saturating searches (ForEachSuccessor) scan one
-  /// contiguous range per transition. Steps are produced in exactly the
-  /// same order either way, so every downstream algorithm —
-  /// enumeration, the exact DP, FPRAS preprocessing and sampling —
-  /// returns bit-identical results with or without a snapshot.
-  ///
-  /// Attaching the compiled view's own `csr()` is free: that pairing
-  /// holds by construction. Any other snapshot is verified: the call
-  /// fails with InvalidArgument if its topology differs from the
-  /// compiled view's, and an atom whose match bitset disagrees with the
-  /// snapshot's label partition (a snapshot of a *different* graph that
-  /// happens to share topology) falls back to bitset filtering, so a
-  /// successful attach never changes results. Detaching, or attaching a
-  /// foreign snapshot, first gives the label atoms of a view's own CSR
-  /// their per-edge bitsets (O(|E|) per atom). The snapshot must outlive
-  /// this PathNfa (or be detached first).
-  Status AttachSnapshot(const CsrSnapshot* snapshot);
+  /// Changes nothing: a CSR reaches the product only through the
+  /// compiled view. Returns OK for the view's own `csr()` and
+  /// InvalidArgument for any other snapshot. Kept only while the
+  /// kgqbench harness still calls it.
+  Status AttachSnapshot(const CsrSnapshot* snapshot) const;
 
-  /// The attached snapshot, or nullptr.
+  /// The compiled view's CSR (`view().csr()`), or nullptr.
   const CsrSnapshot* snapshot() const { return csr_; }
 
   /// Number of automaton states.
@@ -132,9 +117,9 @@ class PathNfa {
   /// Steps entering `blocked` (or leaving it) are the caller's business —
   /// the path algorithms filter on their own options.
   ///
-  /// With an attached snapshot the scan runs over its contiguous
-  /// adjacency; both backends emit the identical step sequence (out
-  /// edges then in edges, ascending edge id).
+  /// With a CSR the scan runs over its contiguous adjacency; both
+  /// backends emit the identical step sequence (out edges then in
+  /// edges, ascending edge id).
   template <typename Fn>
   void ForEachStep(NodeId n, Fn&& fn) const {
     if (csr_ != nullptr) {
@@ -217,87 +202,74 @@ class PathNfa {
     }
   }
 
+  /// What ForEachSuccessor scanned, kept by the caller and added to the
+  /// rpq.successor.* counters once per search chunk (Flush) rather than
+  /// per expansion, so parallel searches share no counter in their
+  /// inner loop.
+  struct SuccessorTally {
+    uint64_t edges_scanned = 0;
+    uint64_t label_partition_hits = 0;
+    uint64_t bitset_fallback_hits = 0;
+
+    /// Adds the tallies to the registry and zeroes them.
+    void Flush();
+  };
+
   /// Per-state successor expansion for saturating searches: calls
   /// fn(to_node, to_state) for every (edge step, transition) the single
   /// automaton state `q` can take out of node n — the union over calls
   /// equals { (s.to, bits of AdvanceSingle(q, s) before closure) } over
   /// ForEachStep(n). Callers close the emitted states at to_node.
   ///
-  /// With an attached snapshot, transitions whose atom is a pure label
-  /// test scan that label's contiguous partition instead of filtering
-  /// the node's full adjacency — the product-graph step the snapshot
-  /// exists for. Emission *order* differs from the list backend, and a
-  /// (to_node, to_state) pair may be emitted once per witnessing
-  /// edge, so only order-insensitive saturating consumers (existential
-  /// reachability) may use this.
+  /// With a CSR, transitions whose atom is a pure label test scan that
+  /// label's contiguous partition instead of filtering the node's full
+  /// adjacency — the product-graph step the CSR exists for — and each
+  /// scan is counted in `tally`. Emission *order* differs from the list
+  /// backend, and a (to_node, to_state) pair may be emitted once per
+  /// witnessing edge, so only order-insensitive saturating consumers
+  /// (existential reachability) may use this.
   template <typename Fn>
-  void ForEachSuccessor(NodeId n, uint32_t q, Fn&& fn) const {
-    if (csr_ != nullptr) {
-      for (const EdgeTrans& t : fwd_trans_[q]) {
-        LabelId lab = atom_csr_label_[t.atom];
-        if (lab == kAtomDead) continue;
-        if (lab == kAtomFiltered) {
-          CsrSnapshot::Span adj = csr_->Out(n);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.bitset_fallback_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", adj.size());
-          }
-          for (const CsrSnapshot::Entry& a : adj) {
-            if (edge_match_[t.atom].Test(a.edge)) fn(a.neighbor, t.to);
-          }
-        } else {
-          CsrSnapshot::Span part = csr_->OutForLabel(n, lab);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.label_partition_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", part.size());
-          }
-          for (const CsrSnapshot::Entry& a : part) {
-            fn(a.neighbor, t.to);
+  void ForEachSuccessor(NodeId n, uint32_t q, SuccessorTally* tally,
+                        Fn&& fn) const {
+    if (csr_ == nullptr) {
+      // Plain view: every atom has its match bitset.
+      ForEachStep(n, [&](const Step& s) {
+        bool self = (s.from == s.to);
+        if (!s.backward || self) {
+          for (const EdgeTrans& t : fwd_trans_[q]) {
+            if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
           }
         }
-      }
-      // Backward atoms scan the in view; self-loops appear there too,
-      // matching the "self-loop fires both directions" step semantics.
-      for (const EdgeTrans& t : bwd_trans_[q]) {
-        LabelId lab = atom_csr_label_[t.atom];
-        if (lab == kAtomDead) continue;
-        if (lab == kAtomFiltered) {
-          CsrSnapshot::Span adj = csr_->In(n);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.bitset_fallback_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", adj.size());
-          }
-          for (const CsrSnapshot::Entry& a : adj) {
-            if (edge_match_[t.atom].Test(a.edge)) fn(a.neighbor, t.to);
-          }
-        } else {
-          CsrSnapshot::Span part = csr_->InForLabel(n, lab);
-          if (KGQ_OBS_ON()) {
-            KGQ_COUNTER_INC("rpq.successor.label_partition_hits");
-            KGQ_COUNTER_ADD("rpq.successor.edges_scanned", part.size());
-          }
-          for (const CsrSnapshot::Entry& a : part) {
-            fn(a.neighbor, t.to);
+        if (s.backward || self) {
+          for (const EdgeTrans& t : bwd_trans_[q]) {
+            if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
           }
         }
-      }
+      });
       return;
     }
-    // No snapshot means no view-owned CSR either: every atom has its
-    // match bitset.
-    ForEachStep(n, [&](const Step& s) {
-      bool self = (s.from == s.to);
-      if (!s.backward || self) {
-        for (const EdgeTrans& t : fwd_trans_[q]) {
-          if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
+    auto scan = [&](const EdgeTrans& t, bool backward) {
+      const LabelId lab = atom_csr_label_[t.atom];
+      if (lab == kAtomDead) return;
+      if (lab == kAtomFiltered) {
+        const CsrSnapshot::Span adj = backward ? csr_->In(n) : csr_->Out(n);
+        ++tally->bitset_fallback_hits;
+        tally->edges_scanned += adj.size();
+        for (const CsrSnapshot::Entry& a : adj) {
+          if (edge_match_[t.atom].Test(a.edge)) fn(a.neighbor, t.to);
         }
+        return;
       }
-      if (s.backward || self) {
-        for (const EdgeTrans& t : bwd_trans_[q]) {
-          if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
-        }
-      }
-    });
+      const CsrSnapshot::Span part = backward ? csr_->InForLabel(n, lab)
+                                              : csr_->OutForLabel(n, lab);
+      ++tally->label_partition_hits;
+      tally->edges_scanned += part.size();
+      for (const CsrSnapshot::Entry& a : part) fn(a.neighbor, t.to);
+    };
+    for (const EdgeTrans& t : fwd_trans_[q]) scan(t, false);
+    // Backward atoms scan the in view; self-loops appear there too,
+    // matching the "self-loop fires both directions" step semantics.
+    for (const EdgeTrans& t : bwd_trans_[q]) scan(t, true);
   }
 
   // ---- Product introspection (the matrix engine's view) ----
@@ -326,16 +298,16 @@ class PathNfa {
   /// Number of edge atoms (the index space of TransitionView::atom).
   size_t num_atoms() const { return edge_match_.size(); }
 
-  /// How an atom resolves against the attached snapshot (the view's own
-  /// CSR included).
+  /// How an atom resolves against the view's CSR (without one, every
+  /// live atom is kFiltered).
   enum class AtomClass {
     kDead,      ///< Matches no edge: the transition never fires.
-    kLabel,     ///< Pure label ℓ resolved to a snapshot partition.
+    kLabel,     ///< Pure label ℓ resolved to a CSR label partition.
     kFiltered,  ///< Arbitrary test: scan adjacency, filter per edge.
   };
   AtomClass ClassifyAtom(uint32_t atom) const;
 
-  /// Snapshot label of a kLabel atom (meaningful only then).
+  /// CSR label of a kLabel atom (meaningful only then).
   LabelId AtomSnapshotLabel(uint32_t atom) const {
     return atom_csr_label_[atom];
   }
@@ -343,7 +315,8 @@ class PathNfa {
   /// True iff the atom matches edge e — the per-edge filter of
   /// kFiltered atoms.
   bool AtomMatchesEdge(uint32_t atom, EdgeId e) const {
-    return AtomMatches(atom, e, own_csr_ ? csr_->EdgeLabel(e) : kNoLabel);
+    return AtomMatches(atom, e,
+                       csr_ != nullptr ? csr_->EdgeLabel(e) : kNoLabel);
   }
 
   /// ε-closure sharing: nodes with the same node-test signature share
@@ -379,8 +352,8 @@ class PathNfa {
     uint32_t to;
   };
 
-  // atom_csr_label_ sentinels: atom matches no edge of the snapshot /
-  // atom is not a resolvable pure-label test (filter via edge_match_).
+  // atom_csr_label_ sentinels: atom matches no edge of the CSR / atom
+  // is not a pure-label test on a CSR (filter via edge_match_).
   static constexpr LabelId kAtomDead = 0xFFFFFFFFu;
   static constexpr LabelId kAtomFiltered = 0xFFFFFFFEu;
 
@@ -389,29 +362,22 @@ class PathNfa {
   static constexpr uint8_t kBwd = 2;
 
   /// Adds the edge atom of transition from → to: resolved to a label id
-  /// of the view's own CSR when it is a pure label test there, a match
+  /// of the view's CSR when it is a pure label test there, a match
   /// bitset otherwise.
   void AddEdgeAtom(uint32_t from, uint32_t to, const TestExpr& test,
                    bool backward);
 
-  /// Leaves own-CSR mode before a detach or a foreign attach: label
-  /// atoms get the match bitsets a plain compile builds, and the usable
-  /// bitsets cover every atom again.
-  void MaterializeLabelAtoms();
-
   /// True iff atom `a` matches edge e, whose label in csr_ is `label`
-  /// (read only in own-CSR mode).
+  /// (read only for label atoms, which exist only with a CSR).
   bool AtomMatches(uint32_t a, EdgeId e, LabelId label) const {
-    if (own_csr_ && atom_csr_label_[a] != kAtomFiltered) {
-      return atom_csr_label_[a] == label;
-    }
-    return edge_match_[a].Test(e);
+    const LabelId lab = atom_csr_label_[a];
+    return lab == kAtomFiltered ? edge_match_[a].Test(e) : lab == label;
   }
 
   /// Directions (kFwd | kBwd) in which some atom can fire across the
   /// adjacency entry `a` of csr_.
   uint8_t UsableDirs(const CsrSnapshot::Entry& a) const {
-    uint8_t dirs = own_csr_ ? label_dirs_[a.label] : 0;
+    uint8_t dirs = label_dirs_[a.label];
     if (edge_fwd_usable_.size() != 0 && edge_fwd_usable_.Test(a.edge)) {
       dirs |= kFwd;
     }
@@ -422,10 +388,7 @@ class PathNfa {
   }
 
   const GraphView* view_ = nullptr;
-  const CsrSnapshot* csr_ = nullptr;
-  // True while csr_ is the compiled view's own csr() and label atoms
-  // are matched by label id (they have no match bitsets then).
-  bool own_csr_ = false;
+  const CsrSnapshot* csr_ = nullptr;  // view_->csr().
   size_t num_nodes_ = 0;
   size_t num_edges_ = 0;
   uint32_t num_q_ = 0;
@@ -433,25 +396,22 @@ class PathNfa {
   StateMask final_mask_ = 0;
 
   // Per-atom edge match bitsets (shared index space for fwd and bwd
-  // atoms; empty for label atoms in own-CSR mode), and per-state
-  // transition lists by direction.
+  // atoms; empty for label atoms on a CSR), and per-state transition
+  // lists by direction.
   std::vector<Bitset> edge_match_;
   std::vector<std::vector<EdgeTrans>> fwd_trans_;  // indexed by state
   std::vector<std::vector<EdgeTrans>> bwd_trans_;
 
-  // Per-atom label spelling when the atom's test is a plain ℓ atom
-  // (set at compile time), and its resolution against the attached
-  // snapshot (by Compile in own-CSR mode, else by AttachSnapshot; empty
-  // without a snapshot).
-  std::vector<std::optional<std::string>> atom_pure_label_;
+  // Per-atom CSR label id, or kAtomDead / kAtomFiltered (every atom is
+  // kAtomFiltered without a CSR).
   std::vector<LabelId> atom_csr_label_;
 
-  // Own-CSR mode: per csr_ label id, the directions some label atom
-  // fires on it.
+  // With a CSR: per csr_ label id, the directions some label atom fires
+  // on it.
   std::vector<uint8_t> label_dirs_;
 
-  // Union of the match bitsets in each direction — of every atom, or in
-  // own-CSR mode of the non-label atoms only (empty when there are
+  // Union of the match bitsets in each direction — of every atom, or
+  // with a CSR of the non-label atoms only (empty when there are
   // none).
   Bitset edge_fwd_usable_;
   Bitset edge_bwd_usable_;

@@ -70,7 +70,7 @@ struct ServerOptions {
 ///    epochs and cache slots are resolved in input order too. Responses
 ///    pass through a reorder buffer, so the byte stream is identical to
 ///    HandleLine-ing the same input for any worker count — the gate
-///    bench_e14 and tests/test_serve_concurrent.cc enforce.
+///    tests/test_serve_concurrent.cc enforces.
 ///  * ExecuteQueryAt() runs both steps for one query pinned to a given
 ///    epoch and returns its answer unrendered.
 ///
@@ -182,8 +182,8 @@ class Server {
 };
 
 /// Cache-free, single-threaded evaluation of one "query" request
-/// against one epoch — the replay oracle the concurrency tests and
-/// bench_e14 compare the served answers to. `answer.cached` is always
+/// against one epoch — the replay oracle the concurrency tests compare
+/// the served answers to. `answer.cached` is always
 /// false and `answer.epoch` is `snap.epoch`.
 Result<QueryAnswer> EvalServeQuery(const Request& req,
                                    const EpochSnapshot& snap,

@@ -105,7 +105,7 @@ TEST_P(CfpqDifferential, MixedCrpqPlannedMatchesReference) {
           : BarabasiAlbert(11 + rng.Below(6), 2, {"p", "q"}, {"a", "b"},
                            &rng);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
 
   // Mixed-atom query shapes: context-free atoms joined with regex atoms
   // over shared variables, endpoint tests, diagonal atoms, non-start
@@ -127,18 +127,17 @@ TEST_P(CfpqDifferential, MixedCrpqPlannedMatchesReference) {
     Result<RowSet> ref = EvalCrpqReference(view, *q);
     ASSERT_TRUE(ref.ok()) << ref.status();
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool with_snapshot : {false, true}) {
+      for (bool with_csr : {false, true}) {
         for (MatrixRpqMode matrix :
              {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
           CrpqOptions opts;
           opts.parallel.num_threads = threads;
-          opts.snapshot = with_snapshot ? &snap : nullptr;
           opts.planner.matrix_rpq = matrix;
-          Result<RowSet> got = EvalCrpq(view, *q, opts);
+          Result<RowSet> got = EvalCrpq(with_csr ? csr_view : view, *q, opts);
           ASSERT_TRUE(got.ok()) << got.status();
           ASSERT_EQ(got->schema, ref->schema);
           ASSERT_EQ(got->rows, ref->rows)
-              << "threads=" << threads << " snapshot=" << with_snapshot
+              << "threads=" << threads << " csr=" << with_csr
               << " matrix=" << (matrix == MatrixRpqMode::kAlways);
         }
       }

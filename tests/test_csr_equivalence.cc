@@ -2,20 +2,23 @@
 // seeded random labeled graphs (with multi-edges, self-loops, isolated
 // nodes and empty label sets), every CSR-backed kernel must return
 // *bit-identical* results to the list-based reference — at one thread
-// and at several. This is the contract that lets callers attach a
-// snapshot opportunistically: it can only change speed, never output.
-// It covers both ways a PathNfa meets a CSR: attached to a plain view
-// (verified, per-edge match bitsets) and compiled over a view that owns
-// its CSR (label atoms resolved to label ids, no per-edge pass).
+// and at several. This is the contract that lets a view carry a CSR:
+// it can only change speed, never output. A PathNfa meets a CSR only
+// through its view (GraphView::csr()); the suite runs the path kernels
+// over labeled, property, vector, RDF and epoch views that carry one,
+// and checks the pairing those views promise.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analytics/betweenness.h"
 #include "analytics/pagerank.h"
+#include "graph/conversions.h"
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
@@ -23,10 +26,8 @@
 #include "pathalg/exact.h"
 #include "pathalg/fpras.h"
 #include "pathalg/pairs.h"
-#include "plan/exec.h"
-#include "plan/optimizer.h"
-#include "plan/stats.h"
-#include "rpq/crpq.h"
+#include "rdf/convert.h"
+#include "rdf/rdf_view.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
 #include "rpq/regex.h"
@@ -200,11 +201,23 @@ TEST_P(CsrEquivalence, PathKernelsBitIdentical) {
   Rng rng(7000 + seed);
   LabeledGraph g = MakeGraph(seed, &rng);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-  ASSERT_TRUE(snap.MatchesTopology(g.topology()));
-  serve::EpochSnapshot epoch = EpochOf(g);
-  serve::EpochGraphView own_view = epoch.View();
-  ASSERT_EQ(own_view.csr(), epoch.csr.get());
+  // Views of the same nodes and edges that carry their own CSR.
+  const PropertyGraph pg = LabeledToProperty(g);
+  const VectorGraph vg = LabeledToVector(g);
+  const serve::EpochSnapshot epoch = EpochOf(g);
+  const LabeledGraphView labeled_csr = LabeledGraphView::WithCsr(g);
+  const PropertyGraphView property_csr = PropertyGraphView::WithCsr(pg);
+  const VectorGraphView vector_csr = VectorGraphView::WithCsr(vg);
+  const serve::EpochGraphView epoch_view = epoch.View();
+  const std::pair<const char*, const GraphView*> csr_views[] = {
+      {"labeled", &labeled_csr},
+      {"property", &property_csr},
+      {"vector", &vector_csr},
+      {"epoch", &epoch_view}};
+  // The RDF encoding of g: its own node ids, compared plain vs. CSR.
+  const TripleStore store = LabeledToRdf(g);
+  const RdfGraphView rdf(store);
+  const RdfGraphView rdf_csr = RdfGraphView::WithCsr(store);
 
   std::vector<RegexPtr> regexes;
   for (const char* text : kFixedRegexes) regexes.push_back(*ParseRegex(text));
@@ -217,26 +230,22 @@ TEST_P(CsrEquivalence, PathKernelsBitIdentical) {
          {PathNfa::Construction::kGlushkov, PathNfa::Construction::kThompson}) {
       Result<PathNfa> list_nfa = PathNfa::Compile(view, *regex, cons);
       ASSERT_TRUE(list_nfa.ok()) << list_nfa.status();
-
-      // A snapshot attached to a plain view.
-      Result<PathNfa> attached_nfa = PathNfa::Compile(view, *regex, cons);
-      ASSERT_TRUE(attached_nfa.ok()) << attached_nfa.status();
-      Status attached = attached_nfa->AttachSnapshot(&snap);
-      ASSERT_TRUE(attached.ok()) << attached;
-      {
-        SCOPED_TRACE("attached");
-        ExpectSamePathKernels(*list_nfa, *attached_nfa, seed);
+      ASSERT_EQ(list_nfa->snapshot(), nullptr);
+      for (const auto& [name, csr_view] : csr_views) {
+        SCOPED_TRACE(name);
+        Result<PathNfa> csr_nfa = PathNfa::Compile(*csr_view, *regex, cons);
+        ASSERT_TRUE(csr_nfa.ok()) << csr_nfa.status();
+        ASSERT_EQ(csr_nfa->snapshot(), csr_view->csr());
+        ExpectSamePathKernels(*list_nfa, *csr_nfa, seed);
+        if (HasFatalFailure()) return;
       }
-      if (HasFatalFailure()) return;
 
-      // A view that owns its CSR: attached from the start.
-      Result<PathNfa> own_nfa = PathNfa::Compile(own_view, *regex, cons);
-      ASSERT_TRUE(own_nfa.ok()) << own_nfa.status();
-      ASSERT_EQ(own_nfa->snapshot(), epoch.csr.get());
-      {
-        SCOPED_TRACE("own csr");
-        ExpectSamePathKernels(*list_nfa, *own_nfa, seed);
-      }
+      SCOPED_TRACE("rdf");
+      Result<PathNfa> rdf_list = PathNfa::Compile(rdf, *regex, cons);
+      Result<PathNfa> rdf_nfa = PathNfa::Compile(rdf_csr, *regex, cons);
+      ASSERT_TRUE(rdf_list.ok() && rdf_nfa.ok());
+      ASSERT_EQ(rdf_nfa->snapshot(), rdf_csr.csr());
+      ExpectSamePathKernels(*rdf_list, *rdf_nfa, seed);
       if (HasFatalFailure()) return;
     }
   }
@@ -294,7 +303,7 @@ TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
   LabeledGraph g = MakeGraph(seed, &rng);
   if (g.num_nodes() > 12) GTEST_SKIP() << "bc_r subset (size)";
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
 
   RegexPtr regex =
       Regex::Star(Regex::Union(Regex::EdgeLabel("a"), Regex::EdgeLabel("b")));
@@ -305,16 +314,16 @@ TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
   ASSERT_TRUE(want.ok()) << want.status();
 
   BcrOptions got_opts = want_opts;
-  got_opts.snapshot = &snap;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     got_opts.parallel = Threads(threads);
-    Result<std::vector<double>> got = RegexBetweenness(view, *regex, got_opts);
+    Result<std::vector<double>> got =
+        RegexBetweenness(csr_view, *regex, got_opts);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(*got, *want) << "threads=" << threads;
   }
 
   // Approximate bc_r: fixed master seed ⇒ identical source plans and
-  // per-source streams ⇒ identical output, snapshot or not.
+  // per-source streams ⇒ identical output, CSR or not.
   BcrOptions approx_opts = want_opts;
   approx_opts.fpras.samples_per_state = 8;
   approx_opts.fpras.union_trials = 16;
@@ -322,11 +331,10 @@ TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
   Result<std::vector<double>> want_approx =
       RegexBetweennessApprox(view, *regex, approx_opts, &want_rng);
   ASSERT_TRUE(want_approx.ok()) << want_approx.status();
-  approx_opts.snapshot = &snap;
   approx_opts.parallel = Threads(4);
   Rng got_rng(77 + seed);
   Result<std::vector<double>> got_approx =
-      RegexBetweennessApprox(view, *regex, approx_opts, &got_rng);
+      RegexBetweennessApprox(csr_view, *regex, approx_opts, &got_rng);
   ASSERT_TRUE(got_approx.ok()) << got_approx.status();
   ASSERT_EQ(*got_approx, *want_approx);
 }
@@ -335,28 +343,121 @@ TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
 // times, the random shapes ~20 times each.
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrEquivalence, ::testing::Range(0, 52));
 
-// A snapshot of the wrong graph must be rejected at attach time rather
-// than silently corrupting results.
-TEST(CsrEquivalenceGuards, AttachRejectsMismatchedTopology) {
-  Rng rng(1);
-  LabeledGraph g = ErdosRenyi(8, 20, {"p"}, {"a", "b"}, &rng);
-  LabeledGraph other = ErdosRenyi(9, 20, {"p"}, {"a", "b"}, &rng);
-  LabeledGraphView view(g);
-  CsrSnapshot wrong = CsrSnapshot::FromGraph(other);
+/// The pairing GraphView::csr() promises: the view's sizes, per-edge
+/// endpoints in edge-id order and adjacency order, and EdgeLabelIs(e, ℓ)
+/// iff the CSR's label of e is FindLabel(ℓ) — for every ℓ in `labels`,
+/// including labels no edge carries.
+void ExpectCsrPairsWithView(const GraphView& view,
+                            const std::vector<std::string>& labels) {
+  const CsrSnapshot* csr = view.csr();
+  ASSERT_NE(csr, nullptr);
+  const Multigraph& g = view.topology();
+  ASSERT_EQ(csr->num_nodes(), g.num_nodes());
+  ASSERT_EQ(csr->num_edges(), g.num_edges());
+  ASSERT_EQ(view.num_nodes(), g.num_nodes());
+  ASSERT_EQ(view.num_edges(), g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(csr->EdgeSource(e), g.EdgeSource(e)) << "edge " << e;
+    ASSERT_EQ(csr->EdgeTarget(e), g.EdgeTarget(e)) << "edge " << e;
+    for (const std::string& label : labels) {
+      const std::optional<LabelId> id = csr->FindLabel(label);
+      ASSERT_EQ(view.EdgeLabelIs(e, label),
+                id.has_value() && csr->EdgeLabel(e) == *id)
+          << "edge " << e << " label '" << label << "'";
+    }
+  }
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    std::vector<EdgeId> out, in;
+    for (const CsrSnapshot::Entry& a : csr->Out(n)) out.push_back(a.edge);
+    for (const CsrSnapshot::Entry& a : csr->In(n)) in.push_back(a.edge);
+    ASSERT_EQ(out, g.OutEdges(n)) << "node " << n;
+    ASSERT_EQ(in, g.InEdges(n)) << "node " << n;
+  }
+}
 
-  RegexPtr regex = Regex::Star(Regex::EdgeLabel("a"));
-  Result<PathNfa> nfa = PathNfa::Compile(view, *regex);
-  ASSERT_TRUE(nfa.ok());
-  Status st = nfa->AttachSnapshot(&wrong);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+/// Random vector graph of dimension 2 whose row 0 is a label from
+/// {a, b} or ⊥, next to a row-1 feature.
+VectorGraph RandomVectorGraph(Rng* rng) {
+  VectorGraph g(2);
+  const size_t n = 1 + rng->Below(10);
+  const char* const rows[] = {"a", "b", ""};
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(g.AddNodeFromStrings({rows[rng->Below(3)], "x"}).ok());
+  }
+  const size_t m = rng->Below(30);
+  for (size_t i = 0; i < m; ++i) {
+    EXPECT_TRUE(g.AddEdgeFromStrings(static_cast<NodeId>(rng->Below(n)),
+                                     static_cast<NodeId>(rng->Below(n)),
+                                     {rows[rng->Below(3)], "y"})
+                    .ok());
+  }
+  return g;
+}
 
-  // Detaching restores the list-based reference path.
-  CsrSnapshot right = CsrSnapshot::FromGraph(g);
-  ASSERT_TRUE(nfa->AttachSnapshot(&right).ok());
-  ASSERT_EQ(nfa->snapshot(), &right);
-  ASSERT_TRUE(nfa->AttachSnapshot(nullptr).ok());
-  ASSERT_EQ(nfa->snapshot(), nullptr);
+// Every view kind that can carry its own CSR pairs with it by
+// construction — the property the kernels trust without checking.
+TEST(CsrEquivalenceGuards, ViewsPairWithTheirOwnCsr) {
+  // Present labels, node labels, an absent label, the ⊥ spelling, the
+  // RDF label predicate and the empty string.
+  const std::vector<std::string> labels = {"a", "b", "p", "q", "z",
+                                           "⊥", kNodeLabelPredicate, ""};
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(600 + seed);
+    const LabeledGraph g = MakeGraph(seed, &rng);
+    ExpectCsrPairsWithView(LabeledGraphView::WithCsr(g), labels);
+    const PropertyGraph pg = LabeledToProperty(g);
+    ExpectCsrPairsWithView(PropertyGraphView::WithCsr(pg), labels);
+    const VectorGraph vg = RandomVectorGraph(&rng);
+    ExpectCsrPairsWithView(VectorGraphView::WithCsr(vg), labels);
+    const TripleStore store = LabeledToRdf(g);
+    ExpectCsrPairsWithView(RdfGraphView::WithCsr(store), labels);
+    if (HasFatalFailure()) return;
+    // The one-argument constructors stay plain.
+    EXPECT_EQ(LabeledGraphView(g).csr(), nullptr);
+    EXPECT_EQ(PropertyGraphView(pg).csr(), nullptr);
+    EXPECT_EQ(VectorGraphView(vg).csr(), nullptr);
+    EXPECT_EQ(RdfGraphView(store).csr(), nullptr);
+  }
+}
+
+// A CSR reaches the product only through its view. AttachSnapshot
+// accepts the compiled view's own csr() and rejects any other snapshot
+// without touching the product — here a copy of the graph with a and b
+// swapped, whose topology is identical.
+TEST(CsrEquivalenceGuards, AttachSnapshotRejectsForeignSnapshots) {
+  Rng rng(4);
+  LabeledGraph g = ErdosRenyi(14, 45, {"p", "q"}, {"a", "b"}, &rng);
+  LabeledGraph relabelled;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    relabelled.AddNode(g.NodeLabelString(n));
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const std::string& label = g.EdgeLabelString(e);
+    ASSERT_TRUE(relabelled
+                    .AddEdge(g.EdgeSource(e), g.EdgeTarget(e),
+                             label == "a" ? "b" : "a")
+                    .ok());
+  }
+  const CsrSnapshot foreign = CsrSnapshot::FromGraph(relabelled);
+  ASSERT_TRUE(foreign.MatchesTopology(g.topology()));
+  const LabeledGraphView plain(g);
+  const LabeledGraphView with_csr = LabeledGraphView::WithCsr(g);
+
+  for (const char* text : {"a/b^-", "(a+b^-)*/?p", "a"}) {
+    SCOPED_TRACE(text);
+    RegexPtr regex = *ParseRegex(text);
+    for (const LabeledGraphView* view : {&plain, &with_csr}) {
+      Result<PathNfa> nfa = PathNfa::Compile(*view, *regex);
+      ASSERT_TRUE(nfa.ok()) << nfa.status();
+      const std::vector<Bitset> want = AllPairs(*nfa);
+      EXPECT_TRUE(nfa->AttachSnapshot(view->csr()).ok());
+      Status st = nfa->AttachSnapshot(&foreign);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(nfa->snapshot(), view->csr());
+      EXPECT_EQ(AllPairs(*nfa), want);
+    }
+  }
 }
 
 // Over a view that owns its CSR, pure label atoms compile straight to
@@ -381,89 +482,6 @@ TEST(CsrEquivalenceGuards, OwnCsrLabelAtomsResolveToLabelIds) {
   }
   EXPECT_EQ(ReachableFrom(*nfa, 0).ToVector(),
             (std::vector<uint32_t>{0, 2}));
-}
-
-// A PathNfa compiled over a view that owns its CSR keeps its results
-// when detached (list backend) or moved onto another snapshot of the
-// same graph — its label atoms get match bitsets first.
-TEST(CsrEquivalenceGuards, OwnCsrDetachAndReattach) {
-  Rng rng(3);
-  LabeledGraph g = ErdosRenyi(12, 40, {"p", "q"}, {"a", "b"}, &rng);
-  LabeledGraphView plain(g);
-  serve::EpochSnapshot epoch = EpochOf(g);
-  serve::EpochGraphView view = epoch.View();
-  CsrSnapshot other = CsrSnapshot::FromGraph(g);
-  RegexPtr regex = *ParseRegex("(a/b^-+[!a])*/?p");
-  Result<PathNfa> want = PathNfa::Compile(plain, *regex);
-  ASSERT_TRUE(want.ok()) << want.status();
-
-  Result<PathNfa> detached = PathNfa::Compile(view, *regex);
-  ASSERT_TRUE(detached.ok()) << detached.status();
-  ASSERT_TRUE(detached->AttachSnapshot(nullptr).ok());
-  ASSERT_EQ(detached->snapshot(), nullptr);
-  ExpectSamePathKernels(*want, *detached, 3);
-
-  Result<PathNfa> moved = PathNfa::Compile(view, *regex);
-  ASSERT_TRUE(moved.ok()) << moved.status();
-  ASSERT_TRUE(moved->AttachSnapshot(&other).ok());
-  ASSERT_EQ(moved->snapshot(), &other);
-  ExpectSamePathKernels(*want, *moved, 3);
-}
-
-// The guard path_nfa.h documents: a snapshot with the same topology but
-// different edge labels — here a copy of the graph with a and b swapped
-// — must never change results, whether it reaches the product through
-// AttachSnapshot on a plain view or through ExecOptions::snapshot.
-TEST(CsrEquivalenceGuards, RelabelledSnapshotNeverChangesResults) {
-  Rng rng(4);
-  LabeledGraph g = ErdosRenyi(14, 45, {"p", "q"}, {"a", "b"}, &rng);
-  LabeledGraph relabelled;
-  for (NodeId n = 0; n < g.num_nodes(); ++n) {
-    relabelled.AddNode(g.NodeLabelString(n));
-  }
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const std::string& label = g.EdgeLabelString(e);
-    ASSERT_TRUE(relabelled
-                    .AddEdge(g.EdgeSource(e), g.EdgeTarget(e),
-                             label == "a" ? "b" : "a")
-                    .ok());
-  }
-  LabeledGraphView view(g);
-  CsrSnapshot foreign = CsrSnapshot::FromGraph(relabelled);
-  ASSERT_TRUE(foreign.MatchesTopology(g.topology()));
-
-  for (const char* text : {"a/b^-", "(a+b^-)*/?p", "a"}) {
-    SCOPED_TRACE(text);
-    RegexPtr regex = *ParseRegex(text);
-    Result<PathNfa> want = PathNfa::Compile(view, *regex);
-    Result<PathNfa> got = PathNfa::Compile(view, *regex);
-    ASSERT_TRUE(want.ok() && got.ok());
-    ASSERT_TRUE(got->AttachSnapshot(&foreign).ok());
-    ExpectSamePathKernels(*want, *got, 4);
-  }
-
-  for (const char* text :
-       {"q(x, y) :- (x) -[ a/b^- ]-> (y)", "q(x, y) :- (x) -[ a ]-> (y)",
-        "q(x, y) :- (x: p) -[ b^- ]-> (y), (y) -[ (a+b)* ]-> (x)"}) {
-    SCOPED_TRACE(text);
-    Result<Crpq> crpq = ParseCrpq(text);
-    ASSERT_TRUE(crpq.ok()) << crpq.status();
-    Result<ConjunctiveQuery> cq = CompileCrpq(*crpq);
-    ASSERT_TRUE(cq.ok()) << cq.status();
-    Result<LogicalOpPtr> plan =
-        PlanQuery(*cq, GraphStats::From(&view, nullptr), PlannerOptions{});
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    Result<RowSet> want = ExecutePlan(view, **plan);
-    ASSERT_TRUE(want.ok()) << want.status();
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ExecOptions eopts;
-      eopts.parallel = Threads(threads);
-      eopts.snapshot = &foreign;
-      Result<RowSet> got = ExecutePlan(view, **plan, eopts);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->rows, want->rows) << "threads=" << threads;
-    }
-  }
 }
 
 // The Traversal facade silently ignores a mismatched snapshot — the

@@ -362,7 +362,7 @@ TEST(CsrSnapshot, LabelFrequencyMatchesBruteForceOnRandomGraphs) {
   }
 }
 
-// FromLabeledEdges — the factory RdfGraphView::Snapshot uses — must
+// FromLabeledEdges — the factory RdfGraphView::WithCsr uses — must
 // behave exactly like FromGraph when fed the same labeling.
 TEST(CsrSnapshot, FromLabeledEdgesMatchesFromGraph) {
   LabeledGraph g = DiamondWithExtras();

@@ -215,10 +215,8 @@ TEST(MatrixRpqTest, TerminatesOnCycles) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(g.AddEdge(i, (i + 1) % 4, "a").ok());
   }
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
   PathNfa nfa = *PathNfa::Compile(view, *Parse("a*"));
-  ASSERT_TRUE(nfa.AttachSnapshot(&snap).ok());
   Result<Bitset> r = MatrixReachableFrom(nfa, 0);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->Count(), 4u);
@@ -232,8 +230,7 @@ TEST(MatrixRpqTest, MatchesBfsEngineUnderAllOptions) {
     LabeledGraph g = trial % 2 == 0
                          ? ErdosRenyi(70, 180, {"p", "q"}, {"a", "b"}, &rng)
                          : BarabasiAlbert(70, 2, {"p", "q"}, {"a", "b"}, &rng);
-    LabeledGraphView view(g);
-    CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+    LabeledGraphView view = LabeledGraphView::WithCsr(g);
     std::vector<RegexPtr> queries = {Parse("a/b"), Parse("(a+b^-)*"),
                                      Parse("?p/a*/?q")};
     // A non-label edge test keeps one atom on the bitset-filter path
@@ -243,7 +240,6 @@ TEST(MatrixRpqTest, MatchesBfsEngineUnderAllOptions) {
     for (const RegexPtr& regex : queries) {
       SCOPED_TRACE(regex->ToString());
       PathNfa nfa = *PathNfa::Compile(view, *regex);
-      ASSERT_TRUE(nfa.AttachSnapshot(&snap).ok());
 
       std::vector<PathQueryOptions> variants(5);
       variants[1].avoid = 3;
@@ -283,12 +279,10 @@ TEST(MatrixRpqTest, ReachTableLayersMatchScalarConstruction) {
   Rng rng(123);
   for (int trial = 0; trial < 3; ++trial) {
     LabeledGraph g = ErdosRenyi(24, 70, {"p", "q"}, {"a", "b"}, &rng);
-    LabeledGraphView view(g);
-    CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+    LabeledGraphView view = LabeledGraphView::WithCsr(g);
     for (const char* q : {"a/b", "(a+b^-)*", "?p/a*/?q"}) {
       SCOPED_TRACE(q);
       PathNfa nfa = *PathNfa::Compile(view, *Parse(q));
-      ASSERT_TRUE(nfa.AttachSnapshot(&snap).ok());
       const size_t max_len = 5;
 
       std::vector<PathQueryOptions> variants(3);

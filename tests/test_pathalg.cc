@@ -8,6 +8,7 @@
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
+#include "obs/obs.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
 #include "pathalg/fpras.h"
@@ -421,9 +422,11 @@ TEST(ShortestLengthsTest, AvoidReroutesOrDisconnects) {
 
 /// Per-source reachability with a freshly zeroed state array for every
 /// source: the product BFS the multi-source engine must match row for
-/// row, written independently of its scratch reuse.
+/// row, written independently of its scratch reuse. Adds its successor
+/// scans to `tally`.
 Bitset FreshReach(const PathNfa& nfa, NodeId start,
-                  const PathQueryOptions& opts) {
+                  const PathQueryOptions& opts,
+                  PathNfa::SuccessorTally* tally) {
   const size_t n = nfa.num_nodes();
   Bitset out(n);
   if (start == opts.avoid) return out;
@@ -441,7 +444,7 @@ Bitset FreshReach(const PathNfa& nfa, NodeId start,
   while (!stack.empty()) {
     auto [v, q] = stack.back();
     stack.pop_back();
-    nfa.ForEachSuccessor(v, q, [&](NodeId to, uint32_t to_state) {
+    nfa.ForEachSuccessor(v, q, tally, [&](NodeId to, uint32_t to_state) {
       if (to != opts.avoid) push(to, nfa.CloseAt(to, 1ull << to_state));
     });
   }
@@ -473,8 +476,7 @@ TEST(PairSearchTest, ReusedScratchMatchesFreshSearch) {
   cases.push_back({BarabasiAlbert(600, 2, {"p", "q"}, {"a", "b"}, &rng),
                    {"a*", "(a+a^-)*", "b/a^-"}});
   for (const Case& c : cases) {
-    LabeledGraphView view(c.graph);
-    CsrSnapshot snap = CsrSnapshot::FromGraph(c.graph);
+    LabeledGraphView view = LabeledGraphView::WithCsr(c.graph);
     const NodeId mid = static_cast<NodeId>(c.graph.num_nodes() / 2);
     std::vector<PathQueryOptions> restrictions(5);
     restrictions[1].start = mid;
@@ -486,12 +488,12 @@ TEST(PairSearchTest, ReusedScratchMatchesFreshSearch) {
     for (const std::string& q : c.queries) {
       Result<PathNfa> nfa = PathNfa::Compile(view, *Parse(q));
       ASSERT_TRUE(nfa.ok()) << q;
-      ASSERT_TRUE(nfa->AttachSnapshot(&snap).ok());
       for (size_t r = 0; r < restrictions.size(); ++r) {
         std::vector<Bitset> want;
         double want_count = 0;
+        PathNfa::SuccessorTally tally;
         for (NodeId a = 0; a < c.graph.num_nodes(); ++a) {
-          want.push_back(FreshReach(*nfa, a, restrictions[r]));
+          want.push_back(FreshReach(*nfa, a, restrictions[r], &tally));
           want_count += static_cast<double>(want.back().Count());
         }
         for (size_t threads : {1, 4}) {
@@ -517,6 +519,49 @@ TEST(PairSearchTest, ReusedScratchMatchesFreshSearch) {
         for (NodeId a : {NodeId{0}, NodeId{1}, mid}) {
           ASSERT_EQ(ReachableFrom(*nfa, a, single), want[a]) << q << " " << a;
         }
+      }
+    }
+  }
+}
+
+// The NFA engine tallies its successor scans per search chunk and adds
+// them to the registry once per chunk: the rpq.successor.* totals of a
+// call equal the sum over sources of one search each, at every thread
+// count.
+TEST(PairSearchTest, SuccessorCountersAreExactAtEveryThreadCount) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::Registry::SetEnabled(true);
+  Rng rng(11);
+  LabeledGraph g = ErdosRenyi(300, 900, {"p", "q"}, {"a", "b"}, &rng);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  const char* const names[] = {"rpq.successor.edges_scanned",
+                               "rpq.successor.label_partition_hits",
+                               "rpq.successor.bitset_fallback_hits"};
+  // A pure-label closure, and a non-label test on the bitset path.
+  for (const char* q : {"(a+b^-)*", "?p/[!a]*"}) {
+    SCOPED_TRACE(q);
+    Result<PathNfa> nfa = PathNfa::Compile(view, *Parse(q));
+    ASSERT_TRUE(nfa.ok()) << nfa.status();
+    PathNfa::SuccessorTally tally;
+    for (NodeId a = 0; a < g.num_nodes(); ++a) {
+      FreshReach(*nfa, a, {}, &tally);
+    }
+    const uint64_t want[] = {tally.edges_scanned, tally.label_partition_hits,
+                             tally.bitset_fallback_hits};
+    ASSERT_GT(want[0], 0u);
+    for (size_t threads : {1, 4}) {
+      PathQueryOptions opts;
+      opts.engine = PathEngine::kNfa;
+      opts.parallel.num_threads = threads;
+      uint64_t before[3];
+      for (int i = 0; i < 3; ++i) {
+        before[i] = obs::Registry::Get().CounterValue(names[i]);
+      }
+      (void)PairRelation(*nfa, opts);
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(obs::Registry::Get().CounterValue(names[i]) - before[i],
+                  want[i])
+            << names[i] << " threads=" << threads;
       }
     }
   }

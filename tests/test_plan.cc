@@ -249,18 +249,16 @@ TEST(Optimizer, ExplainRendersTheTreeWithEstimates) {
 TEST(Executor, AnswersFigure2RidersQuery) {
   LabeledGraph g = Figure2Labeled();
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
 
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus)");
   std::vector<std::vector<NodeId>> expected = {
       {fig2::kJuan}, {fig2::kPedro}, {fig2::kRosa}};
 
-  for (bool with_snapshot : {false, true}) {
-    CrpqOptions opts;
-    opts.snapshot = with_snapshot ? &snap : nullptr;
-    RowSet rows = *EvalCrpq(view, q, opts);
+  for (bool with_csr : {false, true}) {
+    RowSet rows = *EvalCrpq(with_csr ? csr_view : view, q);
     ASSERT_EQ(rows.schema, std::vector<std::string>{"x"});
-    EXPECT_EQ(rows.rows, expected) << "snapshot=" << with_snapshot;
+    EXPECT_EQ(rows.rows, expected) << "csr=" << with_csr;
   }
   RowSet ref = *EvalCrpqReference(view, q);
   EXPECT_EQ(ref.rows, expected);
@@ -270,20 +268,17 @@ TEST(Executor, AnswersFigure2RidersQuery) {
 // infected person.
 TEST(Executor, AnswersTheContactTracingJoin) {
   LabeledGraph g = Figure2Labeled();
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
 
   Crpq q = *ParseCrpq(
       "q(x) :- (x: person) -[ rides ]-> (b: bus), "
       "(y: infected) -[ rides ]-> (b)");
-  CrpqOptions opts;
-  opts.snapshot = &snap;
-  RowSet rows = *EvalCrpq(view, q, opts);
+  RowSet rows = *EvalCrpq(view, q);
   // Juan and Rosa ride the bus Pedro (infected) rides. Pedro is labeled
   // infected, not person, so he is excluded.
   std::vector<std::vector<NodeId>> expected = {{fig2::kJuan}, {fig2::kRosa}};
   EXPECT_EQ(rows.rows, expected) << ExplainPlan(
-      **PlanQuery(*CompileCrpq(q), GraphStats::From(&view, &snap)));
+      **PlanQuery(*CompileCrpq(q), GraphStats::From(&view, view.csr())));
   EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
 }
 
@@ -294,14 +289,12 @@ TEST(Executor, DiagonalAtomSelectsSelfLoopsOnly) {
   (void)g.AddEdge(1, 1, "a");  // Self-loop.
   (void)g.AddEdge(2, 0, "a");
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
 
   Crpq q = *ParseCrpq("q(x) :- (x) -[ a ]-> (x)");
   std::vector<std::vector<NodeId>> expected = {{1}};
-  for (bool with_snapshot : {false, true}) {
-    CrpqOptions opts;
-    opts.snapshot = with_snapshot ? &snap : nullptr;
-    EXPECT_EQ((*EvalCrpq(view, q, opts)).rows, expected);
+  for (bool with_csr : {false, true}) {
+    EXPECT_EQ((*EvalCrpq(with_csr ? csr_view : view, q)).rows, expected);
   }
   EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
 }
@@ -320,16 +313,14 @@ TEST(Executor, TestOnlyVariablesCrossJoinViaNodeScan) {
 
 TEST(Executor, BoundVariablesPinLeavesAndAbsentConstantsYieldEmpty) {
   LabeledGraph g = Figure2Labeled();
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-  GraphStats stats = GraphStats::From(&view, &snap);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  GraphStats stats = GraphStats::From(&view, view.csr());
 
   ConjunctiveQuery q;
   q.atoms.push_back({"x", "b", *ParseRegex("rides")});
   q.bound["b"] = fig2::kBus;
   q.projection = {"x"};
   ExecOptions eopts;
-  eopts.snapshot = &snap;
   RowSet rows = *ExecutePlan(view, **PlanQuery(q, stats), eopts);
   std::vector<std::vector<NodeId>> expected = {
       {fig2::kJuan}, {fig2::kPedro}, {fig2::kRosa}};
@@ -378,15 +369,12 @@ TEST(Executor, EmitsObsCountersAndSpans) {
   obs::Registry::Get().Reset();
 
   LabeledGraph g = Figure2Labeled();
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus)");
-  CrpqOptions opts;
-  opts.snapshot = &snap;
   CounterEvents entries("plan.scan.label_partition_entries");
   {
     obs::ScopedSink sink(&entries);
-    (void)*EvalCrpq(view, q, opts);
+    (void)*EvalCrpq(view, q);
   }
 
   // A -DKGQ_OBS=OFF build compiles the macro call sites to nothing;
@@ -398,7 +386,7 @@ TEST(Executor, EmitsObsCountersAndSpans) {
   EXPECT_GT(reg.SpanCount("plan.execute"), 0u);
   // The full scan reads every rides entry once and reports the tally in
   // one registry add per call, not one per node.
-  const uint64_t rides = snap.LabelFrequency("rides");
+  const uint64_t rides = view.csr()->LabelFrequency("rides");
   ASSERT_GT(rides, 0u);
   EXPECT_EQ(reg.CounterValue("plan.scan.label_partition_entries"), rides);
   EXPECT_EQ(entries.total, rides);
@@ -455,8 +443,9 @@ TEST(OrderedPipeline, LimitStopsTheScanEarly) {
   obs::Registry::SetEnabled(true);
   LabeledGraph g = CanonicalTransitGraph();
   ASSERT_GE(g.num_edges(), 10000u);
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView plain(g);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  const CsrSnapshot& snap = *view.csr();
   ASSERT_TRUE(snap.label_spans_sorted());
 
   // Full-sort reference: every rides edge, sorted, deduplicated, cut.
@@ -471,17 +460,15 @@ TEST(OrderedPipeline, LimitStopsTheScanEarly) {
 
   MatchQuery mq = *ParseMatchQuery(
       "MATCH (x: person) -[ rides ]-> (b: bus) RETURN x, b LIMIT 50");
-  MatchPlanOptions opts;
-  opts.snapshot = &snap;
   obs::TraceContext trace;
   Result<QueryResult> got = [&] {
     obs::ScopedTrace scope(&trace);
-    return ExecuteMatchPlanned(view, mq, opts);
+    return ExecuteMatchPlanned(view, mq);
   }();
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(got->rows, want);
-  // The list path (no snapshot) materializes and sorts everything.
-  EXPECT_EQ((*ExecuteMatchPlanned(view, mq)).rows, want);
+  // The list path (no CSR) materializes and sorts everything.
+  EXPECT_EQ((*ExecuteMatchPlanned(plain, mq)).rows, want);
 
   if (!obs::kCompiledIn) return;
   std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
@@ -508,9 +495,9 @@ TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
       }
     }
   }
-  LabeledGraphView view(g);
-  CsrSnapshot sorted = CsrSnapshot::FromGraph(g);
-  ASSERT_TRUE(sorted.label_spans_sorted());
+  LabeledGraphView plain(g);
+  LabeledGraphView sorted = LabeledGraphView::WithCsr(g);
+  ASSERT_TRUE(sorted.csr()->label_spans_sorted());
 
   auto scan = [](const std::string& src, const std::string& dst) {
     auto op = std::make_shared<LogicalOp>();
@@ -540,19 +527,16 @@ TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
   // x ∈ {0, 2} (the persons), y any other node.
   const std::vector<std::vector<NodeId>> want = {
       {0, 1}, {0, 2}, {0, 3}, {2, 0}, {2, 1}, {2, 3}};
-  // With the sorted snapshot the join probes; without one it hashes.
-  const CsrSnapshot* const snapshots[] = {&sorted, nullptr};
-  for (const CsrSnapshot* snap : snapshots) {
-    ExecOptions opts;
-    opts.snapshot = snap;
+  // With the sorted CSR the join probes; without one it hashes.
+  for (const LabeledGraphView* view : {&sorted, &plain}) {
     obs::TraceContext trace;
     Result<RowSet> got = [&] {
       obs::ScopedTrace scope(&trace);
-      return ExecutePlan(view, project, opts);
+      return ExecutePlan(*view, project);
     }();
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->rows, want) << "snapshot=" << (snap != nullptr);
-    if (!obs::kCompiledIn || snap == nullptr) continue;
+    EXPECT_EQ(got->rows, want) << "csr=" << (view->csr() != nullptr);
+    if (!obs::kCompiledIn || view->csr() == nullptr) continue;
     std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
     ASSERT_NE(profile, nullptr);
     const obs::ProfileNode* probe = FindProfiled(*profile, "HashJoin");
@@ -571,9 +555,9 @@ TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
 TEST(OrderedPipeline, ClosingEdgeProbesInsteadOfHashing) {
   obs::Registry::SetEnabled(true);
   LabeledGraph g = CanonicalTransitGraph();
-  LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-  ASSERT_TRUE(snap.label_spans_sorted());
+  LabeledGraphView plain(g);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  ASSERT_TRUE(view.csr()->label_spans_sorted());
 
   // Reference: the mutual-knows pairs, sorted.
   std::set<std::pair<NodeId, NodeId>> knows;
@@ -595,16 +579,14 @@ TEST(OrderedPipeline, ClosingEdgeProbesInsteadOfHashing) {
     Crpq q = *ParseCrpq(
         "q(x, y) :- (x) -[ knows ]-> (y), (y) -[ knows ]-> (x)");
     q.limit = limit;
-    CrpqOptions opts;
-    opts.snapshot = &snap;
     obs::TraceContext trace;
     Result<RowSet> got = [&] {
       obs::ScopedTrace scope(&trace);
-      return EvalCrpq(view, q, opts);
+      return EvalCrpq(view, q);
     }();
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(got->rows, want);
-    EXPECT_EQ((*EvalCrpq(view, q)).rows, want);  // list path, hash join
+    EXPECT_EQ((*EvalCrpq(plain, q)).rows, want);  // list path, hash join
 
     if (!obs::kCompiledIn) continue;
     std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
@@ -779,10 +761,9 @@ TEST(MatrixRpqRule, AutoChoosesTheEngineFromObservedDensity) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.text);
-    LabeledGraphView view(*c.graph);
-    CsrSnapshot snap = CsrSnapshot::FromGraph(*c.graph);
+    LabeledGraphView view = LabeledGraphView::WithCsr(*c.graph);
     Crpq q = *ParseCrpq(c.text);
-    GraphStats stats = GraphStats::From(&view, &snap);
+    GraphStats stats = GraphStats::From(&view, view.csr());
     Result<LogicalOpPtr> plan = PlanQuery(*CompileCrpq(q), stats);
     ASSERT_TRUE(plan.ok()) << plan.status();
     EXPECT_EQ(ExplainPlan(**plan).find("engine="), std::string::npos)
@@ -794,7 +775,6 @@ TEST(MatrixRpqRule, AutoChoosesTheEngineFromObservedDensity) {
                                  MatrixRpqMode::kAlways}) {
         CrpqOptions opts;
         opts.parallel.num_threads = threads;
-        opts.snapshot = &snap;
         opts.planner.matrix_rpq = mode;
         obs::TraceContext trace;
         Result<RowSet> got = [&] {

@@ -1,18 +1,18 @@
 // Randomized differential testing of the query planner: random
 // conjunctive queries with regular path atoms over ER and BA graphs,
-// planned execution (optimized and naive, with and without a CSR
-// snapshot, matrix RPQ engine forced and off, at 1 and 4 threads)
-// against the retained reference evaluators of all three front-ends.
-// The planner may pick any join order and any physical operator — the
-// canonical output discipline (sorted, deduplicated, limited) makes the
-// comparison bit-exact.
+// planned execution (optimized and naive, on a plain view and on views
+// that carry their own CSR, matrix RPQ engine forced and off, at 1 and
+// 4 threads) against the retained reference evaluators of all three
+// front-ends. The planner may pick any join order and any physical
+// operator — the canonical output discipline (sorted, deduplicated,
+// limited) makes the comparison bit-exact.
 //
-// Two CSR legs cover the executor's two regimes. The FromGraph snapshot
-// of an insertion-ordered graph generally has unsorted label spans, so
-// scans materialize and Project sorts. The same graph published through
-// a DeltaStore is canonically ordered: its epoch view's own CSR has
-// sorted spans, so scans stream in order, LIMIT stops early and closing
-// edges probe instead of hash-joining.
+// The CSR legs cover the executor's two regimes. A labeled or property
+// view's own CSR of an insertion-ordered graph generally has unsorted
+// label spans, so scans materialize and Project sorts. The same graph
+// published through a DeltaStore is canonically ordered: its epoch
+// view's CSR has sorted spans, so scans stream in order, LIMIT stops
+// early and closing edges probe instead of hash-joining.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/conversions.h"
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
@@ -162,6 +163,31 @@ serve::EpochPtr PublishCanonical(const LabeledGraph& g) {
   return epoch;
 }
 
+/// The views a planned query runs on: the plain view (list paths), a
+/// labeled and a property view that carry their own CSR, and the epoch
+/// view of the graph published canonically (sorted spans).
+struct PlannedViews {
+  explicit PlannedViews(const LabeledGraph& g)
+      : plain(g),
+        labeled_csr(LabeledGraphView::WithCsr(g)),
+        property(LabeledToProperty(g)),
+        property_csr(PropertyGraphView::WithCsr(property)),
+        epoch(PublishCanonical(g)),
+        epoch_view(epoch->View()),
+        all{{"plain", &plain},
+            {"labeled csr", &labeled_csr},
+            {"property csr", &property_csr},
+            {"epoch", &epoch_view}} {}
+
+  const LabeledGraphView plain;
+  const LabeledGraphView labeled_csr;
+  const PropertyGraph property;
+  const PropertyGraphView property_csr;
+  const serve::EpochPtr epoch;
+  const serve::EpochGraphView epoch_view;
+  const std::vector<std::pair<const char*, const GraphView*>> all;
+};
+
 TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
   const int seed = GetParam();
   Rng rng(9000 + seed);
@@ -174,9 +200,7 @@ TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
           : BarabasiAlbert(12 + rng.Below(8), 2, {"p", "q"}, {"a", "b"},
                            &rng);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-  serve::EpochPtr epoch = PublishCanonical(g);
-  const serve::EpochGraphView epoch_view = epoch->View();
+  const PlannedViews views(g);
 
   PlannerOptions naive;
   naive.push_filters = false;
@@ -192,31 +216,22 @@ TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
     ASSERT_TRUE(ref.ok()) << ref.status();
 
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool with_snapshot : {false, true}) {
+      for (const auto& [name, on] : views.all) {
         for (bool optimized : {true, false}) {
           // The matrix engine is a pure physical choice: forcing it on
           // (or off) must never change a row, on optimized and naive
-          // plans alike, with and without the snapshot it needs.
+          // plans alike, with and without the CSR it needs.
           for (MatrixRpqMode matrix :
                {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
             CrpqOptions opts;
             opts.parallel.num_threads = threads;
-            opts.snapshot = with_snapshot ? &snap : nullptr;
             if (!optimized) opts.planner = naive;
             opts.planner.matrix_rpq = matrix;
-            Result<RowSet> got = EvalCrpq(view, q, opts);
+            Result<RowSet> got = EvalCrpq(*on, q, opts);
             ASSERT_TRUE(got.ok()) << got.status();
             ASSERT_EQ(got->schema, ref->schema);
             ASSERT_EQ(got->rows, ref->rows)
-                << "threads=" << threads << " snapshot=" << with_snapshot
-                << " optimized=" << optimized
-                << " matrix=" << (matrix == MatrixRpqMode::kAlways);
-            if (with_snapshot) continue;
-            // The epoch leg, once per combination: its own, sorted CSR.
-            got = EvalCrpq(epoch_view, q, opts);
-            ASSERT_TRUE(got.ok()) << got.status();
-            ASSERT_EQ(got->rows, ref->rows)
-                << "epoch view threads=" << threads
+                << name << " threads=" << threads
                 << " optimized=" << optimized
                 << " matrix=" << (matrix == MatrixRpqMode::kAlways);
           }
@@ -232,9 +247,7 @@ TEST_P(PlanDifferential, PlannedMatchQueryMatchesReference) {
   LabeledGraph g = ErdosRenyi(10 + rng.Below(6), 30 + rng.Below(20),
                               {"p", "q"}, {"a", "b"}, &rng);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-  serve::EpochPtr epoch = PublishCanonical(g);
-  const serve::EpochGraphView epoch_view = epoch->View();
+  const PlannedViews views(g);
 
   for (int round = 0; round < 4; ++round) {
     // Random chain of 1–3 hops with random endpoint tests.
@@ -258,25 +271,17 @@ TEST_P(PlanDifferential, PlannedMatchQueryMatchesReference) {
     Result<QueryResult> ref = ExecuteMatch(view, mq);
     ASSERT_TRUE(ref.ok()) << ref.status();
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool with_snapshot : {false, true}) {
+      for (const auto& [name, on] : views.all) {
         for (MatrixRpqMode matrix :
              {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
           MatchPlanOptions opts;
           opts.parallel.num_threads = threads;
-          opts.snapshot = with_snapshot ? &snap : nullptr;
           opts.planner.matrix_rpq = matrix;
-          Result<QueryResult> got = ExecuteMatchPlanned(view, mq, opts);
+          Result<QueryResult> got = ExecuteMatchPlanned(*on, mq, opts);
           ASSERT_TRUE(got.ok()) << got.status();
           ASSERT_EQ(got->columns, ref->columns);
           ASSERT_EQ(got->rows, ref->rows)
-              << "threads=" << threads << " snapshot=" << with_snapshot
-              << " matrix=" << (matrix == MatrixRpqMode::kAlways);
-          if (with_snapshot) continue;
-          // The epoch leg, once per combination: its own, sorted CSR.
-          got = ExecuteMatchPlanned(epoch_view, mq, opts);
-          ASSERT_TRUE(got.ok()) << got.status();
-          ASSERT_EQ(got->rows, ref->rows)
-              << "epoch view threads=" << threads
+              << name << " threads=" << threads
               << " matrix=" << (matrix == MatrixRpqMode::kAlways);
         }
       }
@@ -304,6 +309,8 @@ TEST_P(PlanDifferential, PlannedBgpMatchesReference) {
     }
   }
 
+  const RdfGraphView plain(store);
+  const RdfGraphView with_csr = RdfGraphView::WithCsr(store);
   const std::vector<std::string> queries = {
       "?x a ?y",
       "?x a ?y . ?y b ?z",
@@ -321,18 +328,17 @@ TEST_P(PlanDifferential, PlannedBgpMatchesReference) {
     Result<std::vector<Binding>> ref = EvalBgp(store, *patterns);
     ASSERT_TRUE(ref.ok()) << ref.status();
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool with_snapshot : {false, true}) {
+      for (const RdfGraphView* view : {&plain, &with_csr}) {
         for (MatrixRpqMode matrix :
              {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
           BgpPlanOptions opts;
           opts.parallel.num_threads = threads;
-          opts.use_snapshot = with_snapshot;
           opts.planner.matrix_rpq = matrix;
           Result<std::vector<Binding>> got =
-              EvalBgpPlanned(store, *patterns, opts);
+              EvalBgpPlanned(*view, *patterns, opts);
           ASSERT_TRUE(got.ok()) << got.status();
           ASSERT_EQ(*got, *ref)
-              << "threads=" << threads << " snapshot=" << with_snapshot
+              << "threads=" << threads << " csr=" << (view == &with_csr)
               << " matrix=" << (matrix == MatrixRpqMode::kAlways);
         }
       }

@@ -66,7 +66,7 @@ TEST_P(RegexFuzz, AllEnginesAgree) {
                        ? ErdosRenyi(8, 18, {"p", "q"}, {"a", "b"}, &rng)
                        : BarabasiAlbert(9, 2, {"p", "q"}, {"a", "b"}, &rng);
   LabeledGraphView view(g);
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
   const size_t max_len = 4;
 
   for (int round = 0; round < 6; ++round) {
@@ -89,12 +89,12 @@ TEST_P(RegexFuzz, AllEnginesAgree) {
         PathNfa::Compile(view, *regex, PathNfa::Construction::kThompson);
     ASSERT_TRUE(glushkov.ok());
     ASSERT_TRUE(thompson.ok());
-    // Third engine: a Glushkov product stepping over the CSR snapshot
+    // Third engine: a Glushkov product stepping over the view's CSR
     // instead of the adjacency lists (three-way differential).
     Result<PathNfa> csr =
-        PathNfa::Compile(view, *regex, PathNfa::Construction::kGlushkov);
+        PathNfa::Compile(csr_view, *regex, PathNfa::Construction::kGlushkov);
     ASSERT_TRUE(csr.ok());
-    ASSERT_TRUE(csr->AttachSnapshot(&snap).ok());
+    ASSERT_EQ(csr->snapshot(), csr_view.csr());
 
     for (size_t k = 0; k <= max_len; ++k) {
       std::set<Path> at_k;

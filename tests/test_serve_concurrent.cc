@@ -53,9 +53,11 @@ struct Observation {
 };
 
 // 2 writers mutate and publish concurrently with 4 readers running
-// epoch-pinned queries through the cache. Afterwards every recorded
-// answer is replayed single-threaded and cache-free against its pinned
-// snapshot — the served rows must be exactly the replay's.
+// epoch-pinned queries through the cache. Writer 0 publishes through
+// Server::Publish, whose cache invalidation races the readers' lookups;
+// writer 1 through the store alone. Afterwards every recorded answer is
+// replayed single-threaded and cache-free against its pinned snapshot —
+// the served rows must be exactly the replay's.
 TEST(ServeConcurrent, ReadersMatchSingleThreadedReplay) {
   constexpr size_t kWriters = 2;
   constexpr size_t kReaders = 4;
@@ -77,6 +79,13 @@ TEST(ServeConcurrent, ReadersMatchSingleThreadedReplay) {
   std::vector<std::thread> writers;
   for (size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&server, &failed, w] {
+      auto publish = [&server, w] {
+        if (w == 0) {
+          server.Publish();
+        } else {
+          server.store().Publish();
+        }
+      };
       Rng rng(0x5EEDull + w);
       const char* labels[] = {"rides", "knows"};
       for (size_t i = 0; i < kWritesPerWriter; ++i) {
@@ -88,9 +97,9 @@ TEST(ServeConcurrent, ReadersMatchSingleThreadedReplay) {
                                    : server.store().DeleteEdge(from, to,
                                                                label);
         if (!applied.ok()) failed = true;
-        if (rng.Bernoulli(0.15)) server.store().Publish();
+        if (rng.Bernoulli(0.15)) publish();
       }
-      server.store().Publish();
+      publish();
     });
   }
 
@@ -294,7 +303,7 @@ TEST(ServeConcurrent, ServeStreamMatchesHandleLineByteForByte) {
   }
   want = NormalizeNs(want);
 
-  for (size_t workers : {1u, 4u, 7u}) {
+  for (size_t workers : {1u, 2u, 4u, 7u, 8u}) {
     ServerOptions options;
     options.workers = workers;
     options.queue_capacity = 8;  // Small: exercise backpressure.
