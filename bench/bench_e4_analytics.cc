@@ -30,6 +30,10 @@ LabeledGraph MakeBa(size_t n) {
   return BarabasiAlbert(n, 3, {"v"}, {"e"}, &rng);
 }
 
+/// The CSR the components, PageRank, HITS and Brandes kernels read,
+/// built once per graph outside the timed loop.
+CsrSnapshot MakeBaCsr(size_t n) { return CsrSnapshot::FromGraph(MakeBa(n)); }
+
 void BM_BfsDistances(benchmark::State& state) {
   LabeledGraph g = MakeBa(state.range(0));
   for (auto _ : state) {
@@ -40,9 +44,9 @@ void BM_BfsDistances(benchmark::State& state) {
 BENCHMARK(BM_BfsDistances)->Arg(1000)->Arg(10000);
 
 void BM_WeakComponents(benchmark::State& state) {
-  LabeledGraph g = MakeBa(state.range(0));
+  const CsrSnapshot g = MakeBaCsr(state.range(0));
   for (auto _ : state) {
-    auto c = WeaklyConnectedComponents(g.topology());
+    auto c = WeaklyConnectedComponentsCsr(g);
     benchmark::DoNotOptimize(c);
   }
 }
@@ -58,18 +62,18 @@ void BM_StrongComponents(benchmark::State& state) {
 BENCHMARK(BM_StrongComponents)->Arg(1000)->Arg(10000);
 
 void BM_PageRank(benchmark::State& state) {
-  LabeledGraph g = MakeBa(state.range(0));
+  const CsrSnapshot g = MakeBaCsr(state.range(0));
   for (auto _ : state) {
-    auto pr = PageRank(g.topology());
+    auto pr = PageRank(g);
     benchmark::DoNotOptimize(pr);
   }
 }
 BENCHMARK(BM_PageRank)->Arg(1000)->Arg(10000);
 
 void BM_Hits(benchmark::State& state) {
-  LabeledGraph g = MakeBa(state.range(0));
+  const CsrSnapshot g = MakeBaCsr(state.range(0));
   for (auto _ : state) {
-    auto h = Hits(g.topology());
+    auto h = Hits(g);
     benchmark::DoNotOptimize(h);
   }
 }
@@ -94,10 +98,9 @@ void BM_DensestPeel(benchmark::State& state) {
 BENCHMARK(BM_DensestPeel)->Arg(1000)->Arg(10000);
 
 void BM_Betweenness(benchmark::State& state) {
-  LabeledGraph g = MakeBa(state.range(0));
+  const CsrSnapshot g = MakeBaCsr(state.range(0));
   for (auto _ : state) {
-    auto bc = BetweennessCentrality(g.topology(),
-                                    EdgeDirection::kUndirected);
+    auto bc = BetweennessCentrality(g, EdgeDirection::kUndirected);
     benchmark::DoNotOptimize(bc);
   }
 }
@@ -108,34 +111,33 @@ BENCHMARK(BM_Betweenness)->Arg(1000)->Arg(2000);
 // guarantees identical output at every point of the sweep, so these
 // curves measure pure scheduling overhead/speedup.
 void BM_PageRankThreads(benchmark::State& state) {
-  LabeledGraph g = MakeBa(10000);
+  const CsrSnapshot g = MakeBaCsr(10000);
   PageRankOptions opts;
   opts.parallel.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    auto pr = PageRank(g.topology(), opts);
+    auto pr = PageRank(g, opts);
     benchmark::DoNotOptimize(pr);
   }
 }
 BENCHMARK(BM_PageRankThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_BetweennessThreads(benchmark::State& state) {
-  LabeledGraph g = MakeBa(2000);
+  const CsrSnapshot g = MakeBaCsr(2000);
   ParallelOptions par{static_cast<size_t>(state.range(0))};
   for (auto _ : state) {
-    auto bc =
-        BetweennessCentrality(g.topology(), EdgeDirection::kUndirected, par);
+    auto bc = BetweennessCentrality(g, EdgeDirection::kUndirected, par);
     benchmark::DoNotOptimize(bc);
   }
 }
 BENCHMARK(BM_BetweennessThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ApproxBetweennessThreads(benchmark::State& state) {
-  LabeledGraph g = MakeBa(5000);
+  const CsrSnapshot g = MakeBaCsr(5000);
   ParallelOptions par{static_cast<size_t>(state.range(0))};
   for (auto _ : state) {
     Rng rng(11);
-    auto bc = ApproxBetweennessCentrality(
-        g.topology(), EdgeDirection::kUndirected, 128, &rng, par);
+    auto bc = ApproxBetweennessCentrality(g, EdgeDirection::kUndirected, 128,
+                                          &rng, par);
     benchmark::DoNotOptimize(bc);
   }
 }
@@ -204,11 +206,12 @@ std::vector<PropertiesRow> PrintGlobalProperties() {
            "densest density", "max pagerank", "max k-core", "triangles"});
   for (size_t n : {1000, 10000}) {
     LabeledGraph g = MakeBa(n);
-    auto wcc = WeaklyConnectedComponents(g.topology());
+    const CsrSnapshot csr = CsrSnapshot::FromGraph(g);
+    auto wcc = WeaklyConnectedComponentsCsr(csr);
     auto diam = Diameter(g.topology(), EdgeDirection::kUndirected);
     double cc = AverageClusteringCoefficient(g.topology());
     auto dense = DensestSubgraphPeel(g.topology());
-    auto pr = PageRank(g.topology());
+    auto pr = PageRank(csr);
     double max_pr = 0;
     for (double v : pr) max_pr = std::max(max_pr, v);
     auto cores = CoreNumbers(g.topology());

@@ -58,8 +58,9 @@ int main() {
     LabeledGraph g = Figure2Labeled();
     LabeledGraphView view(g);
     RegexPtr transport = *ParseRegex("?person/rides/?bus/rides^-/?person");
+    const CsrSnapshot csr = CsrSnapshot::FromGraph(g);
     std::vector<double> classic =
-        BetweennessCentrality(g.topology(), EdgeDirection::kUndirected);
+        BetweennessCentrality(csr, EdgeDirection::kUndirected);
     Result<std::vector<double>> bcr = RegexBetweenness(view, *transport, {});
 
     Table t("E5a — Figure 2: classical bc vs bc_r(transport)",

@@ -32,11 +32,10 @@ namespace {
 
 /// One row of the forward-sweep table / JSON report.
 struct SweepRow {
-  std::string backend;    // "nodeloop" or "gemm".
-  std::string adjacency;  // "list" or "csr".
+  std::string backend;  // "nodeloop" or "gemm".
   size_t threads;
   double ms;
-  double speedup;  // vs the nodeloop/list single-thread reference.
+  double speedup;  // vs the nodeloop single-thread reference.
   bool identical;  // bit-identical to the reference output.
 };
 
@@ -128,7 +127,7 @@ int main() {
     }
     gnn.Randomize(&wl_rng);
     Matrix x = AcGnn::OneHotLabels(g, {"p", "q"});
-    Matrix out = *gnn.Run(g, x);
+    Matrix out = *gnn.Run(CsrSnapshot::FromGraph(g), x);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       for (NodeId v = u + 1; v < g.num_nodes(); ++v) {
         if (wl.colors[u] != wl.colors[v]) continue;
@@ -187,7 +186,7 @@ int main() {
   }
 
   // Neural-substrate sweep: a d=64, 2-layer AC-GNN forward pass over a
-  // 10k-node BA graph, under backend × adjacency × threads. Correctness
+  // 10k-node BA graph, under backend × threads. Correctness
   // gates the exit code (every configuration must equal the node-loop
   // reference exactly); the speedup verdict is reported.
   std::vector<SweepRow> sweep;
@@ -221,11 +220,11 @@ int main() {
     auto time_forward = [&](const GnnOptions& opts, Matrix* out) {
       // Warm-up pass (also the correctness sample), then best of 5 —
       // the minimum is the estimator most robust to scheduler noise.
-      *out = *gnn.Run(g, x, opts);
+      *out = *gnn.Run(snap, x, opts);
       double best = 1e100;
       for (int rep = 0; rep < 5; ++rep) {
         Timer tm;
-        Matrix y = *gnn.Run(g, x, opts);
+        Matrix y = *gnn.Run(snap, x, opts);
         best = std::min(best, tm.Millis());
       }
       return best;
@@ -238,33 +237,26 @@ int main() {
     double ref_ms = time_forward(ref_opts, &ref);
 
     Table st("E7 — AC-GNN forward sweep (BA 10k nodes, d=64, 2 layers)",
-             {"backend", "adjacency", "threads", "t_fwd(ms)", "speedup",
-              "identical"});
+             {"backend", "threads", "t_fwd(ms)", "speedup", "identical"});
     for (GnnBackend backend : {GnnBackend::kNodeLoop, GnnBackend::kGemm}) {
-      for (const CsrSnapshot* s :
-           {static_cast<const CsrSnapshot*>(nullptr), &snap}) {
-        for (size_t threads : {1, 2, 4, 8}) {
-          GnnOptions opts;
-          opts.backend = backend;
-          opts.snapshot = s;
-          opts.parallel.num_threads = threads;
-          bool is_ref = backend == ref_opts.backend && s == nullptr &&
-                        threads == 1;
-          Matrix out;
-          double ms = is_ref ? ref_ms : time_forward(opts, &out);
-          bool identical = is_ref || out == ref;
-          sweep_identical = sweep_identical && identical;
-          SweepRow row{backend == GnnBackend::kGemm ? "gemm" : "nodeloop",
-                       s != nullptr ? "csr" : "list", threads, ms,
-                       ref_ms / ms, identical};
-          if (row.backend == "gemm" && threads == 1) {
-            best_1t_speedup = std::max(best_1t_speedup, row.speedup);
-          }
-          sweep.push_back(row);
-          st.AddRow({row.backend, row.adjacency, std::to_string(threads),
-                     FormatDouble(ms, 2), FormatDouble(row.speedup, 2) + "x",
-                     identical ? "yes" : "NO"});
+      for (size_t threads : {1, 2, 4, 8}) {
+        GnnOptions opts;
+        opts.backend = backend;
+        opts.parallel.num_threads = threads;
+        bool is_ref = backend == ref_opts.backend && threads == 1;
+        Matrix out;
+        double ms = is_ref ? ref_ms : time_forward(opts, &out);
+        bool identical = is_ref || out == ref;
+        sweep_identical = sweep_identical && identical;
+        SweepRow row{backend == GnnBackend::kGemm ? "gemm" : "nodeloop",
+                     threads, ms, ref_ms / ms, identical};
+        if (row.backend == "gemm" && threads == 1) {
+          best_1t_speedup = std::max(best_1t_speedup, row.speedup);
         }
+        sweep.push_back(row);
+        st.AddRow({row.backend, std::to_string(threads), FormatDouble(ms, 2),
+                   FormatDouble(row.speedup, 2) + "x",
+                   identical ? "yes" : "NO"});
       }
     }
     st.Print(std::cout);
@@ -298,8 +290,6 @@ int main() {
       w.BeginObject();
       w.Key("backend");
       w.String(r.backend);
-      w.Key("adjacency");
-      w.String(r.adjacency);
       w.Key("threads");
       w.UInt(r.threads);
       w.Key("ms");

@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
   Rng rng(7);
   PropertyGraph city = ContactScenario(opts, &rng);
   const Multigraph& g = city.labeled().topology();
+  const CsrSnapshot csr = CsrSnapshot::FromGraph(city);
 
   // ---- Global properties --------------------------------------------------
-  auto wcc = WeaklyConnectedComponents(g);
+  auto wcc = WeaklyConnectedComponentsCsr(csr);
   auto scc = StronglyConnectedComponents(g);
   auto diameter = Diameter(g, EdgeDirection::kUndirected);
   auto cores = CoreNumbers(g);
@@ -55,8 +56,9 @@ int main(int argc, char** argv) {
   std::printf("  label-propagation communities: %u\n\n", num_comm);
 
   // ---- Centralities on the buses -----------------------------------------
-  std::vector<double> pr = PageRank(g);
-  std::vector<double> bc = BetweennessCentrality(g, EdgeDirection::kUndirected);
+  std::vector<double> pr = PageRank(csr);
+  std::vector<double> bc =
+      BetweennessCentrality(csr, EdgeDirection::kUndirected);
   std::vector<double> close = HarmonicCloseness(g, EdgeDirection::kUndirected);
   std::vector<double> eig = EigenvectorCentrality(g);
   PropertyGraphView view(city);

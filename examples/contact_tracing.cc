@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
   // Rank buses: classical betweenness vs transport-restricted bc_r.
   std::vector<double> classic = BetweennessCentrality(
-      city.labeled().topology(), EdgeDirection::kUndirected);
+      CsrSnapshot::FromGraph(city), EdgeDirection::kUndirected);
   Result<RegexPtr> transport =
       ParseRegex("?person/rides/?bus/rides^-/?person");
   BcrOptions bcr_opts;

@@ -5,7 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "graph/traversal.h"
 #include "obs/obs.h"
 #include "pathalg/enumerate.h"
 #include "pathalg/exact.h"
@@ -17,10 +16,9 @@ namespace kgq {
 namespace {
 
 /// One Brandes source iteration: accumulates dependencies of `s` into
-/// `bc` with the given weight. The traversal backend (list reference or
-/// CSR snapshot) enumerates neighbors in the same order either way, so
-/// the accumulation is bit-identical across backends.
-void BrandesFromSource(const Traversal& g, EdgeDirection dir, NodeId s,
+/// `bc` with the given weight. Neighbors are visited in ascending edge
+/// id, out-edges before in-edges.
+void BrandesFromSource(const CsrSnapshot& g, EdgeDirection dir, NodeId s,
                        double weight, std::vector<double>* bc) {
   size_t n = g.num_nodes();
   std::vector<uint32_t> dist(n, kUnreachable);
@@ -47,9 +45,9 @@ void BrandesFromSource(const Traversal& g, EdgeDirection dir, NodeId s,
         preds[w].push_back(v);
       }
     };
-    g.ForEachOut(v, [&](EdgeId, NodeId w) { visit(w); });
+    for (const CsrSnapshot::Entry& e : g.Out(v)) visit(e.neighbor);
     if (dir == EdgeDirection::kUndirected) {
-      g.ForEachIn(v, [&](EdgeId, NodeId w) { visit(w); });
+      for (const CsrSnapshot::Entry& e : g.In(v)) visit(e.neighbor);
     }
   }
   for (size_t i = order.size(); i-- > 0;) {
@@ -81,13 +79,11 @@ std::vector<double> AddInto(std::vector<double> a,
 
 }  // namespace
 
-std::vector<double> ApproxBetweennessCentrality(const Multigraph& g,
+std::vector<double> ApproxBetweennessCentrality(const CsrSnapshot& g,
                                                 EdgeDirection dir,
                                                 size_t num_pivots, Rng* rng,
-                                                const ParallelOptions& par,
-                                                const CsrSnapshot* snapshot) {
+                                                const ParallelOptions& par) {
   KGQ_SPAN("analytics.brandes_approx");
-  Traversal trav(g, snapshot);
   size_t n = g.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0 || num_pivots == 0) return bc;
@@ -107,19 +103,17 @@ std::vector<double> ApproxBetweennessCentrality(const Multigraph& g,
       [&](size_t lo, size_t hi) {
         std::vector<double> local(n, 0.0);
         for (size_t i = lo; i < hi; ++i) {
-          BrandesFromSource(trav, dir, pool[i], weight, &local);
+          BrandesFromSource(g, dir, pool[i], weight, &local);
         }
         return local;
       },
       AddInto, par);
 }
 
-std::vector<double> BetweennessCentrality(const Multigraph& g,
+std::vector<double> BetweennessCentrality(const CsrSnapshot& g,
                                           EdgeDirection dir,
-                                          const ParallelOptions& par,
-                                          const CsrSnapshot* snapshot) {
+                                          const ParallelOptions& par) {
   KGQ_SPAN("analytics.brandes");
-  Traversal trav(g, snapshot);
   size_t n = g.num_nodes();
   std::vector<double> bc(n, 0.0);
   if (n == 0) return bc;
@@ -128,7 +122,7 @@ std::vector<double> BetweennessCentrality(const Multigraph& g,
       [&](size_t lo, size_t hi) {
         std::vector<double> local(n, 0.0);
         for (NodeId s = lo; s < hi; ++s) {
-          BrandesFromSource(trav, dir, s, /*weight=*/1.0, &local);
+          BrandesFromSource(g, dir, s, /*weight=*/1.0, &local);
         }
         return local;
       },

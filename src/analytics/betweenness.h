@@ -6,7 +6,6 @@
 #include "analytics/shortest_paths.h"
 #include "graph/csr_snapshot.h"
 #include "graph/graph_view.h"
-#include "graph/multigraph.h"
 #include "pathalg/fpras.h"
 #include "rpq/regex.h"
 #include "util/result.h"
@@ -18,29 +17,23 @@ namespace kgq {
 /// Classical betweenness centrality (Freeman):
 ///   bc(x) = Σ_{a≠x, b≠x} |S_{a,b}(x)| / |S_{a,b}|
 /// over all ordered pairs with S_{a,b} ≠ ∅, computed with Brandes'
-/// dependency-accumulation algorithm in O(nm). Source-parallel: each
-/// thread accumulates dependencies into a private vector and partials
-/// are merged in a fixed order, so the result is identical for every
-/// thread count.
-///
-/// When `snapshot` (a CsrSnapshot of g) is given, the per-source BFS
-/// runs over its contiguous adjacency — same visit order, same
-/// floating-point schedule, bit-identical output, less pointer chasing.
-/// A snapshot whose topology does not match g is ignored.
-std::vector<double> BetweennessCentrality(
-    const Multigraph& g, EdgeDirection dir, const ParallelOptions& par = {},
-    const CsrSnapshot* snapshot = nullptr);
+/// dependency-accumulation algorithm in O(nm) over the CSR adjacency.
+/// Source-parallel: each thread accumulates dependencies into a private
+/// vector and partials are merged in a fixed order, so the result is
+/// identical for every thread count.
+std::vector<double> BetweennessCentrality(const CsrSnapshot& g,
+                                          EdgeDirection dir,
+                                          const ParallelOptions& par = {});
 
 /// Brandes-style pivot sampling: run the dependency accumulation from
 /// `num_pivots` random sources only and scale by n/num_pivots — the
 /// classic scalable approximation (Brandes–Pich). Converges to
 /// BetweennessCentrality as num_pivots → n. Pivots are drawn up front
 /// from `rng`, then processed source-parallel: a fixed seed reproduces
-/// bit-identically at any thread count. `snapshot` as in
-/// BetweennessCentrality.
+/// bit-identically at any thread count.
 std::vector<double> ApproxBetweennessCentrality(
-    const Multigraph& g, EdgeDirection dir, size_t num_pivots, Rng* rng,
-    const ParallelOptions& par = {}, const CsrSnapshot* snapshot = nullptr);
+    const CsrSnapshot& g, EdgeDirection dir, size_t num_pivots, Rng* rng,
+    const ParallelOptions& par = {});
 
 /// Knobs for the regex-constrained centrality computations.
 struct BcrOptions {

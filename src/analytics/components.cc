@@ -4,31 +4,6 @@
 
 namespace kgq {
 
-ComponentAssignment WeaklyConnectedComponents(const Multigraph& g) {
-  ComponentAssignment out;
-  out.component.assign(g.num_nodes(), 0xFFFFFFFFu);
-  std::vector<NodeId> stack;
-  for (NodeId seed = 0; seed < g.num_nodes(); ++seed) {
-    if (out.component[seed] != 0xFFFFFFFFu) continue;
-    uint32_t id = out.num_components++;
-    out.component[seed] = id;
-    stack.push_back(seed);
-    while (!stack.empty()) {
-      NodeId n = stack.back();
-      stack.pop_back();
-      auto visit = [&](NodeId to) {
-        if (out.component[to] == 0xFFFFFFFFu) {
-          out.component[to] = id;
-          stack.push_back(to);
-        }
-      };
-      for (EdgeId e : g.OutEdges(n)) visit(g.EdgeTarget(e));
-      for (EdgeId e : g.InEdges(n)) visit(g.EdgeSource(e));
-    }
-  }
-  return out;
-}
-
 ComponentAssignment WeaklyConnectedComponentsCsr(const CsrSnapshot& g) {
   ComponentAssignment out;
   out.component.assign(g.num_nodes(), 0xFFFFFFFFu);

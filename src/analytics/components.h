@@ -16,13 +16,10 @@ struct ComponentAssignment {
   uint32_t num_components = 0;
 };
 
-/// Weakly connected components (edges taken as undirected).
-ComponentAssignment WeaklyConnectedComponents(const Multigraph& g);
-
-/// Weakly connected components over a CSR snapshot — the same traversal
-/// (and therefore the same discovery-order component ids: a component's
-/// id is the rank of its minimum node id) without materializing a
-/// Multigraph. The serving layer's view cache recomputes on this.
+/// Weakly connected components (edges taken as undirected) over a CSR
+/// snapshot. Ids are in discovery order from ascending seeds, so a
+/// component's id is the rank of its minimum node id. The serving
+/// layer's view cache recomputes on this.
 ComponentAssignment WeaklyConnectedComponentsCsr(const CsrSnapshot& g);
 
 /// Strongly connected components (Tarjan, iterative — safe on deep

@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graph/traversal.h"
 #include "obs/obs.h"
 #include "util/thread_pool.h"
 
 namespace kgq {
 
-std::vector<double> PageRank(const Multigraph& g,
+std::vector<double> PageRank(const CsrSnapshot& g,
                              const PageRankOptions& opts) {
   KGQ_SPAN("analytics.pagerank");
   KGQ_COUNTER_INC("analytics.pagerank.runs");
-  Traversal t(g, opts.snapshot);
   size_t n = g.num_nodes();
   if (n == 0) return {};
   const ParallelOptions& par = opts.parallel;
@@ -30,7 +28,7 @@ std::vector<double> PageRank(const Multigraph& g,
         [&](size_t lo, size_t hi) {
           double s = 0.0;
           for (NodeId v = lo; v < hi; ++v) {
-            if (t.OutDegree(v) == 0) s += rank[v];
+            if (g.OutDegree(v) == 0) s += rank[v];
           }
           return s;
         },
@@ -45,10 +43,10 @@ std::vector<double> PageRank(const Multigraph& g,
         [&](size_t lo, size_t hi) {
           for (NodeId v = lo; v < hi; ++v) {
             double sum = base;
-            t.ForEachIn(v, [&](EdgeId, NodeId u) {
-              sum += opts.damping * rank[u] /
-                     static_cast<double>(t.OutDegree(u));
-            });
+            for (const CsrSnapshot::Entry& e : g.In(v)) {
+              sum += opts.damping * rank[e.neighbor] /
+                     static_cast<double>(g.OutDegree(e.neighbor));
+            }
             next[v] = sum;
           }
         },
@@ -301,9 +299,7 @@ PageRankFixpoint PageRankFixpointWarm(
   return r;
 }
 
-HitsScores Hits(const Multigraph& g, size_t iterations,
-                const CsrSnapshot* snapshot) {
-  Traversal t(g, snapshot);
+HitsScores Hits(const CsrSnapshot& g, size_t iterations) {
   size_t n = g.num_nodes();
   HitsScores out;
   out.hub.assign(n, 1.0);
@@ -322,14 +318,16 @@ HitsScores Hits(const Multigraph& g, size_t iterations,
     // authority(v) = Σ hub(u) over edges u→v.
     for (NodeId v = 0; v < n; ++v) {
       double score = 0.0;
-      t.ForEachIn(v, [&](EdgeId, NodeId u) { score += out.hub[u]; });
+      for (const CsrSnapshot::Entry& e : g.In(v)) score += out.hub[e.neighbor];
       out.authority[v] = score;
     }
     normalize(out.authority);
     // hub(v) = Σ authority(w) over edges v→w.
     for (NodeId v = 0; v < n; ++v) {
       double score = 0.0;
-      t.ForEachOut(v, [&](EdgeId, NodeId w) { score += out.authority[w]; });
+      for (const CsrSnapshot::Entry& e : g.Out(v)) {
+        score += out.authority[e.neighbor];
+      }
       out.hub[v] = score;
     }
     normalize(out.hub);

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/csr_snapshot.h"
-#include "graph/multigraph.h"
 #include "util/thread_pool.h"
 
 namespace kgq {
@@ -21,16 +20,12 @@ struct PageRankOptions {
   /// the L1 delta with a deterministic tree, so results are identical
   /// for every thread count.
   ParallelOptions parallel;
-  /// Optional CSR snapshot of the ranked graph: the pull loop then
-  /// gathers over the snapshot's contiguous in view instead of the
-  /// per-node edge lists. Same gather order, bit-identical scores; a
-  /// snapshot of a different topology is ignored.
-  const CsrSnapshot* snapshot = nullptr;
 };
 
 /// PageRank by power iteration with uniform teleport; dangling mass is
-/// redistributed uniformly. Scores sum to 1.
-std::vector<double> PageRank(const Multigraph& g,
+/// redistributed uniformly. Scores sum to 1. Each node gathers over its
+/// CSR in view, in ascending edge id.
+std::vector<double> PageRank(const CsrSnapshot& g,
                              const PageRankOptions& opts = {});
 
 /// Fixed-point scale of the integer PageRank lattice: ranks are
@@ -82,13 +77,11 @@ PageRankFixpoint PageRankFixpointWarm(
     const ParallelOptions& par = {});
 
 /// Hub and authority scores (Kleinberg's HITS), L2-normalized.
-/// `snapshot` as in PageRankOptions.
 struct HitsScores {
   std::vector<double> hub;
   std::vector<double> authority;
 };
-HitsScores Hits(const Multigraph& g, size_t iterations = 50,
-                const CsrSnapshot* snapshot = nullptr);
+HitsScores Hits(const CsrSnapshot& g, size_t iterations = 50);
 
 }  // namespace kgq
 

@@ -14,47 +14,24 @@ namespace {
 /// node count, and each output row is owned by one chunk.
 constexpr size_t kNodeTile = 32;
 
-/// A relation name resolved against one adjacency backend, hoisted out
-/// of the node loop. `all` = "" (aggregate every edge); a named label
-/// absent from the graph/snapshot has `all == false && !id` and
-/// aggregates nothing (the weight still contributes its zero dot
-/// product, exactly like the unresolved-label path always has).
-struct ListRel {
-  bool all = false;
-  std::optional<ConstId> id;
-};
-struct CsrRel {
+/// A relation name resolved against the snapshot, hoisted out of the
+/// node loop. `all` = "" (aggregate every edge); a named label no edge
+/// carries has `all == false && !id` and aggregates nothing (the weight
+/// still contributes its zero dot product).
+struct Relation {
   bool all = false;
   std::optional<LabelId> id;
 };
 
-ListRel ResolveList(const LabeledGraph& g, const std::string& rel) {
-  if (rel.empty()) return {true, std::nullopt};
-  return {false, g.dict().Find(rel)};
-}
-
-CsrRel ResolveCsr(const CsrSnapshot& snap, const std::string& rel) {
+Relation Resolve(const CsrSnapshot& snap, const std::string& rel) {
   if (rel.empty()) return {true, std::nullopt};
   return {false, snap.FindLabel(rel)};
 }
 
 /// Σ x_u over the relevant neighbors of v — ascending edge id, the
 /// canonical aggregation order shared with gnn/spmm.h.
-void AggregateList(const LabeledGraph& g, const Matrix& features, NodeId v,
-                   const ListRel& rel, bool incoming, double* acc) {
-  if (!rel.all && !rel.id.has_value()) return;
-  const std::vector<EdgeId>& edges =
-      incoming ? g.InEdges(v) : g.OutEdges(v);
-  for (EdgeId e : edges) {
-    if (rel.id.has_value() && g.EdgeLabel(e) != *rel.id) continue;
-    NodeId u = incoming ? g.EdgeSource(e) : g.EdgeTarget(e);
-    const double* row = features.row(u);
-    for (size_t c = 0; c < features.cols(); ++c) acc[c] += row[c];
-  }
-}
-
-void AggregateCsr(const CsrSnapshot& snap, const Matrix& features, NodeId v,
-                  const CsrRel& rel, bool incoming, double* acc) {
+void Aggregate(const CsrSnapshot& snap, const Matrix& features, NodeId v,
+               const Relation& rel, bool incoming, double* acc) {
   if (!rel.all && !rel.id.has_value()) return;
   CsrSnapshot::Span span =
       rel.id.has_value()
@@ -72,10 +49,9 @@ void AggregateCsr(const CsrSnapshot& snap, const Matrix& features, NodeId v,
 /// floating-point operation sequence (one ascending-k register dot per
 /// weight matrix, added in declaration order onto the bias; neighbor
 /// sums in ascending edge id), so the result is bit-identical across
-/// backend × adjacency × thread count.
-Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
-                const CsrSnapshot* snap, const Matrix& x,
-                const GnnOptions& opts) {
+/// backend × thread count.
+Matrix LayerPre(const GnnLayer& layer, const CsrSnapshot& snap,
+                const Matrix& x, const GnnOptions& opts) {
   const size_t n = x.rows();
   const size_t in_dim = layer.in_dim();
   const size_t out_dim = layer.out_dim();
@@ -89,11 +65,7 @@ Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
     auto relation_term = [&](const std::string& rel, const Matrix& weights,
                              bool incoming) {
       scratch.SetZero();
-      if (snap != nullptr) {
-        SpmmAggregateCsr(*snap, x, rel, incoming, &scratch, opts.parallel);
-      } else {
-        SpmmAggregateList(graph, x, rel, incoming, &scratch, opts.parallel);
-      }
+      SpmmAggregateCsr(snap, x, rel, incoming, &scratch, opts.parallel);
       GemmTransB(scratch, weights, &pre, opts.parallel);
     };
     for (const auto& [rel, weights] : layer.in_rel) {
@@ -106,22 +78,12 @@ Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
   }
 
   // kNodeLoop: the per-node reference shape, tiled across threads.
-  std::vector<ListRel> list_in, list_out;
-  std::vector<CsrRel> csr_in, csr_out;
-  if (snap != nullptr) {
-    for (const auto& [rel, w] : layer.in_rel) {
-      csr_in.push_back(ResolveCsr(*snap, rel));
-    }
-    for (const auto& [rel, w] : layer.out_rel) {
-      csr_out.push_back(ResolveCsr(*snap, rel));
-    }
-  } else {
-    for (const auto& [rel, w] : layer.in_rel) {
-      list_in.push_back(ResolveList(graph, rel));
-    }
-    for (const auto& [rel, w] : layer.out_rel) {
-      list_out.push_back(ResolveList(graph, rel));
-    }
+  std::vector<Relation> rel_in, rel_out;
+  for (const auto& [rel, w] : layer.in_rel) {
+    rel_in.push_back(Resolve(snap, rel));
+  }
+  for (const auto& [rel, w] : layer.out_rel) {
+    rel_out.push_back(Resolve(snap, rel));
   }
   ParallelFor(
       0, n, kNodeTile,
@@ -133,30 +95,31 @@ Matrix LayerPre(const GnnLayer& layer, const LabeledGraph& graph,
           layer.self.MultiplyAccumulate(x.row(v), out);
           for (size_t r = 0; r < layer.in_rel.size(); ++r) {
             agg.assign(in_dim, 0.0);
-            if (snap != nullptr) {
-              AggregateCsr(*snap, x, v, csr_in[r], /*incoming=*/true,
-                           agg.data());
-            } else {
-              AggregateList(graph, x, v, list_in[r], /*incoming=*/true,
-                            agg.data());
-            }
+            Aggregate(snap, x, v, rel_in[r], /*incoming=*/true, agg.data());
             layer.in_rel[r].second.MultiplyAccumulate(agg.data(), out);
           }
           for (size_t r = 0; r < layer.out_rel.size(); ++r) {
             agg.assign(in_dim, 0.0);
-            if (snap != nullptr) {
-              AggregateCsr(*snap, x, v, csr_out[r], /*incoming=*/false,
-                           agg.data());
-            } else {
-              AggregateList(graph, x, v, list_out[r], /*incoming=*/false,
-                            agg.data());
-            }
+            Aggregate(snap, x, v, rel_out[r], /*incoming=*/false, agg.data());
             layer.out_rel[r].second.MultiplyAccumulate(agg.data(), out);
           }
         }
       },
       opts.parallel);
   return pre;
+}
+
+/// The feature matrix must be num_nodes × input_dim.
+Status CheckFeatureShape(const CsrSnapshot& graph, const Matrix& features,
+                         size_t input_dim) {
+  if (features.rows() == graph.num_nodes() && features.cols() == input_dim) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "feature matrix must be num_nodes × input_dim (" +
+      std::to_string(graph.num_nodes()) + "×" + std::to_string(input_dim) +
+      "), got " + std::to_string(features.rows()) + "×" +
+      std::to_string(features.cols()));
 }
 
 }  // namespace
@@ -175,47 +138,29 @@ void AcGnn::SetReadout(std::vector<double> weights, double bias) {
   readout_bias_ = bias;
 }
 
-Result<Matrix> AcGnn::Run(const LabeledGraph& graph, const Matrix& features,
+Result<Matrix> AcGnn::Run(const CsrSnapshot& graph, const Matrix& features,
                           const GnnOptions& opts) const {
-  if (features.rows() != graph.num_nodes() ||
-      features.cols() != input_dim_) {
-    return Status::InvalidArgument(
-        "feature matrix must be num_nodes × input_dim (" +
-        std::to_string(graph.num_nodes()) + "×" +
-        std::to_string(input_dim_) + "), got " +
-        std::to_string(features.rows()) + "×" +
-        std::to_string(features.cols()));
-  }
+  KGQ_RETURN_IF_ERROR(CheckFeatureShape(graph, features, input_dim_));
   KGQ_SPAN("gnn.forward");
-  const CsrSnapshot* snap = EffectiveSnapshot(opts, graph.topology());
   Matrix current = features;
   for (const GnnLayer& layer : layers_) {
-    Matrix pre = LayerPre(layer, graph, snap, current, opts);
+    Matrix pre = LayerPre(layer, graph, current, opts);
     TruncatedReluRows(&pre, opts.parallel);
     current = std::move(pre);
   }
   return current;
 }
 
-Result<ForwardTrace> AcGnn::RunTraced(const LabeledGraph& graph,
+Result<ForwardTrace> AcGnn::RunTraced(const CsrSnapshot& graph,
                                       const Matrix& features,
                                       const GnnOptions& opts) const {
-  if (features.rows() != graph.num_nodes() ||
-      features.cols() != input_dim_) {
-    return Status::InvalidArgument(
-        "feature matrix must be num_nodes × input_dim (" +
-        std::to_string(graph.num_nodes()) + "×" +
-        std::to_string(input_dim_) + "), got " +
-        std::to_string(features.rows()) + "×" +
-        std::to_string(features.cols()));
-  }
+  KGQ_RETURN_IF_ERROR(CheckFeatureShape(graph, features, input_dim_));
   KGQ_SPAN("gnn.forward");
-  const CsrSnapshot* snap = EffectiveSnapshot(opts, graph.topology());
   ForwardTrace trace;
   trace.activations.push_back(features);
   trace.pre.reserve(layers_.size());
   for (const GnnLayer& layer : layers_) {
-    Matrix pre = LayerPre(layer, graph, snap, trace.activations.back(), opts);
+    Matrix pre = LayerPre(layer, graph, trace.activations.back(), opts);
     Matrix act = pre;
     TruncatedReluRows(&act, opts.parallel);
     trace.pre.push_back(std::move(pre));
@@ -224,7 +169,7 @@ Result<ForwardTrace> AcGnn::RunTraced(const LabeledGraph& graph,
   return trace;
 }
 
-Result<Bitset> AcGnn::Classify(const LabeledGraph& graph,
+Result<Bitset> AcGnn::Classify(const CsrSnapshot& graph,
                                const Matrix& features,
                                const GnnOptions& opts) const {
   if (readout_weights_.size() != output_dim()) {

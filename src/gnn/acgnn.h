@@ -7,6 +7,7 @@
 
 #include "gnn/matrix.h"
 #include "gnn/options.h"
+#include "graph/csr_snapshot.h"
 #include "graph/labeled_graph.h"
 #include "util/bitset.h"
 #include "util/result.h"
@@ -47,9 +48,12 @@ struct ForwardTrace {
 /// (Barceló et al.): Classify() returns the set of nodes the network
 /// accepts, comparable 1:1 with EvalModal / EvalFoNaive.
 ///
-/// Execution is configurable through GnnOptions (dense backend,
-/// adjacency source, thread count); every configuration returns
-/// bit-identical features — the option can only change speed.
+/// The forward pass reads only the graph's adjacency, edge labels and
+/// node count, so it takes the graph's CsrSnapshot; node labels enter
+/// through the feature matrix (OneHotLabels). Execution is configurable
+/// through GnnOptions (dense backend, thread count); every
+/// configuration returns bit-identical features — the option can only
+/// change speed.
 class AcGnn {
  public:
   /// Creates a network reading `input_dim` features per node.
@@ -71,25 +75,17 @@ class AcGnn {
 
   /// Runs message passing; `features` is n×input_dim; returns the final
   /// n×output_dim feature matrix (the λ' of the paper's definition).
-  Result<Matrix> Run(const LabeledGraph& graph, const Matrix& features,
-                     const GnnOptions& opts) const;
-  Result<Matrix> Run(const LabeledGraph& graph,
-                     const Matrix& features) const {
-    return Run(graph, features, GnnOptions{});
-  }
+  Result<Matrix> Run(const CsrSnapshot& graph, const Matrix& features,
+                     const GnnOptions& opts = {}) const;
 
   /// Runs and applies the readout, returning the accepted node set.
-  Result<Bitset> Classify(const LabeledGraph& graph, const Matrix& features,
-                          const GnnOptions& opts) const;
-  Result<Bitset> Classify(const LabeledGraph& graph,
-                          const Matrix& features) const {
-    return Classify(graph, features, GnnOptions{});
-  }
+  Result<Bitset> Classify(const CsrSnapshot& graph, const Matrix& features,
+                          const GnnOptions& opts = {}) const;
 
   /// Like Run, but keeps every layer's input and pre-activation — the
   /// forward half of backprop. activations.back() equals Run()'s result
   /// bit-for-bit under every GnnOptions.
-  Result<ForwardTrace> RunTraced(const LabeledGraph& graph,
+  Result<ForwardTrace> RunTraced(const CsrSnapshot& graph,
                                  const Matrix& features,
                                  const GnnOptions& opts = {}) const;
 

@@ -70,7 +70,7 @@ Matrix CompiledGnn::Encode(const LabeledGraph& graph) const {
 
 Result<Bitset> CompiledGnn::Evaluate(const LabeledGraph& graph,
                                      const GnnOptions& opts) const {
-  return gnn.Classify(graph, Encode(graph), opts);
+  return gnn.Classify(CsrSnapshot::FromGraph(graph), Encode(graph), opts);
 }
 
 Result<CompiledGnn> CompileModalToGnn(const ModalFormula& formula) {

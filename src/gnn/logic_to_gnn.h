@@ -32,9 +32,10 @@ struct CompiledGnn {
   /// columns one-hot, everything else zero.
   Matrix Encode(const LabeledGraph& graph) const;
 
-  /// Runs the network and thresholds the root feature. The options pick
-  /// backend / adjacency / threads (gnn/options.h) — the accepted set is
-  /// identical under every configuration.
+  /// Runs the network over the graph's CsrSnapshot, built once per call,
+  /// and thresholds the root feature. The options pick backend / threads
+  /// (gnn/options.h) — the accepted set is identical under every
+  /// configuration.
   Result<Bitset> Evaluate(const LabeledGraph& graph,
                           const GnnOptions& opts = {}) const;
 };

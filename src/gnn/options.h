@@ -1,7 +1,6 @@
 #ifndef KGQ_GNN_OPTIONS_H_
 #define KGQ_GNN_OPTIONS_H_
 
-#include "graph/csr_snapshot.h"
 #include "util/thread_pool.h"
 
 namespace kgq {
@@ -21,45 +20,22 @@ enum class GnnBackend {
 };
 
 /// Execution knobs shared by the neural kernels (AC-GNN forward,
-/// logic→GNN evaluation, WL refinement, GNN training forward passes) —
-/// the Traversal-style opt-in of the neural substrate:
+/// logic→GNN evaluation, GNN training forward passes). Every kernel
+/// aggregates over the graph's CsrSnapshot:
 ///
-///   CsrSnapshot snap = CsrSnapshot::FromGraph(g);
+///   CsrSnapshot snap = CsrSnapshot::FromGraph(g);  // once per graph
 ///   GnnOptions opts;
-///   opts.snapshot = &snap;              // aggregation over CSR arrays
-///   opts.parallel.num_threads = 4;      // 1 = sequential reference
-///   Matrix out = *gnn.Run(g, x, opts);  // bit-identical either way
+///   opts.parallel.num_threads = 4;         // 1 = sequential reference
+///   Matrix out = *gnn.Run(snap, x, opts);  // bit-identical either way
 ///
-/// Backend and snapshot are orthogonal axes: `backend` picks the dense
-/// arithmetic (node loop vs blocked GEMM), `snapshot` picks the
-/// adjacency source of the neighbor aggregation (the mutable model's
-/// edge lists vs the immutable CSR arrays). All four combinations are
-/// bit-identical; the benches sweep node-loop / GEMM+list / GEMM+CSR.
+/// Every backend × thread-count combination is bit-identical.
 struct GnnOptions {
   GnnBackend backend = GnnBackend::kGemm;
 
   /// Thread count for the row-parallel phases; the usual contract
   /// (0 = hardware, 1 = calling thread only, any value bit-identical).
   ParallelOptions parallel;
-
-  /// Optional CSR adjacency for the aggregation phase. A snapshot of a
-  /// different topology is ignored (silent fallback to the edge lists,
-  /// like Traversal); must outlive the call.
-  const CsrSnapshot* snapshot = nullptr;
 };
-
-/// The snapshot a kernel should actually use: opts.snapshot when it
-/// describes exactly `topology`, nullptr otherwise (the Traversal
-/// idiom — a stale snapshot silently falls back to the edge lists
-/// instead of corrupting results).
-inline const CsrSnapshot* EffectiveSnapshot(const GnnOptions& opts,
-                                            const Multigraph& topology) {
-  if (opts.snapshot != nullptr &&
-      opts.snapshot->MatchesTopology(topology)) {
-    return opts.snapshot;
-  }
-  return nullptr;
-}
 
 }  // namespace kgq
 

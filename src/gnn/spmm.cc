@@ -18,34 +18,6 @@ inline void AddRow(const double* src, double* dst, size_t cols) {
 
 }  // namespace
 
-void SpmmAggregateList(const LabeledGraph& g, const Matrix& features,
-                       const std::string& rel, bool incoming, Matrix* agg,
-                       const ParallelOptions& par) {
-  KGQ_COUNTER_ADD("gnn.spmm.rows", g.num_nodes());
-  std::optional<ConstId> want =
-      rel.empty() ? std::nullopt : g.dict().Find(rel);
-  if (!rel.empty() && !want.has_value()) return;
-  const size_t cols = features.cols();
-  ParallelFor(
-      0, g.num_nodes(), kRowTile,
-      [&](size_t lo, size_t hi) {
-        size_t nnz = 0;
-        for (NodeId v = lo; v < hi; ++v) {
-          double* dst = agg->row(v);
-          const std::vector<EdgeId>& edges =
-              incoming ? g.InEdges(v) : g.OutEdges(v);
-          for (EdgeId e : edges) {
-            if (want.has_value() && g.EdgeLabel(e) != *want) continue;
-            NodeId u = incoming ? g.EdgeSource(e) : g.EdgeTarget(e);
-            AddRow(features.row(u), dst, cols);
-            ++nnz;
-          }
-        }
-        KGQ_COUNTER_ADD("gnn.spmm.nnz", nnz);
-      },
-      par);
-}
-
 void SpmmAggregateCsr(const CsrSnapshot& snap, const Matrix& features,
                       const std::string& rel, bool incoming, Matrix* agg,
                       const ParallelOptions& par) {

@@ -15,33 +15,13 @@ double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 /// Row tile of the parallel backward phases (row-owned writes only).
 constexpr size_t kRowTile = 64;
 
-/// Neighbor sums of `features` for one relation at every node —
-/// SpMM over whichever adjacency backend the options selected.
-Matrix Aggregate(const LabeledGraph& g, const CsrSnapshot* snap,
-                 const Matrix& features, const std::string& rel,
-                 bool incoming, const ParallelOptions& par) {
+/// Neighbor sums of `features` for one relation at every node.
+Matrix Aggregate(const CsrSnapshot& g, const Matrix& features,
+                 const std::string& rel, bool incoming,
+                 const ParallelOptions& par) {
   Matrix out(features.rows(), features.cols());
-  if (snap != nullptr) {
-    SpmmAggregateCsr(*snap, features, rel, incoming, &out, par);
-  } else {
-    SpmmAggregateList(g, features, rel, incoming, &out, par);
-  }
+  SpmmAggregateCsr(g, features, rel, incoming, &out, par);
   return out;
-}
-
-/// Scatter of gradients back to senders: the transpose of Aggregate,
-/// which over a fixed edge set is exactly the aggregation in the
-/// opposite direction (sender rows collect grad rows of their
-/// receivers in ascending edge id — the same per-row order the
-/// sequential edge scan produced).
-void ScatterGrad(const LabeledGraph& g, const CsrSnapshot* snap,
-                 const Matrix& grad, const std::string& rel, bool incoming,
-                 Matrix* out, const ParallelOptions& par) {
-  if (snap != nullptr) {
-    SpmmAggregateCsr(*snap, grad, rel, !incoming, out, par);
-  } else {
-    SpmmAggregateList(g, grad, rel, !incoming, out, par);
-  }
 }
 
 /// One gradient-descent step over one example; returns the BCE loss.
@@ -52,9 +32,8 @@ void ScatterGrad(const LabeledGraph& g, const CsrSnapshot* snap,
 /// ascending node order — the step is bit-identical for every
 /// GnnOptions configuration.
 double Step(AcGnn* gnn, std::vector<double>* readout_w, double* readout_b,
-            const LabeledGraph& g, const CsrSnapshot* snap,
-            const Matrix& input, const Bitset& targets, double lr,
-            const GnnOptions& fwd) {
+            const CsrSnapshot& g, const Matrix& input,
+            const Bitset& targets, double lr, const GnnOptions& fwd) {
   ForwardTrace cache = std::move(gnn->RunTraced(g, input, fwd)).value();
   const ParallelOptions& par = fwd.parallel;
   const Matrix& out = cache.activations.back();
@@ -142,7 +121,7 @@ double Step(AcGnn* gnn, std::vector<double>* readout_w, double* readout_b,
                                      rels,
                                  bool incoming) {
       for (auto& [rel, weights] : rels) {
-        Matrix agg = Aggregate(g, snap, x, rel, incoming, par);
+        Matrix agg = Aggregate(g, x, rel, incoming, par);
         // dagg = W^T dpre (per node), scattered to senders. Weights are
         // constant throughout this loop, so rows parallelize.
         Matrix dagg(x.rows(), in_dim);
@@ -160,7 +139,11 @@ double Step(AcGnn* gnn, std::vector<double>* readout_w, double* readout_b,
               }
             },
             par);
-        ScatterGrad(g, snap, dagg, rel, incoming, &dx, par);
+        // Scatter back to senders: the transpose of Aggregate, which over
+        // a fixed edge set is the aggregation in the opposite direction
+        // (sender rows collect grad rows of their receivers in ascending
+        // edge id).
+        SpmmAggregateCsr(g, dagg, rel, !incoming, &dx, par);
         for (NodeId v = 0; v < x.rows(); ++v) {
           const double* dp = dpre.row(v);
           const double* av = agg.row(v);
@@ -220,18 +203,18 @@ Result<AcGnn> TrainGnnClassifier(const std::vector<GnnExample>& examples,
   double readout_b = 0.0;
 
   std::vector<Matrix> inputs;
-  std::vector<const CsrSnapshot*> snaps;
+  std::vector<CsrSnapshot> snaps;
   inputs.reserve(examples.size());
   snaps.reserve(examples.size());
   for (const GnnExample& ex : examples) {
     inputs.push_back(AcGnn::OneHotLabels(*ex.graph, label_universe));
-    snaps.push_back(EffectiveSnapshot(opts.forward, ex.graph->topology()));
+    snaps.push_back(CsrSnapshot::FromGraph(*ex.graph));
   }
 
   for (size_t epoch = 0; epoch < opts.epochs; ++epoch) {
     for (size_t i = 0; i < examples.size(); ++i) {
-      Step(&gnn, &readout_w, &readout_b, *examples[i].graph, snaps[i],
-           inputs[i], examples[i].targets, opts.learning_rate, opts.forward);
+      Step(&gnn, &readout_w, &readout_b, snaps[i], inputs[i],
+           examples[i].targets, opts.learning_rate, opts.forward);
     }
   }
 
@@ -247,8 +230,9 @@ Result<double> ClassifierAccuracy(const AcGnn& gnn,
                                   const GnnExample& example,
                                   const GnnOptions& opts) {
   Matrix input = AcGnn::OneHotLabels(*example.graph, universe);
-  KGQ_ASSIGN_OR_RETURN(Bitset predicted,
-                       gnn.Classify(*example.graph, input, opts));
+  KGQ_ASSIGN_OR_RETURN(
+      Bitset predicted,
+      gnn.Classify(CsrSnapshot::FromGraph(*example.graph), input, opts));
   size_t n = example.graph->num_nodes();
   size_t correct = 0;
   for (NodeId v = 0; v < n; ++v) {

@@ -20,10 +20,10 @@ struct GnnTrainOptions {
   uint64_t seed = 0x9E77ull;
 
   /// Execution of every forward pass and of the parallelizable backward
-  /// phases (backend, adjacency source, threads). The trained weights
-  /// are bit-identical under every configuration: weight updates stay
-  /// sequential in the canonical node order, and all parallel phases
-  /// write thread-owned rows only.
+  /// phases (backend, threads). The trained weights are bit-identical
+  /// under every configuration: weight updates stay sequential in the
+  /// canonical node order, and all parallel phases write thread-owned
+  /// rows only.
   GnnOptions forward;
 };
 
@@ -43,12 +43,14 @@ struct GnnExample {
 /// entropy; Classify() then thresholds at 0.5 as usual. Combined with
 /// the Section 4.3 correspondence, what such a network can possibly
 /// learn is bounded by 1-WL — the tests drive both sides of that line.
+/// Each example's CsrSnapshot is built once, before the first epoch.
 Result<AcGnn> TrainGnnClassifier(const std::vector<GnnExample>& examples,
                                  const std::vector<std::string>& label_universe,
                                  const std::vector<std::string>& relations,
                                  const GnnTrainOptions& opts);
 
-/// Fraction of nodes of `example` the classifier gets right.
+/// Fraction of nodes of `example` the classifier gets right (one
+/// CsrSnapshot build per call).
 Result<double> ClassifierAccuracy(const AcGnn& gnn,
                                   const std::vector<std::string>& universe,
                                   const GnnExample& example,

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <utility>
 
+#include "graph/csr_snapshot.h"
 #include "obs/obs.h"
 
 namespace kgq {
@@ -19,10 +20,7 @@ constexpr size_t kNodeTile = 64;
 WlResult WlColorRefinement(const LabeledGraph& graph, const WlOptions& opts) {
   KGQ_SPAN("gnn.wl");
   size_t n = graph.num_nodes();
-  const CsrSnapshot* snap = opts.snapshot;
-  if (snap != nullptr && !snap->MatchesTopology(graph.topology())) {
-    snap = nullptr;
-  }
+  const CsrSnapshot snap = CsrSnapshot::FromGraph(graph);
   WlResult out;
   out.colors.assign(n, 0);
 
@@ -38,12 +36,10 @@ WlResult WlColorRefinement(const LabeledGraph& graph, const WlOptions& opts) {
   }
 
   // Signature: (own color, sorted multiset of (edge label, dir, color)).
-  // The label key is the graph's ConstId on the list path and the
-  // snapshot's dense LabelId on the CSR path; both are injective
-  // relabelings of the same labels, so the multiset *partition* — hence
-  // every color id, which is first-appearance order over ascending v —
-  // is identical either way.
-  using Neighbor = std::tuple<uint64_t, int, uint32_t>;
+  // The label key is the snapshot's dense LabelId, an injective
+  // relabeling of the edge labels, so it induces the same partition —
+  // and every color id is first-appearance order over ascending v.
+  using Neighbor = std::tuple<LabelId, int, uint32_t>;
   using Signature = std::pair<uint32_t, std::vector<Neighbor>>;
 
   std::vector<Signature> sigs(n);
@@ -57,22 +53,11 @@ WlResult WlColorRefinement(const LabeledGraph& graph, const WlOptions& opts) {
             Signature& sig = sigs[v];
             sig.first = out.colors[v];
             sig.second.clear();
-            if (snap != nullptr) {
-              for (const CsrSnapshot::Entry& a : snap->Out(v)) {
-                sig.second.emplace_back(a.label, 0, out.colors[a.neighbor]);
-              }
-              for (const CsrSnapshot::Entry& a : snap->In(v)) {
-                sig.second.emplace_back(a.label, 1, out.colors[a.neighbor]);
-              }
-            } else {
-              for (EdgeId e : graph.OutEdges(v)) {
-                sig.second.emplace_back(graph.EdgeLabel(e), 0,
-                                        out.colors[graph.EdgeTarget(e)]);
-              }
-              for (EdgeId e : graph.InEdges(v)) {
-                sig.second.emplace_back(graph.EdgeLabel(e), 1,
-                                        out.colors[graph.EdgeSource(e)]);
-              }
+            for (const CsrSnapshot::Entry& a : snap.Out(v)) {
+              sig.second.emplace_back(a.label, 0, out.colors[a.neighbor]);
+            }
+            for (const CsrSnapshot::Entry& a : snap.In(v)) {
+              sig.second.emplace_back(a.label, 1, out.colors[a.neighbor]);
             }
             std::sort(sig.second.begin(), sig.second.end());
           }
@@ -80,7 +65,8 @@ WlResult WlColorRefinement(const LabeledGraph& graph, const WlOptions& opts) {
         opts.parallel);
 
     // Interning stays sequential: color ids are first-appearance order
-    // over ascending v (the canonical numbering every backend shares).
+    // over ascending v (the canonical numbering every thread count
+    // shares).
     std::map<Signature, uint32_t> remap;
     std::vector<uint32_t> next(n);
     for (NodeId v = 0; v < n; ++v) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr_snapshot.h"
 #include "graph/labeled_graph.h"
 #include "util/thread_pool.h"
 
@@ -25,18 +24,14 @@ struct WlOptions {
   /// Thread count for the per-round signature build (the interning pass
   /// stays sequential — color ids are first-appearance order).
   ParallelOptions parallel;
-
-  /// Optional CSR adjacency; neighbor signatures then read the packed
-  /// entry arrays instead of chasing edge-id lists. A snapshot of a
-  /// different topology is ignored; must outlive the call.
-  const CsrSnapshot* snapshot = nullptr;
 };
 
 /// 1-WL color refinement on a labeled graph (Section 4.3): the initial
 /// color is the node label; each round recolors a node by its current
 /// color plus the multiset of (edge label, direction, neighbor color)
 /// triples over its incident edges. Stops when the partition stops
-/// splitting (≤ n rounds).
+/// splitting (≤ n rounds). Neighbor signatures read the graph's
+/// CsrSnapshot, built once per call.
 ///
 /// Two nodes with equal stable colors cannot be distinguished by *any*
 /// AC-GNN (Morris et al. / Xu et al., combined with Barceló et al. this

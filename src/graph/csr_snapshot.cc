@@ -592,18 +592,6 @@ CsrSnapshot::Span CsrSnapshot::ForLabel(const std::vector<Entry>& entries,
   return {first, static_cast<size_t>(last - first)};
 }
 
-bool CsrSnapshot::MatchesTopology(const Multigraph& g) const {
-  if (g.num_nodes() != num_nodes_ || g.num_edges() != sources_.size()) {
-    return false;
-  }
-  for (EdgeId e = 0; e < sources_.size(); ++e) {
-    if (g.EdgeSource(e) != sources_[e] || g.EdgeTarget(e) != targets_[e]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<CsrSnapshot::EdgeRecord> CsrSnapshot::ToEdgeList() const {
   std::vector<EdgeRecord> out(sources_.size());
   for (EdgeId e = 0; e < sources_.size(); ++e) {

@@ -42,11 +42,12 @@ inline constexpr LabelId kNoLabel = 0xFFFFFFFFu;
 ///
 /// Ordering contract: `Out(n)` and `In(n)` enumerate edges in ascending
 /// edge id — exactly the insertion order of `Multigraph::OutEdges` /
-/// `InEdges`. Kernels that branch between the list-based reference and
-/// a snapshot therefore see the *same step sequence* either way, which
-/// is what makes CSR-backed results bit-identical (including the
+/// `InEdges`. A path kernel over a view with a CSR therefore takes the
+/// *same step sequence* as over the plain view's lists, which is what
+/// makes CSR-backed results bit-identical (including the
 /// rng-stream-sensitive FPRAS); `tests/test_csr_equivalence.cc`
-/// enforces this.
+/// enforces this. The analytics and neural kernels read only the
+/// snapshot; within a node they visit neighbors in this order.
 ///
 /// Sortedness property (`label_spans_sorted()`): whether every
 /// label-partition span also lists its neighbors in nondecreasing order.
@@ -62,8 +63,8 @@ inline constexpr LabelId kNoLabel = 0xFFFFFFFFu;
 ///
 /// A snapshot does not own or observe its source graph afterwards: it
 /// copies everything it needs (including label spellings), so the
-/// source may mutate or die. Conversely a snapshot attached to a kernel
-/// must outlive that kernel.
+/// source may mutate or die. A kernel reads the snapshot it is handed
+/// for the duration of the call; a view that carries one keeps it alive.
 class CsrSnapshot {
  public:
   /// One adjacency slot: the crossed edge, the node on the other side
@@ -202,11 +203,6 @@ class CsrSnapshot {
   /// neighbor (duplicates, i.e. parallel edges, adjacent) — see the
   /// class comment.
   bool label_spans_sorted() const { return label_spans_sorted_; }
-
-  /// True iff this snapshot describes exactly the topology of `g`
-  /// (same node count, edge count and per-edge endpoints) — the cheap
-  /// compatibility check kernels run before trusting a snapshot.
-  bool MatchesTopology(const Multigraph& g) const;
 
   /// One edge as (source, target, label spelling).
   struct EdgeRecord {

@@ -58,8 +58,8 @@ class ViewCache {
 
   /// Weakly connected components of `snap`'s graph. Component ids are
   /// discovery-order (the id of a component is the rank of its minimum
-  /// node id), identical to WeaklyConnectedComponents on the epoch's
-  /// materialized graph.
+  /// node id), identical to WeaklyConnectedComponentsCsr on the epoch's
+  /// CSR.
   std::shared_ptr<const ComponentAssignment> Components(const EpochPtr& snap);
 
   /// Integer fixed-point PageRank (kPageRankScale units); the canonical

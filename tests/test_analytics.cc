@@ -65,7 +65,8 @@ TEST(ComponentsTest, WeakComponents) {
   g.AddEdge(0, 1).value();
   g.AddEdge(2, 1).value();  // 0,1,2 weakly connected.
   g.AddEdge(3, 4).value();  // 3,4 connected; 5 isolated.
-  ComponentAssignment wcc = WeaklyConnectedComponents(g);
+  ComponentAssignment wcc =
+      WeaklyConnectedComponentsCsr(CsrSnapshot::FromTopology(g));
   EXPECT_EQ(wcc.num_components, 3u);
   EXPECT_EQ(wcc.component[0], wcc.component[1]);
   EXPECT_EQ(wcc.component[1], wcc.component[2]);
@@ -101,7 +102,7 @@ TEST(ComponentsTest, StrongComponentsOnLargeCycleNoOverflow) {
 TEST(PageRankTest, SumsToOneAndRanksHubs) {
   Rng rng(5);
   LabeledGraph g = BarabasiAlbert(200, 3, {"n"}, {"e"}, &rng);
-  std::vector<double> pr = PageRank(g.topology());
+  std::vector<double> pr = PageRank(CsrSnapshot::FromGraph(g));
   double sum = std::accumulate(pr.begin(), pr.end(), 0.0);
   EXPECT_NEAR(sum, 1.0, 1e-6);
   // Preferential attachment: early nodes should dominate the tail.
@@ -112,14 +113,14 @@ TEST(PageRankTest, SumsToOneAndRanksHubs) {
 
 TEST(PageRankTest, SymmetricCycleIsUniform) {
   LabeledGraph g = Cycle(10, "n", "e");
-  std::vector<double> pr = PageRank(g.topology());
+  std::vector<double> pr = PageRank(CsrSnapshot::FromGraph(g));
   for (double v : pr) EXPECT_NEAR(v, 0.1, 1e-9);
 }
 
 TEST(PageRankTest, DanglingMassHandled) {
   Multigraph g(2);
   g.AddEdge(0, 1).value();  // Node 1 dangles.
-  std::vector<double> pr = PageRank(g);
+  std::vector<double> pr = PageRank(CsrSnapshot::FromTopology(g));
   EXPECT_NEAR(pr[0] + pr[1], 1.0, 1e-9);
   EXPECT_GT(pr[1], pr[0]);  // 1 receives everything 0 emits.
 }
@@ -130,7 +131,7 @@ TEST(HitsTest, StarHubAndAuthority) {
   g.AddEdge(0, 1).value();
   g.AddEdge(0, 2).value();
   g.AddEdge(0, 3).value();
-  HitsScores scores = Hits(g);
+  HitsScores scores = Hits(CsrSnapshot::FromTopology(g));
   EXPECT_GT(scores.hub[0], 0.99);
   EXPECT_NEAR(scores.hub[1], 0.0, 1e-9);
   EXPECT_NEAR(scores.authority[1], scores.authority[2], 1e-9);

@@ -52,8 +52,8 @@ std::vector<double> BruteForceBc(const Multigraph& g, EdgeDirection dir) {
 TEST(BetweennessTest, PathGraphMiddleDominates) {
   Multigraph g(5);
   for (NodeId i = 0; i + 1 < 5; ++i) g.AddEdge(i, i + 1).value();
-  std::vector<double> bc =
-      BetweennessCentrality(g, EdgeDirection::kDirected);
+  std::vector<double> bc = BetweennessCentrality(
+      CsrSnapshot::FromTopology(g), EdgeDirection::kDirected);
   // Directed path a→b→c→d→e: interior node x on all pairs crossing it.
   EXPECT_EQ(bc[0], 0.0);
   EXPECT_EQ(bc[4], 0.0);
@@ -67,7 +67,8 @@ TEST(BetweennessTest, MatchesBruteForceOnRandomGraphs) {
     LabeledGraph g = ErdosRenyi(12, 28, {"n"}, {"e"}, &rng);
     for (EdgeDirection dir :
          {EdgeDirection::kDirected, EdgeDirection::kUndirected}) {
-      std::vector<double> fast = BetweennessCentrality(g.topology(), dir);
+      std::vector<double> fast =
+          BetweennessCentrality(CsrSnapshot::FromGraph(g), dir);
       std::vector<double> brute = BruteForceBc(g.topology(), dir);
       ASSERT_EQ(fast.size(), brute.size());
       for (size_t i = 0; i < fast.size(); ++i) {
@@ -115,12 +116,13 @@ std::vector<double> BruteForceBcr(const GraphView& view, const Regex& r,
 TEST(BetweennessTest, PivotSamplingConverges) {
   Rng gen(12);
   LabeledGraph g = BarabasiAlbert(150, 3, {"n"}, {"e"}, &gen);
+  const CsrSnapshot csr = CsrSnapshot::FromGraph(g);
   std::vector<double> exact =
-      BetweennessCentrality(g.topology(), EdgeDirection::kUndirected);
+      BetweennessCentrality(csr, EdgeDirection::kUndirected);
   // All pivots = exact (up to float noise).
   Rng full_rng(1);
   std::vector<double> full = ApproxBetweennessCentrality(
-      g.topology(), EdgeDirection::kUndirected, g.num_nodes(), &full_rng);
+      csr, EdgeDirection::kUndirected, g.num_nodes(), &full_rng);
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(full[i], exact[i], 1e-6);
   }
@@ -128,7 +130,7 @@ TEST(BetweennessTest, PivotSamplingConverges) {
   // bounded aggregate error.
   Rng quarter_rng(2);
   std::vector<double> approx = ApproxBetweennessCentrality(
-      g.topology(), EdgeDirection::kUndirected, 40, &quarter_rng);
+      csr, EdgeDirection::kUndirected, 40, &quarter_rng);
   size_t top_exact =
       std::max_element(exact.begin(), exact.end()) - exact.begin();
   size_t top_approx =
@@ -143,15 +145,15 @@ TEST(BetweennessTest, PivotSamplingConverges) {
 }
 
 TEST(BetweennessTest, PivotSamplingEdgeCases) {
-  Multigraph empty;
+  CsrSnapshot empty;
   Rng rng(1);
   EXPECT_TRUE(ApproxBetweennessCentrality(empty, EdgeDirection::kDirected, 5,
                                           &rng)
                   .empty());
   Multigraph g(3);
   g.AddEdge(0, 1).value();
-  auto zero = ApproxBetweennessCentrality(g, EdgeDirection::kDirected, 0,
-                                          &rng);
+  auto zero = ApproxBetweennessCentrality(CsrSnapshot::FromTopology(g),
+                                          EdgeDirection::kDirected, 0, &rng);
   for (double v : zero) EXPECT_EQ(v, 0.0);
 }
 
@@ -198,8 +200,8 @@ TEST(RegexBetweennessTest, LabelsChangeTheRanking) {
   // the regex restriction can demote a topologically central node.
   LabeledGraph g = Figure2Labeled();
   LabeledGraphView view(g);
-  std::vector<double> classic =
-      BetweennessCentrality(g.topology(), EdgeDirection::kUndirected);
+  std::vector<double> classic = BetweennessCentrality(
+      CsrSnapshot::FromGraph(g), EdgeDirection::kUndirected);
   Result<std::vector<double>> transport = RegexBetweenness(
       view, *Parse("?person/rides/?bus/rides^-/?person"), {});
   ASSERT_TRUE(transport.ok());

@@ -1,6 +1,6 @@
 // Differential equivalence suite for the CSR snapshot backend: over 50+
 // seeded random labeled graphs (with multi-edges, self-loops, isolated
-// nodes and empty label sets), every CSR-backed kernel must return
+// nodes and empty label sets), every CSR-backed path kernel must return
 // *bit-identical* results to the list-based reference — at one thread
 // and at several. This is the contract that lets a view carry a CSR:
 // it can only change speed, never output. A PathNfa meets a CSR only
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "analytics/betweenness.h"
-#include "analytics/pagerank.h"
 #include "graph/conversions.h"
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
@@ -251,47 +250,20 @@ TEST_P(CsrEquivalence, PathKernelsBitIdentical) {
   }
 }
 
+// The analytics kernels read only the CSR. test_parallel_differential
+// checks exact Brandes (both directions), undirected pivot sampling and
+// PageRank at several thread counts; this is the remaining leg: directed
+// pivot sampling, 1 vs 4 threads. Same seed ⇒ same pivots ⇒ same bits.
 TEST_P(CsrEquivalence, AnalyticsBitIdentical) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   Rng rng(9000 + seed);
-  LabeledGraph g = MakeGraph(seed, &rng);
-  const Multigraph& topo = g.topology();
-  CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-
-  // Brandes betweenness, both directions, 1 and 4 threads.
-  for (EdgeDirection dir :
-       {EdgeDirection::kDirected, EdgeDirection::kUndirected}) {
-    std::vector<double> want = BetweennessCentrality(topo, dir);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      ASSERT_EQ(BetweennessCentrality(topo, dir, Threads(threads), &snap),
-                want)
-          << "threads=" << threads;
-    }
-    // Pivot-sampled variant: same seed ⇒ same pivots ⇒ same numbers.
-    size_t pivots = std::min<size_t>(g.num_nodes(), 5);
-    Rng want_rng(11 + seed), got_rng(11 + seed);
-    std::vector<double> want_approx = ApproxBetweennessCentrality(
-        topo, dir, pivots, &want_rng, Threads(1));
-    ASSERT_EQ(ApproxBetweennessCentrality(topo, dir, pivots, &got_rng,
-                                          Threads(4), &snap),
-              want_approx);
-  }
-
-  // PageRank: pull loop over the snapshot's in view, same gather order.
-  PageRankOptions want_opts;
-  std::vector<double> want_pr = PageRank(topo, want_opts);
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    PageRankOptions got_opts;
-    got_opts.parallel = Threads(threads);
-    got_opts.snapshot = &snap;
-    ASSERT_EQ(PageRank(topo, got_opts), want_pr) << "threads=" << threads;
-  }
-
-  // HITS.
-  HitsScores want_hits = Hits(topo, 20);
-  HitsScores got_hits = Hits(topo, 20, &snap);
-  ASSERT_EQ(got_hits.hub, want_hits.hub);
-  ASSERT_EQ(got_hits.authority, want_hits.authority);
+  const CsrSnapshot snap = CsrSnapshot::FromGraph(MakeGraph(seed, &rng));
+  const size_t pivots = std::min<size_t>(snap.num_nodes(), 5);
+  Rng one(11 + seed), four(11 + seed);
+  ASSERT_EQ(ApproxBetweennessCentrality(snap, EdgeDirection::kDirected,
+                                        pivots, &four, Threads(4)),
+            ApproxBetweennessCentrality(snap, EdgeDirection::kDirected,
+                                        pivots, &one, Threads(1)));
 }
 
 TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
@@ -440,7 +412,11 @@ TEST(CsrEquivalenceGuards, AttachSnapshotRejectsForeignSnapshots) {
                     .ok());
   }
   const CsrSnapshot foreign = CsrSnapshot::FromGraph(relabelled);
-  ASSERT_TRUE(foreign.MatchesTopology(g.topology()));
+  ASSERT_EQ(foreign.num_edges(), g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(foreign.EdgeSource(e), g.EdgeSource(e));
+    ASSERT_EQ(foreign.EdgeTarget(e), g.EdgeTarget(e));
+  }
   const LabeledGraphView plain(g);
   const LabeledGraphView with_csr = LabeledGraphView::WithCsr(g);
 
@@ -482,23 +458,6 @@ TEST(CsrEquivalenceGuards, OwnCsrLabelAtomsResolveToLabelIds) {
   }
   EXPECT_EQ(ReachableFrom(*nfa, 0).ToVector(),
             (std::vector<uint32_t>{0, 2}));
-}
-
-// The Traversal facade silently ignores a mismatched snapshot — the
-// analytics entry points stay total.
-TEST(CsrEquivalenceGuards, AnalyticsIgnoreMismatchedSnapshot) {
-  Rng rng(2);
-  LabeledGraph g = ErdosRenyi(8, 20, {"p"}, {"a"}, &rng);
-  LabeledGraph other = ErdosRenyi(7, 12, {"p"}, {"a"}, &rng);
-  CsrSnapshot wrong = CsrSnapshot::FromGraph(other);
-  std::vector<double> want =
-      BetweennessCentrality(g.topology(), EdgeDirection::kDirected);
-  ASSERT_EQ(BetweennessCentrality(g.topology(), EdgeDirection::kDirected,
-                                  Threads(1), &wrong),
-            want);
-  PageRankOptions opts;
-  opts.snapshot = &wrong;
-  ASSERT_EQ(PageRank(g.topology(), opts), PageRank(g.topology()));
 }
 
 }  // namespace

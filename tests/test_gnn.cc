@@ -56,7 +56,7 @@ TEST(AcGnnTest, OneHotLabels) {
 }
 
 TEST(AcGnnTest, DimensionValidation) {
-  LabeledGraph g = Figure2Labeled();
+  const CsrSnapshot g = CsrSnapshot::FromGraph(Figure2Labeled());
   AcGnn gnn(4);
   Matrix wrong(g.num_nodes(), 3);
   EXPECT_FALSE(gnn.Run(g, wrong).ok());
@@ -72,7 +72,7 @@ TEST(AcGnnTest, DimensionValidation) {
 TEST(AcGnnTest, SingleLayerCountsNeighbors) {
   // x'_v = σ(Σ_in x_u) with scalar features x = 1 everywhere: nodes with
   // at least one in-edge output 1 (truncation caps at 1).
-  LabeledGraph g = Figure2Labeled();
+  const CsrSnapshot g = CsrSnapshot::FromGraph(Figure2Labeled());
   AcGnn gnn(1);
   GnnLayer& layer = gnn.AddLayer(1);
   layer.in_rel.emplace_back("", Matrix(1, 1));
@@ -86,7 +86,7 @@ TEST(AcGnnTest, SingleLayerCountsNeighbors) {
 }
 
 TEST(AcGnnTest, RelationFilteredAggregation) {
-  LabeledGraph g = Figure2Labeled();
+  const CsrSnapshot g = CsrSnapshot::FromGraph(Figure2Labeled());
   AcGnn gnn(1);
   GnnLayer& layer = gnn.AddLayer(1);
   layer.in_rel.emplace_back("owns", Matrix(1, 1));
@@ -247,7 +247,7 @@ TEST(WlTest, WlEquivalentNodesGetEqualGnnFeatures) {
     gnn.Randomize(&rng);
 
     Matrix x = AcGnn::OneHotLabels(g, {"p", "q"});
-    Result<Matrix> out = gnn.Run(g, x);
+    Result<Matrix> out = gnn.Run(CsrSnapshot::FromGraph(g), x);
     ASSERT_TRUE(out.ok());
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       for (NodeId v = u + 1; v < g.num_nodes(); ++v) {
@@ -349,29 +349,23 @@ TEST(SpmmTest, AggregationMatchesHandComputedSums) {
     f.at(v, 1) = 0.25 * (v + 1);
   }
   const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
-  for (bool use_csr : {false, true}) {
-    auto agg = [&](const std::string& rel, bool incoming) {
-      Matrix out(3, 2);
-      if (use_csr) {
-        SpmmAggregateCsr(snap, f, rel, incoming, &out);
-      } else {
-        SpmmAggregateList(g, f, rel, incoming, &out);
-      }
-      return out;
-    };
-    Matrix in_a = agg("a", true);
-    EXPECT_EQ(in_a.at(0, 0), 0.0);
-    EXPECT_EQ(in_a.at(1, 0), 1.0);  // From node 0.
-    EXPECT_EQ(in_a.at(2, 0), 1.0);
-    Matrix out_any = agg("", false);
-    EXPECT_EQ(out_any.at(0, 0), 2.0 + 3.0);  // Nodes 1 and 2.
-    EXPECT_EQ(out_any.at(0, 1), 0.5 + 0.75);
-    EXPECT_EQ(out_any.at(1, 0), 3.0);
-    EXPECT_EQ(out_any.at(2, 0), 0.0);
-    // Unknown label aggregates nothing.
-    Matrix ghost = agg("ghost", true);
-    for (NodeId v = 0; v < 3; ++v) EXPECT_EQ(ghost.at(v, 0), 0.0);
-  }
+  auto agg = [&](const std::string& rel, bool incoming) {
+    Matrix out(3, 2);
+    SpmmAggregateCsr(snap, f, rel, incoming, &out);
+    return out;
+  };
+  Matrix in_a = agg("a", true);
+  EXPECT_EQ(in_a.at(0, 0), 0.0);
+  EXPECT_EQ(in_a.at(1, 0), 1.0);  // From node 0.
+  EXPECT_EQ(in_a.at(2, 0), 1.0);
+  Matrix out_any = agg("", false);
+  EXPECT_EQ(out_any.at(0, 0), 2.0 + 3.0);  // Nodes 1 and 2.
+  EXPECT_EQ(out_any.at(0, 1), 0.5 + 0.75);
+  EXPECT_EQ(out_any.at(1, 0), 3.0);
+  EXPECT_EQ(out_any.at(2, 0), 0.0);
+  // Unknown label aggregates nothing.
+  Matrix ghost = agg("ghost", true);
+  for (NodeId v = 0; v < 3; ++v) EXPECT_EQ(ghost.at(v, 0), 0.0);
 }
 
 // ------------------------------------------------------- pinned regressions
@@ -397,7 +391,7 @@ TEST(AcGnnTest, PinnedForwardGolden) {
   Rng wr(777);
   gnn.Randomize(&wr, 0.6);
   Matrix x = AcGnn::OneHotLabels(g, {"p", "q"});
-  Matrix out = *gnn.Run(g, x);
+  Matrix out = *gnn.Run(CsrSnapshot::FromGraph(g), x);
   EXPECT_EQ(out.at(0, 0), 0.0);
   EXPECT_EQ(out.at(0, 1), 1.0);
   EXPECT_EQ(out.at(0, 2), 1.0);
@@ -426,7 +420,7 @@ TEST(WlTest, PinnedColorGoldens) {
 
 // ----------------------------------------------------- backend equivalence
 
-TEST(AcGnnTest, BackendsAndSnapshotsBitIdentical) {
+TEST(AcGnnTest, BackendsBitIdentical) {
   Rng rng(606);
   LabeledGraph g = ErdosRenyi(18, 50, {"p", "q"}, {"a", "b"}, &rng);
   const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
@@ -445,29 +439,17 @@ TEST(AcGnnTest, BackendsAndSnapshotsBitIdentical) {
   GnnOptions ref_opts;
   ref_opts.backend = GnnBackend::kNodeLoop;
   ref_opts.parallel.num_threads = 1;
-  Matrix ref = *gnn.Run(g, x, ref_opts);
+  Matrix ref = *gnn.Run(snap, x, ref_opts);
 
   for (GnnBackend backend : {GnnBackend::kNodeLoop, GnnBackend::kGemm}) {
-    for (const CsrSnapshot* s : {static_cast<const CsrSnapshot*>(nullptr),
-                                 &snap}) {
-      for (size_t t : {size_t{1}, size_t{4}}) {
-        GnnOptions opts;
-        opts.backend = backend;
-        opts.snapshot = s;
-        opts.parallel.num_threads = t;
-        EXPECT_EQ(ref, *gnn.Run(g, x, opts))
-            << "backend=" << static_cast<int>(backend)
-            << " csr=" << (s != nullptr) << " threads=" << t;
-      }
+    for (size_t t : {size_t{1}, size_t{4}}) {
+      GnnOptions opts;
+      opts.backend = backend;
+      opts.parallel.num_threads = t;
+      EXPECT_EQ(ref, *gnn.Run(snap, x, opts))
+          << "backend=" << static_cast<int>(backend) << " threads=" << t;
     }
   }
-
-  // A stale snapshot (different topology) silently falls back.
-  LabeledGraph other = Cycle(5, "p", "a");
-  CsrSnapshot stale = CsrSnapshot::FromGraph(other);
-  GnnOptions with_stale;
-  with_stale.snapshot = &stale;
-  EXPECT_EQ(ref, *gnn.Run(g, x, with_stale));
 }
 
 TEST(WlTest, CompiledGnnIsWlInvariantToo) {

@@ -1,8 +1,7 @@
 // Differential harness for the neural substrate: over a population of
 // seeded random graphs, every execution configuration of the neural
-// kernels — dense backend (node loop vs blocked GEMM) × adjacency
-// source (edge lists vs CSR snapshot) × thread count — must return
-// results *identical* to the sequential node-loop reference,
+// kernels — dense backend (node loop vs blocked GEMM) × thread count —
+// must return results *identical* to the sequential node-loop reference,
 // bit-for-bit, including every floating-point accumulation. This is
 // the contract that lets callers flip GnnOptions for speed without
 // re-validating numerics.
@@ -56,19 +55,15 @@ AcGnn NetForSeed(int seed, size_t input_dim) {
   return gnn;
 }
 
-/// Every (backend, adjacency, threads) combination, reference first.
-std::vector<GnnOptions> AllConfigs(const CsrSnapshot* snap) {
+/// Every (backend, threads) combination, reference first.
+std::vector<GnnOptions> AllConfigs() {
   std::vector<GnnOptions> configs;
   for (GnnBackend backend : {GnnBackend::kNodeLoop, GnnBackend::kGemm}) {
-    for (const CsrSnapshot* s : {static_cast<const CsrSnapshot*>(nullptr),
-                                 snap}) {
-      for (size_t t : kThreadCounts) {
-        GnnOptions opts;
-        opts.backend = backend;
-        opts.snapshot = s;
-        opts.parallel.num_threads = t;
-        configs.push_back(opts);
-      }
+    for (size_t t : kThreadCounts) {
+      GnnOptions opts;
+      opts.backend = backend;
+      opts.parallel.num_threads = t;
+      configs.push_back(opts);
     }
   }
   return configs;
@@ -76,8 +71,7 @@ std::vector<GnnOptions> AllConfigs(const CsrSnapshot* snap) {
 
 std::string Describe(const GnnOptions& opts) {
   return std::string(opts.backend == GnnBackend::kGemm ? "gemm" : "nodeloop") +
-         (opts.snapshot != nullptr ? "+csr" : "+list") + "@" +
-         std::to_string(opts.parallel.num_threads);
+         "@" + std::to_string(opts.parallel.num_threads);
 }
 
 class GnnDifferential : public ::testing::TestWithParam<int> {};
@@ -93,19 +87,19 @@ TEST_P(GnnDifferential, ForwardAndClassifyMatchReference) {
   GnnOptions ref_opts;
   ref_opts.backend = GnnBackend::kNodeLoop;
   ref_opts.parallel.num_threads = 1;
-  Matrix ref = *gnn.Run(g, x, ref_opts);
-  Bitset ref_cls = *gnn.Classify(g, x, ref_opts);
+  Matrix ref = *gnn.Run(snap, x, ref_opts);
+  Bitset ref_cls = *gnn.Classify(snap, x, ref_opts);
 
-  for (const GnnOptions& opts : AllConfigs(&snap)) {
-    EXPECT_EQ(ref, *gnn.Run(g, x, opts)) << Describe(opts);
-    EXPECT_EQ(ref_cls, *gnn.Classify(g, x, opts)) << Describe(opts);
+  for (const GnnOptions& opts : AllConfigs()) {
+    EXPECT_EQ(ref, *gnn.Run(snap, x, opts)) << Describe(opts);
+    EXPECT_EQ(ref_cls, *gnn.Classify(snap, x, opts)) << Describe(opts);
   }
 
   // RunTraced's final activation is the same forward pass.
   for (size_t t : kThreadCounts) {
     GnnOptions opts;
     opts.parallel.num_threads = t;
-    ForwardTrace trace = *gnn.RunTraced(g, x, opts);
+    ForwardTrace trace = *gnn.RunTraced(snap, x, opts);
     ASSERT_EQ(trace.activations.size(), gnn.num_layers() + 1);
     ASSERT_EQ(trace.pre.size(), gnn.num_layers());
     EXPECT_EQ(ref, trace.activations.back()) << "traced@" << t;
@@ -115,7 +109,6 @@ TEST_P(GnnDifferential, ForwardAndClassifyMatchReference) {
 TEST_P(GnnDifferential, CompiledFormulaAgreesUnderEveryConfig) {
   int seed = GetParam();
   LabeledGraph g = GraphForSeed(seed);
-  const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   ModalPtr f = ModalFormula::And(
       ModalFormula::Diamond("a", 1 + seed % 2, ModalFormula::Label("q")),
       ModalFormula::Not(ModalFormula::DiamondInv("b", 1,
@@ -123,7 +116,7 @@ TEST_P(GnnDifferential, CompiledFormulaAgreesUnderEveryConfig) {
   Result<CompiledGnn> compiled = CompileModalToGnn(*f);
   ASSERT_TRUE(compiled.ok());
   Bitset want = EvalModal(g, *f);
-  for (const GnnOptions& opts : AllConfigs(&snap)) {
+  for (const GnnOptions& opts : AllConfigs()) {
     Result<Bitset> got = compiled->Evaluate(g, opts);
     ASSERT_TRUE(got.ok()) << Describe(opts);
     EXPECT_EQ(want, *got) << Describe(opts);
@@ -133,22 +126,16 @@ TEST_P(GnnDifferential, CompiledFormulaAgreesUnderEveryConfig) {
 TEST_P(GnnDifferential, WlRefinementMatchesReference) {
   int seed = GetParam();
   LabeledGraph g = GraphForSeed(seed);
-  const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   WlOptions ref_opts;
   ref_opts.parallel.num_threads = 1;
   WlResult ref = WlColorRefinement(g, ref_opts);
-  for (const CsrSnapshot* s : {static_cast<const CsrSnapshot*>(nullptr),
-                               &snap}) {
-    for (size_t t : kThreadCounts) {
-      WlOptions opts;
-      opts.snapshot = s;
-      opts.parallel.num_threads = t;
-      WlResult got = WlColorRefinement(g, opts);
-      EXPECT_EQ(ref.colors, got.colors)
-          << "csr=" << (s != nullptr) << " threads=" << t;
-      EXPECT_EQ(ref.num_colors, got.num_colors);
-      EXPECT_EQ(ref.rounds, got.rounds);
-    }
+  for (size_t t : kThreadCounts) {
+    WlOptions opts;
+    opts.parallel.num_threads = t;
+    WlResult got = WlColorRefinement(g, opts);
+    EXPECT_EQ(ref.colors, got.colors) << "threads=" << t;
+    EXPECT_EQ(ref.num_colors, got.num_colors);
+    EXPECT_EQ(ref.rounds, got.rounds);
   }
 }
 
@@ -157,7 +144,6 @@ TEST_P(GnnDifferential, TrainedClassifierMatchesReference) {
   // Smaller instances: training runs many forward/backward passes.
   Rng rng(9000 + seed);
   LabeledGraph g = ErdosRenyi(12, 28, {"p", "q"}, {"a"}, &rng);
-  const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   ModalPtr f = ModalFormula::Diamond("a", 1, ModalFormula::Label("q"));
   GnnExample ex{&g, EvalModal(g, *f)};
   GnnTrainOptions base;
@@ -168,7 +154,7 @@ TEST_P(GnnDifferential, TrainedClassifierMatchesReference) {
   base.forward.backend = GnnBackend::kNodeLoop;
   base.forward.parallel.num_threads = 1;
   AcGnn ref = *TrainGnnClassifier({ex}, {"p", "q"}, {"a"}, base);
-  for (const GnnOptions& opts : AllConfigs(&snap)) {
+  for (const GnnOptions& opts : AllConfigs()) {
     GnnTrainOptions var = base;
     var.forward = opts;
     AcGnn got = *TrainGnnClassifier({ex}, {"p", "q"}, {"a"}, var);

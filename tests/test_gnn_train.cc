@@ -99,7 +99,7 @@ TEST(GnnTrainTest, PinnedTrainedWeightsGolden) {
   EXPECT_DOUBLE_EQ(l0.bias[0], 0.25146976091158524);
   EXPECT_DOUBLE_EQ(l0.bias[3], 0.24067842519788477);
   Matrix in = AcGnn::OneHotLabels(g, {"p", "q"});
-  EXPECT_EQ(gnn.Classify(g, in)->Count(), 14u);
+  EXPECT_EQ(gnn.Classify(CsrSnapshot::FromGraph(g), in)->Count(), 14u);
 }
 
 TEST(GnnTrainTest, TrainingBitIdenticalAcrossOptions) {
@@ -107,7 +107,6 @@ TEST(GnnTrainTest, TrainingBitIdenticalAcrossOptions) {
   // the same weights under every execution configuration.
   Rng gen(99);
   LabeledGraph g = ErdosRenyi(14, 30, {"p", "q"}, {"a"}, &gen);
-  const CsrSnapshot snap = CsrSnapshot::FromGraph(g);
   ModalPtr f = ModalFormula::Diamond("a", 1, ModalFormula::Label("q"));
   GnnExample ex{&g, EvalModal(g, *f)};
   GnnTrainOptions base;
@@ -119,25 +118,21 @@ TEST(GnnTrainTest, TrainingBitIdenticalAcrossOptions) {
   AcGnn ref = *TrainGnnClassifier({ex}, {"p", "q"}, {"a"}, base);
 
   for (GnnBackend backend : {GnnBackend::kNodeLoop, GnnBackend::kGemm}) {
-    for (const CsrSnapshot* s : {static_cast<const CsrSnapshot*>(nullptr),
-                                 &snap}) {
-      for (size_t t : {size_t{1}, size_t{4}}) {
-        GnnTrainOptions opts = base;
-        opts.forward.backend = backend;
-        opts.forward.snapshot = s;
-        opts.forward.parallel.num_threads = t;
-        AcGnn got = *TrainGnnClassifier({ex}, {"p", "q"}, {"a"}, opts);
-        for (size_t l = 0; l < ref.num_layers(); ++l) {
-          EXPECT_EQ(ref.layer(l).self, got.layer(l).self)
-              << "layer " << l << " backend=" << static_cast<int>(backend)
-              << " csr=" << (s != nullptr) << " threads=" << t;
-          EXPECT_EQ(ref.layer(l).bias, got.layer(l).bias);
-          for (size_t r = 0; r < ref.layer(l).in_rel.size(); ++r) {
-            EXPECT_EQ(ref.layer(l).in_rel[r].second,
-                      got.layer(l).in_rel[r].second);
-            EXPECT_EQ(ref.layer(l).out_rel[r].second,
-                      got.layer(l).out_rel[r].second);
-          }
+    for (size_t t : {size_t{1}, size_t{4}}) {
+      GnnTrainOptions opts = base;
+      opts.forward.backend = backend;
+      opts.forward.parallel.num_threads = t;
+      AcGnn got = *TrainGnnClassifier({ex}, {"p", "q"}, {"a"}, opts);
+      for (size_t l = 0; l < ref.num_layers(); ++l) {
+        EXPECT_EQ(ref.layer(l).self, got.layer(l).self)
+            << "layer " << l << " backend=" << static_cast<int>(backend)
+            << " threads=" << t;
+        EXPECT_EQ(ref.layer(l).bias, got.layer(l).bias);
+        for (size_t r = 0; r < ref.layer(l).in_rel.size(); ++r) {
+          EXPECT_EQ(ref.layer(l).in_rel[r].second,
+                    got.layer(l).in_rel[r].second);
+          EXPECT_EQ(ref.layer(l).out_rel[r].second,
+                    got.layer(l).out_rel[r].second);
         }
       }
     }

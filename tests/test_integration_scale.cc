@@ -103,8 +103,7 @@ TEST_F(ScaleTest, ReifiedRdfRoundTripAtScale) {
 }
 
 TEST_F(ScaleTest, AnalyticsRunAtScale) {
-  const Multigraph& g = city_->labeled().topology();
-  std::vector<double> pr = PageRank(g);
+  std::vector<double> pr = PageRank(CsrSnapshot::FromGraph(*city_));
   double sum = 0;
   for (double v : pr) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-6);

@@ -50,42 +50,40 @@ LabeledGraph GraphForSeed(int seed) {
 class ParallelDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelDifferential, BetweennessMatchesSequential) {
-  LabeledGraph g = GraphForSeed(GetParam());
+  const CsrSnapshot g = CsrSnapshot::FromGraph(GraphForSeed(GetParam()));
   for (EdgeDirection dir :
        {EdgeDirection::kDirected, EdgeDirection::kUndirected}) {
     std::vector<double> seq =
-        BetweennessCentrality(g.topology(), dir, ParallelOptions{1});
+        BetweennessCentrality(g, dir, ParallelOptions{1});
     for (size_t t : kThreadCounts) {
-      EXPECT_EQ(seq, BetweennessCentrality(g.topology(), dir,
-                                           ParallelOptions{t}))
+      EXPECT_EQ(seq, BetweennessCentrality(g, dir, ParallelOptions{t}))
           << t << " threads";
     }
   }
 }
 
 TEST_P(ParallelDifferential, ApproxBetweennessReproducesFromSeed) {
-  LabeledGraph g = GraphForSeed(GetParam());
+  const CsrSnapshot g = CsrSnapshot::FromGraph(GraphForSeed(GetParam()));
   uint64_t seed = 40 + static_cast<uint64_t>(GetParam());
   Rng rng1(seed);
   std::vector<double> seq = ApproxBetweennessCentrality(
-      g.topology(), EdgeDirection::kUndirected, 9, &rng1, ParallelOptions{1});
+      g, EdgeDirection::kUndirected, 9, &rng1, ParallelOptions{1});
   for (size_t t : kThreadCounts) {
     Rng rng(seed);
-    EXPECT_EQ(seq, ApproxBetweennessCentrality(g.topology(),
-                                               EdgeDirection::kUndirected, 9,
-                                               &rng, ParallelOptions{t}))
+    EXPECT_EQ(seq, ApproxBetweennessCentrality(g, EdgeDirection::kUndirected,
+                                               9, &rng, ParallelOptions{t}))
         << t << " threads";
   }
 }
 
 TEST_P(ParallelDifferential, PageRankMatchesSequential) {
-  LabeledGraph g = GraphForSeed(GetParam());
+  const CsrSnapshot g = CsrSnapshot::FromGraph(GraphForSeed(GetParam()));
   PageRankOptions opts;
   opts.parallel.num_threads = 1;
-  std::vector<double> seq = PageRank(g.topology(), opts);
+  std::vector<double> seq = PageRank(g, opts);
   for (size_t t : kThreadCounts) {
     opts.parallel.num_threads = t;
-    EXPECT_EQ(seq, PageRank(g.topology(), opts)) << t << " threads";
+    EXPECT_EQ(seq, PageRank(g, opts)) << t << " threads";
   }
 }
 
@@ -222,12 +220,13 @@ TEST_P(ObsDifferential, KernelResultsIdenticalWithObsOnAndOff) {
     double pair_count = 0.0;
     std::vector<std::vector<NodeId>> paths;
   };
+  const CsrSnapshot csr = CsrSnapshot::FromGraph(g);
   auto run_kernels = [&](bool obs_on) {
     obs::Registry::SetEnabled(obs_on);
     Outputs out;
-    out.pagerank = PageRank(g.topology(), propts);
-    out.betweenness = BetweennessCentrality(
-        g.topology(), EdgeDirection::kDirected, propts.parallel);
+    out.pagerank = PageRank(csr, propts);
+    out.betweenness =
+        BetweennessCentrality(csr, EdgeDirection::kDirected, propts.parallel);
     out.all_pairs = AllPairs(*nfa, popts);
     out.pair_count = CountPairs(*nfa, popts);
     PathEnumerator enumerator(*nfa, 4, popts);

@@ -93,7 +93,7 @@ TEST(TransformTest, DisjointUnionIntegratesGraphs) {
   EXPECT_EQ(u.num_edges(), 7u);
   EXPECT_EQ(u.NodeLabelString(0), "x");
   EXPECT_EQ(u.NodeLabelString(3), "y");
-  auto wcc = WeaklyConnectedComponents(u.topology());
+  auto wcc = WeaklyConnectedComponentsCsr(CsrSnapshot::FromGraph(u));
   EXPECT_EQ(wcc.num_components, 2u);
 }
 

@@ -4,14 +4,16 @@
 // PageRank warm-restarted from the previous epoch, per-label reachability
 // advanced by delta-SpGEMM — must be bit-identical to a from-scratch
 // computation at the same epoch, at 1 and at 4 maintenance threads. The
-// references deliberately take independent code paths: Multigraph BFS for
-// components, the cold Kleene fixpoint for PageRank, an unmasked
-// SpGEMM/union loop for closures.
+// references deliberately take independent code paths: a union-find over
+// the epoch's edge list for components, the cold Kleene fixpoint for
+// PageRank, an unmasked SpGEMM/union loop for closures.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <string_view>
@@ -43,6 +45,31 @@ BoolCsr RefClosure(const CsrSnapshot& csr, std::string_view label) {
     if (next == r) return r;
     r = std::move(next);
   }
+}
+
+/// Reference components: a union-find over the snapshot's edge list
+/// (ToEdgeList, not the Out/In views the BFS walks), each component
+/// numbered by the rank of its minimum node id.
+std::vector<uint32_t> RefComponents(const CsrSnapshot& csr) {
+  std::vector<NodeId> parent(csr.num_nodes());
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  auto find = [&](NodeId v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (const CsrSnapshot::EdgeRecord& e : csr.ToEdgeList()) {
+    NodeId a = find(e.from), b = find(e.to);
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  }
+  std::vector<uint32_t> rank_of_root(csr.num_nodes(), 0);
+  std::vector<uint32_t> component(csr.num_nodes());
+  uint32_t next = 0;
+  for (NodeId v = 0; v < csr.num_nodes(); ++v) {
+    NodeId root = find(v);
+    if (root == v) rank_of_root[v] = next++;
+    component[v] = rank_of_root[root];
+  }
+  return component;
 }
 
 void RunDifferential(size_t num_threads) {
@@ -91,16 +118,14 @@ void RunDifferential(size_t num_threads) {
       // next request exercises the rebuild (non-adjacent-epoch) path.
       if (rng.Below(100) < 15) continue;
 
-      // Components: cache vs CSR BFS vs Multigraph BFS.
+      // Components: cache vs CSR BFS vs union-find over the edge list.
       auto comp = views.Components(snap);
       ComponentAssignment want_csr = WeaklyConnectedComponentsCsr(*snap->csr);
-      ComponentAssignment want_graph =
-          WeaklyConnectedComponents(snap->graph().topology());
       ASSERT_EQ(comp->num_components, want_csr.num_components)
           << "seed " << seed << " round " << round;
       ASSERT_EQ(comp->component, want_csr.component)
           << "seed " << seed << " round " << round;
-      ASSERT_EQ(comp->component, want_graph.component)
+      ASSERT_EQ(comp->component, RefComponents(*snap->csr))
           << "seed " << seed << " round " << round;
 
       // PageRank: the maintained vector is the canonical least fixpoint.
