@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,7 +101,7 @@ int main() {
     Crpq q = *ParseCrpq(text);
     ConjunctiveQuery cq = *CompileCrpq(q);
 
-    std::vector<std::vector<NodeId>> first_rows;
+    std::optional<RowTable> first_rows;  // naive, 1 thread: runs first.
     struct Mode {
       const char* label;
       const PlannerOptions* planner;
@@ -121,10 +122,9 @@ int main() {
       RowSet result = *ExecutePlan(view, *plan, eopts);
       double exec_ms = exec_timer.Millis();
 
-      if (first_rows.empty() && mode.threads == 1 &&
-          std::string(mode.label) == "naive") {
+      if (!first_rows.has_value()) {
         first_rows = result.rows;
-      } else if (result.rows != first_rows) {
+      } else if (result.rows != *first_rows) {
         identical = false;
         std::fprintf(stderr, "MISMATCH: %s %s/%zu threads\n", name.c_str(),
                      mode.label, mode.threads);

@@ -60,8 +60,8 @@ int main() {
     return 1;
   }
   std::cout << "Persons who shared a vehicle with an infected person:\n";
-  for (const auto& row : who->rows) {
-    std::cout << "  " << view.TermOf(row[0]) << "\n";
+  for (size_t r = 0; r < who->rows.size(); ++r) {
+    std::cout << "  " << view.TermOf(who->rows[r][0]) << "\n";
   }
 
   // ---- Complete: embeddings predict a plausible missing link -------------

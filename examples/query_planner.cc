@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <string>
 
 #include "datasets/dblp_synth.h"
@@ -82,12 +83,12 @@ int main() {
     std::cerr << rows.status() << "\n";
     return 1;
   }
+  // Rows are one flat RowTable; rows[i] views row i as a span.
+  std::span<const NodeId> first = rows->rows[0];
   std::cout << "Executed: " << rows->rows.size()
             << " coauthor pairs on the rare keyword; first row = ("
-            << g.NodeLabelString(rows->rows.front()[0]) << " #"
-            << rows->rows.front()[0] << ", "
-            << g.NodeLabelString(rows->rows.front()[1]) << " #"
-            << rows->rows.front()[1] << ")\n\n";
+            << g.NodeLabelString(first[0]) << " #" << first[0] << ", "
+            << g.NodeLabelString(first[1]) << " #" << first[1] << ")\n\n";
 
   // 5. What the operators did, from the obs registry. plan.rows.* count
   // rows *produced* per operator kind — the whole point of the

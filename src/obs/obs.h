@@ -69,15 +69,21 @@
 
 /// histogram(name) <- sample (non-negative integer); mirrored into the
 /// calling thread's sink when one is installed.
-#define KGQ_HISTOGRAM_RECORD(name, value)                                \
+#define KGQ_HISTOGRAM_RECORD(name, value) \
+  KGQ_HISTOGRAM_RECORD_TIMES(name, value, 1)
+
+/// histogram(name) <- `times` samples of `value`, for a caller that
+/// tallied repeated values locally (one update instead of `times`).
+#define KGQ_HISTOGRAM_RECORD_TIMES(name, value, times)                   \
   do {                                                                   \
     if (::kgq::obs::Registry::Enabled()) {                               \
       static ::kgq::obs::Histogram* kgq_obs_histogram_ =                 \
           ::kgq::obs::Registry::Get().GetHistogram(name);                \
       const uint64_t kgq_obs_value_ = static_cast<uint64_t>(value);      \
-      kgq_obs_histogram_->Record(kgq_obs_value_);                        \
+      const uint64_t kgq_obs_times_ = static_cast<uint64_t>(times);      \
+      kgq_obs_histogram_->Record(kgq_obs_value_, kgq_obs_times_);        \
       if (::kgq::obs::ObsSink* kgq_obs_sink_ = ::kgq::obs::CurrentSink()) \
-        kgq_obs_sink_->OnHistogram(name, kgq_obs_value_);                \
+        kgq_obs_sink_->OnHistogram(name, kgq_obs_value_, kgq_obs_times_); \
     }                                                                    \
   } while (0)
 
@@ -97,6 +103,7 @@
 #define KGQ_COUNTER_INC(name) ((void)0)
 #define KGQ_GAUGE_SET(name, value) ((void)0)
 #define KGQ_HISTOGRAM_RECORD(name, value) ((void)0)
+#define KGQ_HISTOGRAM_RECORD_TIMES(name, value, times) ((void)0)
 #define KGQ_SPAN(name) ((void)0)
 
 #endif  // KGQ_OBS_ENABLED

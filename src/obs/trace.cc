@@ -25,14 +25,16 @@ void TraceContext::OnCounter(std::string_view name, uint64_t delta) {
   }
 }
 
-void TraceContext::OnHistogram(std::string_view name, uint64_t value) {
+void TraceContext::OnHistogram(std::string_view name, uint64_t value,
+                               uint64_t times) {
+  if (times == 0) return;
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), HistogramStat{}).first;
   }
   HistogramStat& h = it->second;
-  h.count += 1;
-  h.sum += value;
+  h.count += times;
+  h.sum += value * times;
   if (value < h.min) h.min = value;
   if (value > h.max) h.max = value;
 }

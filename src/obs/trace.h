@@ -62,7 +62,9 @@ class ObsSink {
  public:
   virtual ~ObsSink() = default;
   virtual void OnCounter(std::string_view name, uint64_t delta) = 0;
-  virtual void OnHistogram(std::string_view name, uint64_t value) = 0;
+  /// `times` samples of `value` (KGQ_HISTOGRAM_RECORD sends 1).
+  virtual void OnHistogram(std::string_view name, uint64_t value,
+                           uint64_t times) = 0;
   virtual void OnSpan(std::string_view path, uint64_t duration_ns) = 0;
 };
 
@@ -86,7 +88,8 @@ class TraceContext : public ObsSink {
   TraceContext();
 
   void OnCounter(std::string_view name, uint64_t delta) override;
-  void OnHistogram(std::string_view name, uint64_t value) override;
+  void OnHistogram(std::string_view name, uint64_t value,
+                   uint64_t times) override;
   void OnSpan(std::string_view path, uint64_t duration_ns) override;
 
   /// Appends a child under the current operator and makes it current.

@@ -1,10 +1,12 @@
 #include "plan/exec.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/obs.h"
@@ -26,14 +28,57 @@ size_t ColumnOf(const std::vector<std::string>& schema,
   return static_cast<size_t>(-1);
 }
 
-struct RowHash {
-  size_t operator()(const std::vector<NodeId>& key) const {
-    uint64_t h = 0x9E3779B97F4A7C15ull;
-    for (NodeId v : key) {
-      h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
+/// An empty RowSet with `schema`'s columns.
+RowSet EmptyRows(const std::vector<std::string>& schema) {
+  return RowSet{schema, RowTable(schema.size())};
+}
+
+/// A HashJoin's build side indexed on one key column by counting sort —
+/// the shape of a CSR: the build rows holding value v are
+/// rows_[begin(v) .. end(v)), in ascending row order, with offsets over
+/// [min, max] of the column, so a one-row build costs O(1).
+class BucketIndex {
+ public:
+  BucketIndex(const RowTable& build, size_t col) {
+    const size_t n = build.size();
+    if (n == 0) return;
+    min_ = max_ = build[0][col];
+    for (size_t r = 1; r < n; ++r) {
+      min_ = std::min(min_, build[r][col]);
+      max_ = std::max(max_, build[r][col]);
     }
-    return static_cast<size_t>(h);
+    // ends_[k] counts, then (after the running sum) starts, and after
+    // the fill ends bucket min_ + k.
+    ends_.assign(static_cast<size_t>(max_ - min_) + 1, 0);
+    for (size_t r = 0; r < n; ++r) ++ends_[build[r][col] - min_];
+    uint32_t start = 0;
+    for (uint32_t& slot : ends_) {
+      max_bucket_ = std::max<size_t>(max_bucket_, slot);
+      start += std::exchange(slot, start);
+    }
+    rows_.resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      rows_[ends_[build[r][col] - min_]++] = static_cast<uint32_t>(r);
+    }
   }
+
+  /// The build rows whose key column holds `v`, ascending.
+  std::span<const uint32_t> Bucket(NodeId v) const {
+    if (rows_.empty() || v < min_ || v > max_) return {};
+    const size_t k = v - min_;
+    const uint32_t begin = k == 0 ? 0 : ends_[k - 1];
+    return {rows_.data() + begin, ends_[k] - begin};
+  }
+
+  /// The largest bucket's size: no probe row finds more build rows.
+  size_t max_bucket() const { return max_bucket_; }
+
+ private:
+  NodeId min_ = 0;
+  NodeId max_ = 0;
+  size_t max_bucket_ = 0;
+  std::vector<uint32_t> ends_;
+  std::vector<uint32_t> rows_;
 };
 
 /// Consumer of a streamed operator's rows. `row` holds one value per
@@ -105,11 +150,9 @@ class Executor {
   /// engine choice and wall time. Without a trace this is a null check.
   Result<RowSet> Exec(const LogicalOp& op) {
     if (Streams(op)) {
-      RowSet rs;
-      rs.schema = op.schema;
-      const size_t width = op.schema.size();
+      RowSet rs = EmptyRows(op.schema);
       KGQ_RETURN_IF_ERROR(Stream(op, [&](const NodeId* row) {
-        rs.rows.emplace_back(row, row + width);
+        rs.rows.Append(row);
         return true;
       }));
       return rs;
@@ -211,8 +254,8 @@ class Executor {
   Status ForEachRow(const LogicalOp& op, const RowSink& sink) {
     if (Streams(op)) return Stream(op, sink);
     KGQ_ASSIGN_OR_RETURN(RowSet input, Exec(op));
-    for (const std::vector<NodeId>& row : input.rows) {
-      if (!sink(row.data())) break;
+    for (size_t i = 0; i < input.rows.size(); ++i) {
+      if (!sink(input.rows[i].data())) break;
     }
     return Status::OK();
   }
@@ -283,8 +326,7 @@ class Executor {
   }
 
   Result<RowSet> NodeScan(const LogicalOp& op) {
-    RowSet rs;
-    rs.schema = op.schema;
+    RowSet rs = EmptyRows(op.schema);
     bool bound = false;
     NodeId at = kNoNode;
     if (!UsableBound(op.has_bound_src, op.bound_src, view_.num_nodes(),
@@ -293,14 +335,15 @@ class Executor {
     }
     if (bound) {
       if (op.test == nullptr || EvalNodeTest(view_, *op.test, at)) {
-        rs.rows.push_back({at});
+        rs.rows.Append(&at);
       }
     } else if (op.test != nullptr) {
       MatchNodes(view_, *op.test).ForEach([&](size_t n) {
-        rs.rows.push_back({static_cast<NodeId>(n)});
+        const NodeId node = static_cast<NodeId>(n);
+        rs.rows.Append(&node);
       });
     } else {
-      for (NodeId n = 0; n < view_.num_nodes(); ++n) rs.rows.push_back({n});
+      for (NodeId n = 0; n < view_.num_nodes(); ++n) rs.rows.Append(&n);
     }
     KGQ_COUNTER_ADD("plan.rows.node_scan", rs.rows.size());
     return rs;
@@ -338,8 +381,8 @@ class Executor {
     };
     if (partitions) {
       std::optional<LabelId> lab = csr_->FindLabel(op.label);
-      // Entries of the spans this call opens, tallied here and added to
-      // the registry once.
+      // Entries of the spans this call reads, tallied here and added to
+      // the registry once; a scan the sink stops counts what it read.
       uint64_t entries = 0;
       if (lab.has_value()) {
         // (a, b) pairs: forward atoms read a's out partition; backward
@@ -348,8 +391,8 @@ class Executor {
           CsrSnapshot::Span part = op.backward
                                        ? csr_->InForLabel(a, *lab)
                                        : csr_->OutForLabel(a, *lab);
-          entries += part.size();
           for (const CsrSnapshot::Entry& entry : part) {
+            ++entries;
             if (!emit(a, entry.neighbor)) return false;
           }
           return true;
@@ -361,8 +404,8 @@ class Executor {
           CsrSnapshot::Span part = op.backward
                                        ? csr_->OutForLabel(dst_at, *lab)
                                        : csr_->InForLabel(dst_at, *lab);
-          entries += part.size();
           for (const CsrSnapshot::Entry& entry : part) {
+            ++entries;
             if (!emit(entry.neighbor, dst_at)) break;
           }
         } else {
@@ -390,8 +433,7 @@ class Executor {
     if (op.path->kind() == PathExpr::Kind::kContextFree) {
       return CfPathAtom(op);
     }
-    RowSet rs;
-    rs.schema = op.schema;
+    RowSet rs = EmptyRows(op.schema);
     const bool diagonal = (op.src_var == op.dst_var);
     bool src_bound = false, dst_bound = false;
     NodeId src_at = kNoNode, dst_at = kNoNode;
@@ -413,11 +455,8 @@ class Executor {
     // alone instead of whole rows.
     if (dst_bound) popts.end = dst_at;
     auto emit = [&](NodeId a, NodeId b) {
-      if (diagonal) {
-        if (a == b) rs.rows.push_back({a});
-      } else {
-        rs.rows.push_back({a, b});
-      }
+      const NodeId row[2] = {a, b};  // The diagonal's one column is a.
+      if (!diagonal || a == b) rs.rows.Append(row);
     };
     PathEngine ran = PathEngine::kNfa;
     if (src_bound) {
@@ -431,7 +470,7 @@ class Executor {
       });
     } else {
       const BoolCsr pairs = PairRelation(nfa, popts, &ran);
-      if (!diagonal && !dst_bound) rs.rows.reserve(pairs.nnz());
+      if (!diagonal && !dst_bound) rs.rows.Reserve(pairs.nnz());
       for (size_t a = 0; a < pairs.num_rows; ++a) {
         for (size_t k = pairs.offsets[a]; k < pairs.offsets[a + 1]; ++k) {
           emit(static_cast<NodeId>(a), pairs.cols[k]);
@@ -451,8 +490,7 @@ class Executor {
   /// direction-local, so the fixpoint always runs whole-graph.
   Result<RowSet> CfPathAtom(const LogicalOp& op) {
     KGQ_SPAN("plan.op.cfpq");
-    RowSet rs;
-    rs.schema = op.schema;
+    RowSet rs = EmptyRows(op.schema);
     const bool diagonal = (op.src_var == op.dst_var);
     bool src_bound = false, dst_bound = false;
     NodeId src_at = kNoNode, dst_at = kNoNode;
@@ -469,11 +507,8 @@ class Executor {
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
       if (dst_bound && b != dst_at) return;
-      if (diagonal) {
-        if (a == b) rs.rows.push_back({a});
-      } else {
-        rs.rows.push_back({a, b});
-      }
+      const NodeId row[2] = {a, b};  // The diagonal's one column is a.
+      if (!diagonal || a == b) rs.rows.Append(row);
     };
     if (matrix) {
       KGQ_ASSIGN_OR_RETURN(
@@ -496,11 +531,16 @@ class Executor {
     return rs;
   }
 
+  /// The natural join of the two children on their shared columns. The
+  /// smaller side is indexed by counting sort on the first key column
+  /// (BucketIndex); each probe row reads its value's bucket and checks
+  /// the remaining key columns per candidate. Output order: probe rows
+  /// in order, each followed by its matching build rows ascending.
+  /// Without shared columns the join is a nested-loop cross product.
   Result<RowSet> HashJoin(const LogicalOp& op) {
     KGQ_ASSIGN_OR_RETURN(RowSet left, Exec(*op.children[0]));
     KGQ_ASSIGN_OR_RETURN(RowSet right, Exec(*op.children[1]));
-    RowSet rs;
-    rs.schema = op.schema;
+    RowSet rs = EmptyRows(op.schema);
 
     // Join keys: columns present on both sides, in left-schema order.
     std::vector<std::pair<size_t, size_t>> keys;  // (left col, right col)
@@ -515,59 +555,63 @@ class Executor {
         right_extra.push_back(j);
       }
     }
-    auto emit = [&](const std::vector<NodeId>& l,
-                    const std::vector<NodeId>& r) {
-      std::vector<NodeId> row;
-      row.reserve(left.schema.size() + right_extra.size());
-      row.insert(row.end(), l.begin(), l.end());
-      for (size_t j : right_extra) row.push_back(r[j]);
-      rs.rows.push_back(std::move(row));
+    const size_t left_width = left.schema.size();
+    auto emit = [&](const NodeId* l, const NodeId* r) {
+      NodeId* out = rs.rows.NewRow();
+      std::copy_n(l, left_width, out);
+      for (size_t k = 0; k < right_extra.size(); ++k) {
+        out[left_width + k] = r[right_extra[k]];
+      }
     };
 
     if (keys.empty()) {
       // Disconnected conjuncts: cross product.
-      for (const auto& l : left.rows) {
-        for (const auto& r : right.rows) emit(l, r);
+      for (size_t l = 0; l < left.rows.size(); ++l) {
+        for (size_t r = 0; r < right.rows.size(); ++r) {
+          emit(left.rows[l].data(), right.rows[r].data());
+        }
       }
     } else {
       // Build on the smaller input, probe with the larger.
       const bool build_left = left.rows.size() <= right.rows.size();
-      const RowSet& build = build_left ? left : right;
-      const RowSet& probe = build_left ? right : left;
-      auto build_key = [&](const std::vector<NodeId>& row) {
-        std::vector<NodeId> k(keys.size());
-        for (size_t i = 0; i < keys.size(); ++i) {
-          k[i] = row[build_left ? keys[i].first : keys[i].second];
-        }
-        return k;
-      };
-      auto probe_key = [&](const std::vector<NodeId>& row) {
-        std::vector<NodeId> k(keys.size());
-        for (size_t i = 0; i < keys.size(); ++i) {
-          k[i] = row[build_left ? keys[i].second : keys[i].first];
-        }
-        return k;
-      };
-      std::unordered_map<std::vector<NodeId>, std::vector<size_t>, RowHash>
-          table;
-      table.reserve(build.rows.size());
-      for (size_t i = 0; i < build.rows.size(); ++i) {
-        table[build_key(build.rows[i])].push_back(i);
+      const RowTable& build = build_left ? left.rows : right.rows;
+      const RowTable& probe = build_left ? right.rows : left.rows;
+      if (build.size() > std::numeric_limits<uint32_t>::max()) {
+        return Status::OutOfRange("hash join build side exceeds 2^32 rows");
       }
-      KGQ_HISTOGRAM_RECORD("plan.join.build_rows", build.rows.size());
-      for (const auto& row : probe.rows) {
-        auto it = table.find(probe_key(row));
-        [[maybe_unused]] size_t hits =
-            it == table.end() ? 0 : it->second.size();
-        KGQ_HISTOGRAM_RECORD("plan.join.probe_hits", hits);
-        if (it == table.end()) continue;
-        for (size_t i : it->second) {
-          const auto& other = build.rows[i];
+      // (build col, probe col) per key; the first one is bucketed.
+      std::vector<std::pair<size_t, size_t>> cols;
+      for (const auto& [l, r] : keys) {
+        cols.emplace_back(build_left ? l : r, build_left ? r : l);
+      }
+      const BucketIndex index(build, cols[0].first);
+      KGQ_HISTOGRAM_RECORD("plan.join.build_rows", build.size());
+      // plan.join.probe_hits, tallied here: hit_rows[h] probe rows found
+      // h build rows. Flushed as one update per distinct h.
+      std::vector<uint64_t> hit_rows;
+      if (KGQ_OBS_ON()) hit_rows.assign(index.max_bucket() + 1, 0);
+      for (size_t p = 0; p < probe.size(); ++p) {
+        const NodeId* row = probe[p].data();
+        size_t hits = 0;
+        for (uint32_t b : index.Bucket(row[cols[0].second])) {
+          const NodeId* other = build[b].data();
+          bool match = true;
+          for (size_t k = 1; k < cols.size() && match; ++k) {
+            match = other[cols[k].first] == row[cols[k].second];
+          }
+          if (!match) continue;
+          ++hits;
           if (build_left) {
             emit(other, row);
           } else {
             emit(row, other);
           }
+        }
+        if (!hit_rows.empty()) ++hit_rows[hits];
+      }
+      for ([[maybe_unused]] size_t h = 0; h < hit_rows.size(); ++h) {
+        if (hit_rows[h] > 0) {
+          KGQ_HISTOGRAM_RECORD_TIMES("plan.join.probe_hits", h, hit_rows[h]);
         }
       }
     }
@@ -686,6 +730,45 @@ class Executor {
     for (size_t i = 0; i <= depth; ++i) trace->PopOp();
   }
 
+  /// Columns of an ordered stream (Ordered) that hold one value on
+  /// every row: a scan endpoint bound to a constant, or a Filter's
+  /// `var == node` column, kept by the Filters and probe joins above.
+  std::vector<bool> ConstantColumns(const LogicalOp& op) {
+    std::vector<bool> fixed(op.schema.size(), false);
+    switch (op.kind) {
+      case LogicalKind::kEdgeScan:
+        fixed[0] = op.has_bound_src;
+        fixed.back() = fixed.back() || op.has_bound_dst;
+        break;
+      case LogicalKind::kFilter:
+      case LogicalKind::kHashJoin:  // A probe join: the left's schema.
+        fixed = ConstantColumns(*op.children[0]);
+        if (op.kind == LogicalKind::kFilter && op.test == nullptr) {
+          const size_t col = ColumnOf(op.schema, op.src_var);
+          if (col < fixed.size()) fixed[col] = true;
+        }
+        break;
+      default:
+        break;
+    }
+    return fixed;
+  }
+
+  /// True iff rows sorted by `input`'s schema are also sorted by the
+  /// projection `cols` with equal projected rows adjacent: skipping the
+  /// constant columns on both sides, the projection is a prefix of the
+  /// input's columns.
+  bool OrderPrefix(const LogicalOp& input, const std::vector<size_t>& cols) {
+    const std::vector<bool> fixed = ConstantColumns(input);
+    size_t next = 0;  // The next non-constant input column.
+    for (size_t c : cols) {
+      if (fixed[c]) continue;
+      while (next < fixed.size() && fixed[next]) ++next;
+      if (c != next++) return false;
+    }
+    return true;
+  }
+
   Result<RowSet> Project(const LogicalOp& op) {
     const LogicalOp& input = *op.children[0];
     std::vector<size_t> cols;
@@ -698,39 +781,41 @@ class Executor {
       }
       cols.push_back(c);
     }
-    RowSet rs;
-    rs.schema = op.columns;
+    RowSet rs = EmptyRows(op.columns);
+    const size_t width = cols.size();
     // The canonical output discipline shared with the reference
     // evaluators: sorted, deduplicated, limit applied last. An ordered
-    // input whose leading columns are the projection already arrives
-    // sorted with duplicates adjacent, so it is deduplicated on the fly
-    // and the stream stops once `limit` distinct rows are in.
-    bool prefix = true;
-    for (size_t i = 0; i < cols.size(); ++i) prefix = prefix && cols[i] == i;
-    if (prefix && Ordered(input)) {
-      const size_t width = cols.size();
+    // input whose leading non-constant columns are the projection
+    // already arrives sorted with duplicates adjacent, so it is
+    // deduplicated on the fly and the stream stops once `limit`
+    // distinct rows are in.
+    if (Ordered(input) && OrderPrefix(input, cols)) {
+      std::vector<NodeId> out(width);
       KGQ_RETURN_IF_ERROR(Stream(input, [&](const NodeId* row) {
+        for (size_t i = 0; i < width; ++i) out[i] = row[cols[i]];
         if (rs.rows.empty() ||
-            !std::equal(row, row + width, rs.rows.back().begin())) {
-          rs.rows.emplace_back(row, row + width);
+            !std::equal(out.begin(), out.end(),
+                        rs.rows[rs.rows.size() - 1].begin())) {
+          rs.rows.Append(out.data());
         }
         return op.limit == 0 || rs.rows.size() < op.limit;
       }));
     } else {
-      KGQ_ASSIGN_OR_RETURN(RowSet rows, Exec(input));
-      rs.rows.reserve(rows.rows.size());
-      for (const auto& row : rows.rows) {
-        std::vector<NodeId> out;
-        out.reserve(cols.size());
-        for (size_t c : cols) out.push_back(row[c]);
-        rs.rows.push_back(std::move(out));
+      KGQ_ASSIGN_OR_RETURN(RowSet in, Exec(input));
+      bool identity = width == in.schema.size();
+      for (size_t i = 0; i < width; ++i) identity = identity && cols[i] == i;
+      if (identity) {
+        rs.rows = std::move(in.rows);
+      } else {
+        rs.rows.Reserve(in.rows.size());
+        for (size_t r = 0; r < in.rows.size(); ++r) {
+          std::span<const NodeId> row = in.rows[r];
+          NodeId* out = rs.rows.NewRow();
+          for (size_t i = 0; i < width; ++i) out[i] = row[cols[i]];
+        }
       }
-      std::sort(rs.rows.begin(), rs.rows.end());
-      rs.rows.erase(std::unique(rs.rows.begin(), rs.rows.end()),
-                    rs.rows.end());
-      if (op.limit > 0 && rs.rows.size() > op.limit) {
-        rs.rows.resize(op.limit);
-      }
+      rs.rows.SortUnique();
+      if (op.limit > 0) rs.rows.Truncate(op.limit);
     }
     KGQ_COUNTER_ADD("plan.rows.project", rs.rows.size());
     return rs;

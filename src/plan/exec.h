@@ -6,16 +6,18 @@
 
 #include "graph/graph_view.h"
 #include "plan/ir.h"
+#include "plan/row_table.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace kgq {
 
 /// Tabular intermediate / final result of plan execution: one column
-/// per schema variable, node ids as values.
+/// per schema variable, node ids as values, rows.arity() ==
+/// schema.size().
 struct RowSet {
   std::vector<std::string> schema;
-  std::vector<std::vector<NodeId>> rows;
+  RowTable rows;
 };
 
 /// Execution knobs shared by all physical operators. The CSR the
@@ -43,23 +45,38 @@ struct ExecOptions {
 /// left side, probed by binary search of the sorted span instead of a
 /// hash table. A row is materialized only once it passes every check.
 /// Over sorted spans the pipeline emits its rows in schema order; when
-/// the projected columns are a prefix of that order, Project
-/// deduplicates on the fly and stops the scan after `limit` distinct
-/// rows. Every other operator (NodeScan, PathAtom, hash-built HashJoin)
-/// materializes its output, and every other Project materializes, sorts,
-/// deduplicates and then limits — the memory caveat of ExecuteMatch
-/// applies to huge intermediate joins. The rows are identical either
-/// way, and plans and EXPLAIN do not depend on which path runs.
+/// the projected columns, skipping columns bound to a constant, are a
+/// prefix of that order, Project deduplicates on the fly and stops the
+/// scan after `limit` distinct rows. Every other operator (NodeScan,
+/// PathAtom, a built HashJoin) materializes its output, and every other
+/// Project materializes, sorts, deduplicates and then limits.
+///
+/// Rows are flat from the first operator on: every RowSet holds one
+/// RowTable buffer, a row costs its values and no allocation of its
+/// own. A built HashJoin indexes its smaller side by counting sort on
+/// the first key column (offsets over that column's [min, max], the
+/// shape of a CSR; further key columns are checked per candidate) and
+/// emits probe rows in order, each with its matches in build order; a
+/// join without shared columns is a nested-loop cross product.
+/// Project's sort is an LSD radix sort over the flat rows (RowTable::
+/// SortUnique). Memory caveat: a materialized intermediate costs
+/// 4 bytes per value, and a built join's index adds 4 bytes per build
+/// row and per node id in its key range — huge intermediate joins still
+/// cost memory in proportion to their rows. The rows are identical on
+/// every path, and plans and EXPLAIN do not depend on which path runs.
 ///
 /// obs: span plan.execute wraps the call with one nested span per
 /// operator kind (plan.op.node_scan, plan.op.edge_scan,
 /// plan.op.path_atom, plan.op.hash_join, plan.op.filter,
 /// plan.op.project); counters plan.rows.<kind> tally rows produced per
 /// operator kind; histograms plan.join.build_rows / plan.join.probe_hits
-/// record hash-join build sizes and per-probe match counts (a probe
-/// join builds no table and records neither); counter
-/// plan.scan.label_partition_entries tallies the entries of the label
-/// spans the scans opened, added once per scan.
+/// record built-join build sizes and per-probe-row match counts (a
+/// probe join builds no table and records neither). The probe counts
+/// are tallied in a local array during the join and flushed once per
+/// distinct count, so the histogram holds what per-row recording would.
+/// Counter plan.scan.label_partition_entries tallies the label-span
+/// entries the scans read (a scan that LIMIT stops counts only what it
+/// read), added once per scan.
 Result<RowSet> ExecutePlan(const GraphView& view, const LogicalOp& root,
                            const ExecOptions& options = {});
 

@@ -240,7 +240,8 @@ Result<QueryResult> ExecuteMatch(const GraphView& view,
   if (query.limit > 0 && rows.size() > query.limit) {
     rows.resize(query.limit);
   }
-  result.rows = std::move(rows);
+  result.rows = RowTable(return_pos.size());
+  for (const std::vector<NodeId>& row : rows) result.rows.Append(row.data());
   return result;
 }
 

@@ -56,7 +56,7 @@ struct MatchQuery {
 /// Tabular query answer: node ids per projected column.
 struct QueryResult {
   std::vector<std::string> columns;
-  std::vector<std::vector<NodeId>> rows;
+  RowTable rows;  ///< arity == columns.size().
 };
 
 /// Parses the MATCH grammar above. Keywords are case-insensitive.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <tuple>
 
 #include "pathalg/pairs.h"
@@ -252,7 +253,8 @@ Result<std::vector<Binding>> EvalBgpPlanned(
     return out;
   }
   out.reserve(rows.rows.size());
-  for (const std::vector<NodeId>& row : rows.rows) {
+  for (size_t r = 0; r < rows.rows.size(); ++r) {
+    std::span<const NodeId> row = rows.rows[r];
     Binding b;
     for (size_t i = 0; i < rows.schema.size(); ++i) {
       b[rows.schema[i]] = *store.dict().Find(view.TermOf(row[i]));

@@ -325,9 +325,8 @@ Result<RowSet> EvalCrpqReference(const GraphView& view, const Crpq& q) {
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   if (cq.limit > 0 && rows.size() > cq.limit) rows.resize(cq.limit);
 
-  RowSet out;
-  out.schema = cq.projection;
-  out.rows = std::move(rows);
+  RowSet out{cq.projection, RowTable(head_pos.size())};
+  for (const std::vector<NodeId>& row : rows) out.rows.Append(row.data());
   return out;
 }
 

@@ -725,15 +725,24 @@ std::string RenderAnswer(const Request& req, const QueryAnswer& answer) {
     AppendJsonString(&out, answer.columns[i]);
   }
   out += "],\"rows\":[";
-  for (size_t i = 0; i < answer.rows.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '[';
-    for (size_t j = 0; j < answer.rows[i].size(); ++j) {
-      if (j > 0) out += ',';
-      out += std::to_string(answer.rows[i][j]);
+  // Straight from the flat buffer into room sized for the worst case: a
+  // value is at most 10 digits plus its comma, a row adds "[],".
+  const RowTable& rows = answer.rows;
+  const size_t arity = rows.arity();
+  const size_t start = out.size();
+  out.resize(start + rows.size() * (arity * 11 + 3));
+  char* p = out.data() + start;
+  const NodeId* value = rows.data().data();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) *p++ = ',';
+    *p++ = '[';
+    for (size_t j = 0; j < arity; ++j) {
+      if (j > 0) *p++ = ',';
+      p = std::to_chars(p, p + 10, *value++).ptr;
     }
-    out += ']';
+    *p++ = ']';
   }
+  out.resize(static_cast<size_t>(p - out.data()));
   out += ']';
   if (req.profile) {
     // The member is always present on a profiled request, so clients

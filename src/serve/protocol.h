@@ -12,6 +12,7 @@
 #include "graph/multigraph.h"
 #include "obs/json_writer.h"
 #include "obs/trace.h"
+#include "plan/row_table.h"
 #include "util/result.h"
 
 namespace kgq {
@@ -108,12 +109,15 @@ Status ParseRequestLine(std::string_view line, Request* out);
 
 /// A query's answer: the epoch it was pinned to, whether it was served
 /// from the plan/result cache, and the canonical (sorted, deduplicated,
-/// limited) rows.
+/// limited) rows — the executor's flat RowTable, moved in without a
+/// per-row copy and rendered straight from its buffer. An ASK answer
+/// has no columns and one zero-arity row when the pattern holds. A
+/// cache hit copies the table (one memcpy of its buffer).
 struct QueryAnswer {
   uint64_t epoch = 0;
   bool cached = false;
   std::vector<std::string> columns;
-  std::vector<std::vector<NodeId>> rows;
+  RowTable rows;  ///< arity == columns.size().
   /// Per-operator profile tree, when the computation captured one
   /// (request asked for it, or the server's slow-query log is armed).
   /// Shared with the cache entry; never mutated after capture.

@@ -259,7 +259,7 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
   answer.epoch = snap.epoch;
   answer.profile = std::move(profile);
   if (ask) {
-    if (!rows.rows.empty()) answer.rows.push_back({});
+    if (!rows.rows.empty()) answer.rows.NewRow();  // One row, no columns.
   } else {
     answer.columns = std::move(rows.schema);
     answer.rows = std::move(rows.rows);

@@ -132,8 +132,9 @@ TEST(CrossModelTest, BgpAndMatchAgreeOnRdfEncoding) {
       "MATCH (x: person) -[ rides/rides^- ]-> (y: infected) RETURN x, y");
   ASSERT_TRUE(match.ok());
   std::set<std::string> from_match;
-  for (const auto& row : match->rows) {
-    from_match.insert(view.TermOf(row[0]) + ">" + view.TermOf(row[1]));
+  for (size_t r = 0; r < match->rows.size(); ++r) {
+    from_match.insert(view.TermOf(match->rows[r][0]) + ">" +
+                      view.TermOf(match->rows[r][1]));
   }
   EXPECT_EQ(from_bgp, from_match);
   EXPECT_EQ(from_bgp.size(), 2u);  // Juan and Rosa to Pedro.

@@ -66,7 +66,9 @@ TEST_F(ScaleTest, MatchModalAndPairsAgree) {
   // form skips the ?bus test; every rides target is a bus by
   // construction of the scenario.)
   Bitset from_match(city_->num_nodes());
-  for (const auto& row : match->rows) from_match.Set(row[0]);
+  for (size_t r = 0; r < match->rows.size(); ++r) {
+    from_match.Set(match->rows[r][0]);
+  }
   EXPECT_EQ(from_match, modal);
   EXPECT_GT(modal.Count(), 50u);  // Sanity: infections spread.
 

@@ -149,8 +149,10 @@ TEST_F(ObsTraceTest, TraceContextAggregatesEventsPerName) {
   ctx.OnCounter("a", 2);
   ctx.OnCounter("a", 3);
   ctx.OnCounter("b", 1);
-  ctx.OnHistogram("h", 10);
-  ctx.OnHistogram("h", 4);
+  ctx.OnHistogram("h", 10, 1);
+  ctx.OnHistogram("h", 4, 2);  // Two samples of 4 in one event.
+  ctx.OnHistogram("h", 1, 0);  // No sample.
+  ctx.OnHistogram("empty", 5, 0);
   ctx.OnSpan("s", 100);
   ctx.OnSpan("s", 50);
 
@@ -160,11 +162,12 @@ TEST_F(ObsTraceTest, TraceContextAggregatesEventsPerName) {
 
   const TraceContext::HistogramStat* h = ctx.FindHistogram("h");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2u);
-  EXPECT_EQ(h->sum, 14u);
+  EXPECT_EQ(h->count, 3u);
+  EXPECT_EQ(h->sum, 18u);
   EXPECT_EQ(h->min, 4u);
   EXPECT_EQ(h->max, 10u);
   EXPECT_EQ(ctx.FindHistogram("absent"), nullptr);
+  EXPECT_EQ(ctx.FindHistogram("empty"), nullptr);
 
   const TraceContext::SpanStat* s = ctx.FindSpan("s");
   ASSERT_NE(s, nullptr);
@@ -332,7 +335,8 @@ class RecordingSink : public ObsSink {
   void OnCounter(std::string_view name, uint64_t delta) override {
     counters.emplace_back(std::string(name), delta);
   }
-  void OnHistogram(std::string_view name, uint64_t value) override {
+  void OnHistogram(std::string_view name, uint64_t value,
+                   uint64_t /*times*/) override {
     histograms.emplace_back(std::string(name), value);
   }
   void OnSpan(std::string_view path, uint64_t) override {

@@ -30,6 +30,7 @@
 #include "rdf/rdf_view.h"
 #include "rpq/crpq.h"
 #include "rpq/parser.h"
+#include "serve/protocol.h"
 #include "util/rng.h"
 
 namespace kgq {
@@ -50,6 +51,9 @@ const LogicalOp* FindKind(const LogicalOp& op, LogicalKind kind) {
   }
   return nullptr;
 }
+
+/// Nested copy of a result table, to compare with a literal.
+using Rows = std::vector<std::vector<NodeId>>;
 
 size_t CountKind(const LogicalOp& op, LogicalKind kind) {
   size_t n = op.kind == kind ? 1 : 0;
@@ -258,10 +262,10 @@ TEST(Executor, AnswersFigure2RidersQuery) {
   for (bool with_csr : {false, true}) {
     RowSet rows = *EvalCrpq(with_csr ? csr_view : view, q);
     ASSERT_EQ(rows.schema, std::vector<std::string>{"x"});
-    EXPECT_EQ(rows.rows, expected) << "csr=" << with_csr;
+    EXPECT_EQ(Rows(rows.rows), expected) << "csr=" << with_csr;
   }
   RowSet ref = *EvalCrpqReference(view, q);
-  EXPECT_EQ(ref.rows, expected);
+  EXPECT_EQ(Rows(ref.rows), expected);
 }
 
 // The contact-tracing join of the paper: who shared a bus with an
@@ -277,9 +281,9 @@ TEST(Executor, AnswersTheContactTracingJoin) {
   // Juan and Rosa ride the bus Pedro (infected) rides. Pedro is labeled
   // infected, not person, so he is excluded.
   std::vector<std::vector<NodeId>> expected = {{fig2::kJuan}, {fig2::kRosa}};
-  EXPECT_EQ(rows.rows, expected) << ExplainPlan(
+  EXPECT_EQ(Rows(rows.rows), expected) << ExplainPlan(
       **PlanQuery(*CompileCrpq(q), GraphStats::From(&view, view.csr())));
-  EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
+  EXPECT_EQ(Rows((*EvalCrpqReference(view, q)).rows), expected);
 }
 
 TEST(Executor, DiagonalAtomSelectsSelfLoopsOnly) {
@@ -294,9 +298,9 @@ TEST(Executor, DiagonalAtomSelectsSelfLoopsOnly) {
   Crpq q = *ParseCrpq("q(x) :- (x) -[ a ]-> (x)");
   std::vector<std::vector<NodeId>> expected = {{1}};
   for (bool with_csr : {false, true}) {
-    EXPECT_EQ((*EvalCrpq(with_csr ? csr_view : view, q)).rows, expected);
+    EXPECT_EQ(Rows((*EvalCrpq(with_csr ? csr_view : view, q)).rows), expected);
   }
-  EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
+  EXPECT_EQ(Rows((*EvalCrpqReference(view, q)).rows), expected);
 }
 
 TEST(Executor, TestOnlyVariablesCrossJoinViaNodeScan) {
@@ -307,8 +311,8 @@ TEST(Executor, TestOnlyVariablesCrossJoinViaNodeScan) {
   Crpq q = *ParseCrpq("q(x, w) :- (x: infected) -[ rides ]-> (b), (w: bus)");
   RowSet rows = *EvalCrpq(view, q);
   std::vector<std::vector<NodeId>> expected = {{fig2::kPedro, fig2::kBus}};
-  EXPECT_EQ(rows.rows, expected);
-  EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
+  EXPECT_EQ(Rows(rows.rows), expected);
+  EXPECT_EQ(Rows((*EvalCrpqReference(view, q)).rows), expected);
 }
 
 TEST(Executor, BoundVariablesPinLeavesAndAbsentConstantsYieldEmpty) {
@@ -324,7 +328,7 @@ TEST(Executor, BoundVariablesPinLeavesAndAbsentConstantsYieldEmpty) {
   RowSet rows = *ExecutePlan(view, **PlanQuery(q, stats), eopts);
   std::vector<std::vector<NodeId>> expected = {
       {fig2::kJuan}, {fig2::kPedro}, {fig2::kRosa}};
-  EXPECT_EQ(rows.rows, expected);
+  EXPECT_EQ(Rows(rows.rows), expected);
 
   // A constant that does not exist in the graph empties the query —
   // under every planner configuration.
@@ -341,8 +345,8 @@ TEST(Executor, LimitTruncatesAfterSortAndDedup) {
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus) LIMIT 2");
   RowSet rows = *EvalCrpq(view, q);
   std::vector<std::vector<NodeId>> expected = {{fig2::kJuan}, {fig2::kPedro}};
-  EXPECT_EQ(rows.rows, expected);
-  EXPECT_EQ((*EvalCrpqReference(view, q)).rows, expected);
+  EXPECT_EQ(Rows(rows.rows), expected);
+  EXPECT_EQ(Rows((*EvalCrpqReference(view, q)).rows), expected);
 }
 
 /// Counts the events a sink receives for one counter name.
@@ -354,7 +358,7 @@ class CounterEvents : public obs::ObsSink {
     ++events;
     total += delta;
   }
-  void OnHistogram(std::string_view, uint64_t) override {}
+  void OnHistogram(std::string_view, uint64_t, uint64_t) override {}
   void OnSpan(std::string_view, uint64_t) override {}
 
   uint64_t events = 0;
@@ -466,9 +470,9 @@ TEST(OrderedPipeline, LimitStopsTheScanEarly) {
     return ExecuteMatchPlanned(view, mq);
   }();
   ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->rows, want);
+  EXPECT_EQ(Rows(got->rows), want);
   // The list path (no CSR) materializes and sorts everything.
-  EXPECT_EQ((*ExecuteMatchPlanned(plain, mq)).rows, want);
+  EXPECT_EQ(Rows((*ExecuteMatchPlanned(plain, mq)).rows), want);
 
   if (!obs::kCompiledIn) return;
   std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
@@ -535,7 +539,7 @@ TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
       return ExecutePlan(*view, project);
     }();
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->rows, want) << "csr=" << (view->csr() != nullptr);
+    EXPECT_EQ(Rows(got->rows), want) << "csr=" << (view->csr() != nullptr);
     if (!obs::kCompiledIn || view->csr() == nullptr) continue;
     std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
     ASSERT_NE(profile, nullptr);
@@ -585,8 +589,8 @@ TEST(OrderedPipeline, ClosingEdgeProbesInsteadOfHashing) {
       return EvalCrpq(view, q);
     }();
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(got->rows, want);
-    EXPECT_EQ((*EvalCrpq(plain, q)).rows, want);  // list path, hash join
+    EXPECT_EQ(Rows(got->rows), want);
+    EXPECT_EQ(Rows((*EvalCrpq(plain, q)).rows), want);  // list path, hash join
 
     if (!obs::kCompiledIn) continue;
     std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
@@ -601,6 +605,361 @@ TEST(OrderedPipeline, ClosingEdgeProbesInsteadOfHashing) {
     EXPECT_EQ(join->children[1]->engine, "probe");
     EXPECT_EQ(join->rows_out, limit > 0 ? limit : mutual.size());
   }
+}
+
+TEST(OrderedPipeline, ConstantLeadingColumnDoesNotBlockTheLimitStop) {
+  obs::Registry::SetEnabled(true);
+  // Node 0 knows 150 nodes; built in canonical (from, to) order so the
+  // label spans are sorted.
+  constexpr NodeId kDegree = 150;
+  LabeledGraph g;
+  for (NodeId n = 0; n <= kDegree + 1; ++n) g.AddNode("person");
+  for (NodeId n = 1; n <= kDegree; ++n) {
+    ASSERT_TRUE(g.AddEdge(0, n, "knows").ok());
+  }
+  ASSERT_TRUE(g.AddEdge(1, kDegree + 1, "knows").ok());
+  LabeledGraphView plain(g);
+  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  ASSERT_TRUE(view.csr()->label_spans_sorted());
+
+  // n0 knows ?y LIMIT 1: the scan's schema is [x, y] with x bound, so
+  // [y] is an order prefix once the constant column is skipped.
+  ConjunctiveQuery q;
+  q.atoms.push_back({"x", "y", *ParseRegex("knows")});
+  q.bound["x"] = 0;
+  q.projection = {"y"};
+  q.limit = 1;
+  GraphStats stats = GraphStats::From(&view, view.csr());
+  LogicalOpPtr plan = *PlanQuery(q, stats);
+  ASSERT_NE(FindKind(*plan, LogicalKind::kEdgeScan), nullptr)
+      << ExplainPlan(*plan);
+
+  CounterEvents entries("plan.scan.label_partition_entries");
+  Result<RowSet> got = [&] {
+    obs::ScopedSink sink(&entries);
+    return ExecutePlan(view, *plan);
+  }();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(Rows(got->rows), (Rows{{1}}));
+  EXPECT_EQ(Rows((*ExecutePlan(plain, *plan)).rows), (Rows{{1}}));
+  if (!obs::kCompiledIn) return;
+  EXPECT_LT(entries.total, 100u)
+      << "the bound scan read its whole span: LIMIT did not stop it";
+}
+
+// ---------------------------------------------------------------------
+// Flat rows: RowTable, the bucket join and the radix Project
+
+TEST(RowTable, ZeroArityRowsCountAndRender) {
+  RowTable ask(0);
+  EXPECT_TRUE(ask.empty());
+  ask.NewRow();
+  ask.Append(nullptr);
+  EXPECT_EQ(ask.size(), 2u);
+  EXPECT_TRUE(ask[1].empty());
+  EXPECT_TRUE(ask.data().empty());
+  ask.SortUnique();  // Every zero-arity row equals every other.
+  EXPECT_EQ(ask.size(), 1u);
+  EXPECT_EQ(Rows(ask), (Rows{{}}));
+  EXPECT_NE(ask, RowTable(0));
+
+  serve::Request req;
+  serve::QueryAnswer answer;
+  answer.rows = ask;
+  const std::string out = serve::RenderAnswer(req, answer);
+  EXPECT_NE(out.find("\"columns\":[],\"rows\":[[]]"), std::string::npos)
+      << out;
+  answer.rows = RowTable(0);
+  EXPECT_NE(serve::RenderAnswer(req, answer).find("\"rows\":[]"),
+            std::string::npos);
+}
+
+TEST(RowTable, RendersEveryDigitCount) {
+  RowTable rows(3);
+  const NodeId a[3] = {0, 9, 10};
+  const NodeId b[3] = {4294967295u, 1000000000u, 123};
+  rows.Append(a);
+  rows.Append(b);
+  serve::Request req;
+  serve::QueryAnswer answer;
+  answer.columns = {"x", "y", "z"};
+  answer.rows = rows;
+  const std::string out = serve::RenderAnswer(req, answer);
+  EXPECT_NE(out.find("\"rows\":[[0,9,10],[4294967295,1000000000,123]]}"),
+            std::string::npos)
+      << out;
+}
+
+TEST(RowTable, ZeroColumnProjectYieldsOneRowIffTheInputHasRows) {
+  LabeledGraph g;
+  for (int i = 0; i < 3; ++i) g.AddNode("n");
+  ASSERT_TRUE(g.AddEdge(0, 1, "a").ok());
+  ASSERT_TRUE(g.AddEdge(1, 2, "a").ok());
+  LabeledGraphView plain(g);
+  LabeledGraphView sorted = LabeledGraphView::WithCsr(g);
+  for (const char* label : {"a", "absent"}) {
+    auto scan = std::make_shared<LogicalOp>();
+    scan->kind = LogicalKind::kEdgeScan;
+    scan->src_var = "x";
+    scan->dst_var = "y";
+    scan->label = label;
+    scan->schema = {"x", "y"};
+    LogicalOp project;
+    project.kind = LogicalKind::kProject;
+    project.children = {scan};
+    // Streamed (sorted CSR) and materialized (list) paths alike.
+    for (const LabeledGraphView* view : {&sorted, &plain}) {
+      Result<RowSet> got = ExecutePlan(*view, project);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->rows.arity(), 0u);
+      EXPECT_EQ(got->rows.size(), std::string(label) == "a" ? 1u : 0u)
+          << label << " csr=" << (view->csr() != nullptr);
+    }
+  }
+}
+
+TEST(RowTable, RadixSortUniqueMatchesStdSortAndUnique) {
+  Rng rng(2024);
+  for (size_t arity = 1; arity <= 6; ++arity) {
+    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{300},
+                     size_t{5000}}) {
+      // Full 32-bit ids run every digit pass; ids below 4 make
+      // duplicates and skipped passes; mixed columns get both.
+      for (int spread = 0; spread < 3; ++spread) {
+        RowTable table(arity);
+        Rows want;
+        std::vector<NodeId> row(arity);
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = 0; c < arity; ++c) {
+            const bool wide = spread == 0 || (spread == 2 && c % 2 == 0);
+            row[c] = static_cast<NodeId>(wide ? rng.Next() : rng.Below(4));
+          }
+          if (r % 7 == 0) row[0] = 4294967295u;  // The largest id.
+          table.Append(row.data());
+          want.push_back(row);
+        }
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+        table.SortUnique();
+        ASSERT_EQ(Rows(table), want)
+            << "arity " << arity << " rows " << n << " spread " << spread;
+        ASSERT_EQ(table.size(), want.size());
+        ASSERT_EQ(table.data().size(), want.size() * arity);
+      }
+    }
+  }
+}
+
+/// An EdgeScan leaf for hand-built join plans.
+LogicalOpPtr ScanOf(const std::string& src, const std::string& dst,
+                    const std::string& label) {
+  auto op = std::make_shared<LogicalOp>();
+  op->kind = LogicalKind::kEdgeScan;
+  op->src_var = src;
+  op->dst_var = dst;
+  op->label = label;
+  op->schema = {src, dst};
+  if (src == dst) op->schema = {src};
+  return op;
+}
+
+/// A HashJoin of two plans; schema = left ++ right-only columns.
+LogicalOpPtr JoinOf(LogicalOpPtr left, LogicalOpPtr right) {
+  auto op = std::make_shared<LogicalOp>();
+  op->kind = LogicalKind::kHashJoin;
+  op->schema = left->schema;
+  for (const std::string& var : right->schema) {
+    if (!left->Produces(var)) op->schema.push_back(var);
+  }
+  op->children = {std::move(left), std::move(right)};
+  return op;
+}
+
+/// The documented join output, by nested loops: the smaller side (the
+/// left on a tie) builds; probe rows in order, each followed by its
+/// matching build rows ascending. A cross product (no shared column)
+/// runs left rows outside, right rows inside. `probe_hits` receives
+/// each probe row's match count, in probe order.
+Rows ReferenceJoin(const RowSet& left, const RowSet& right,
+                   std::vector<uint64_t>* probe_hits = nullptr) {
+  std::vector<std::pair<size_t, size_t>> keys;
+  std::vector<size_t> extra;
+  for (size_t j = 0; j < right.schema.size(); ++j) {
+    auto it = std::find(left.schema.begin(), left.schema.end(),
+                        right.schema[j]);
+    if (it == left.schema.end()) {
+      extra.push_back(j);
+    } else {
+      keys.emplace_back(it - left.schema.begin(), j);
+    }
+  }
+  const Rows l = left.rows;
+  const Rows r = right.rows;
+  const bool build_left = !keys.empty() && l.size() <= r.size();
+  const Rows& build = build_left ? l : r;
+  const Rows& probe = build_left ? r : l;
+  Rows out;
+  for (const auto& p : probe) {
+    uint64_t hits = 0;
+    for (const auto& b : build) {
+      const auto& lrow = build_left ? b : p;
+      const auto& rrow = build_left ? p : b;
+      bool match = true;
+      for (const auto& [i, j] : keys) match = match && lrow[i] == rrow[j];
+      if (!match) continue;
+      ++hits;
+      std::vector<NodeId> row = lrow;
+      for (size_t j : extra) row.push_back(rrow[j]);
+      out.push_back(std::move(row));
+    }
+    if (probe_hits != nullptr) probe_hits->push_back(hits);
+  }
+  return out;
+}
+
+/// Executes `join` (no Project: its raw output order) and its two
+/// children on `view`, and checks it against ReferenceJoin.
+void ExpectJoinMatchesReference(const GraphView& view, const LogicalOp& join,
+                                size_t min_rows = 1) {
+  const RowSet left = *ExecutePlan(view, *join.children[0]);
+  const RowSet right = *ExecutePlan(view, *join.children[1]);
+  Result<RowSet> got = ExecutePlan(view, join);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->schema, join.schema);
+  EXPECT_EQ(got->rows.arity(), join.schema.size());
+  const Rows want = ReferenceJoin(left, right);
+  EXPECT_GE(want.size(), min_rows);
+  EXPECT_EQ(Rows(got->rows), want) << ExplainPlan(join);
+}
+
+TEST(FlatJoin, CrossProductIsNestedLoopsInOrder) {
+  LabeledGraph g;
+  for (int i = 0; i < 6; ++i) g.AddNode("n");
+  ASSERT_TRUE(g.AddEdge(0, 1, "a").ok());
+  ASSERT_TRUE(g.AddEdge(2, 3, "a").ok());
+  ASSERT_TRUE(g.AddEdge(4, 5, "b").ok());
+  ASSERT_TRUE(g.AddEdge(5, 4, "b").ok());
+  ASSERT_TRUE(g.AddEdge(3, 3, "b").ok());
+  LabeledGraphView view(g);
+  LogicalOpPtr join = JoinOf(ScanOf("x", "y", "a"), ScanOf("u", "v", "b"));
+  const Rows want = {{0, 1, 4, 5}, {0, 1, 5, 4}, {0, 1, 3, 3},
+                     {2, 3, 4, 5}, {2, 3, 5, 4}, {2, 3, 3, 3}};
+  EXPECT_EQ(Rows((*ExecutePlan(view, *join)).rows), want);
+  ExpectJoinMatchesReference(view, *join);
+}
+
+TEST(FlatJoin, TwoColumnKeysWithASkewedFirstColumn) {
+  // Almost every a- and b-edge leaves node 0, so one bucket of the
+  // first key column holds nearly the whole build side and the second
+  // key column decides.
+  LabeledGraph g;
+  for (int i = 0; i < 60; ++i) g.AddNode("n");
+  Rng rng(5);
+  for (int i = 0; i < 400; ++i) {
+    const NodeId from = rng.Below(10) == 0 ? rng.Below(60) : 0;
+    ASSERT_TRUE(g.AddEdge(from, rng.Below(60), i % 3 == 0 ? "b" : "a").ok());
+  }
+  LabeledGraphView view(g);  // No CSR: a built join, never a probe.
+  for (bool swap : {false, true}) {
+    LogicalOpPtr a = ScanOf("x", "y", "a");
+    LogicalOpPtr b = ScanOf("x", "y", "b");
+    LogicalOpPtr join = swap ? JoinOf(b, a) : JoinOf(a, b);
+    ExpectJoinMatchesReference(view, *join, 2);
+  }
+}
+
+TEST(FlatJoin, BuildKeysAwayFromZeroAndEmptySides) {
+  // The build side's keys lie in [1000, 1004]; the probe side's reach
+  // below, inside and above that range.
+  LabeledGraph g;
+  for (int i = 0; i < 1100; ++i) g.AddNode("n");
+  for (NodeId k = 1000; k < 1005; ++k) {
+    ASSERT_TRUE(g.AddEdge(k, k + 50, "small").ok());
+  }
+  for (NodeId n = 0; n < 1100; n += 3) {
+    ASSERT_TRUE(g.AddEdge(n % 7, n, "big").ok());
+    ASSERT_TRUE(g.AddEdge((n + 1) % 5, n, "big").ok());
+  }
+  for (const LabeledGraphView& view :
+       {LabeledGraphView(g), LabeledGraphView::WithCsr(g)}) {
+    for (bool swap : {false, true}) {
+      LogicalOpPtr small = ScanOf("y", "z", "small");
+      LogicalOpPtr big = ScanOf("x", "y", "big");
+      ExpectJoinMatchesReference(
+          view, swap ? *JoinOf(small, big) : *JoinOf(big, small), 1);
+    }
+    // Empty build side, empty probe side, both empty.
+    LogicalOpPtr none = ScanOf("y", "w", "absent");
+    LogicalOpPtr also_none = ScanOf("w", "y", "absent");
+    for (const LogicalOpPtr& join :
+         {JoinOf(ScanOf("x", "y", "big"), none),
+          JoinOf(none, ScanOf("x", "y", "big")), JoinOf(none, also_none)}) {
+      Result<RowSet> got = ExecutePlan(view, *join);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(got->rows.empty());
+      EXPECT_EQ(got->rows.arity(), join->schema.size());
+      ExpectJoinMatchesReference(view, *join, 0);
+    }
+  }
+}
+
+// plan.join.probe_hits is tallied during the join and flushed once per
+// distinct hit count; registry and trace must hold exactly what one
+// record per probe row would.
+TEST(FlatJoin, ProbeHitsFlushEqualsPerRowRecording) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::Registry::SetEnabled(true);
+  obs::Registry::Get().Reset();
+  LabeledGraph g;
+  for (int i = 0; i < 80; ++i) g.AddNode("n");
+  Rng rng(9);
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(g.AddEdge(rng.Below(80), rng.Below(40),
+                          i % 4 == 0 ? "b" : "a").ok());
+  }
+  LabeledGraphView view(g);
+  LogicalOpPtr join = JoinOf(ScanOf("x", "y", "a"), ScanOf("y", "z", "b"));
+  std::vector<uint64_t> hits;
+  const Rows want = ReferenceJoin(*ExecutePlan(view, *join->children[0]),
+                                  *ExecutePlan(view, *join->children[1]),
+                                  &hits);
+  ASSERT_GT(want.size(), 0u);
+  obs::Registry::Get().Reset();
+
+  obs::TraceContext trace;
+  Result<RowSet> got = [&] {
+    obs::ScopedTrace scope(&trace);
+    return ExecutePlan(view, *join);
+  }();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(Rows(got->rows), want);
+
+  obs::Histogram per_row;
+  obs::TraceContext per_row_trace;
+  for (uint64_t h : hits) {
+    per_row.Record(h);
+    per_row_trace.OnHistogram("plan.join.probe_hits", h, 1);
+  }
+  const obs::Histogram* flushed =
+      obs::Registry::Get().FindHistogram("plan.join.probe_hits");
+  ASSERT_NE(flushed, nullptr);
+  for (size_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(flushed->BucketCount(i), per_row.BucketCount(i)) << i;
+  }
+  EXPECT_EQ(flushed->Count(), hits.size());
+  EXPECT_EQ(flushed->Count(), per_row.Count());
+  EXPECT_EQ(flushed->Sum(), per_row.Sum());
+  EXPECT_EQ(flushed->Min(), per_row.Min());
+  EXPECT_EQ(flushed->Max(), per_row.Max());
+
+  const auto* traced = trace.FindHistogram("plan.join.probe_hits");
+  const auto* want_traced = per_row_trace.FindHistogram("plan.join.probe_hits");
+  ASSERT_NE(traced, nullptr);
+  ASSERT_NE(want_traced, nullptr);
+  EXPECT_EQ(traced->count, want_traced->count);
+  EXPECT_EQ(traced->sum, want_traced->sum);
+  EXPECT_EQ(traced->min, want_traced->min);
+  EXPECT_EQ(traced->max, want_traced->max);
 }
 
 // ---------------------------------------------------------------------
@@ -769,7 +1128,7 @@ TEST(MatrixRpqRule, AutoChoosesTheEngineFromObservedDensity) {
     EXPECT_EQ(ExplainPlan(**plan).find("engine="), std::string::npos)
         << ExplainPlan(**plan);
 
-    std::optional<std::vector<std::vector<NodeId>>> want;
+    std::optional<RowTable> want;
     for (size_t threads : {1, 4}) {
       for (MatrixRpqMode mode : {MatrixRpqMode::kAuto, MatrixRpqMode::kOff,
                                  MatrixRpqMode::kAlways}) {
