@@ -57,8 +57,8 @@ int main() {
   gopts.max_coauthors = 4;
   Rng rng(gopts.seed);
   LabeledGraph g = BuildDblpGraph(gopts, &rng);
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
-  const CsrSnapshot& snap = *view.csr();
+  LabeledGraphView view(g);
+  const CsrSnapshot& snap = view.csr();
   GraphStats stats = GraphStats::From(&view, &snap);
 
   std::printf("DBLP-synth graph: %zu nodes, %zu edges "

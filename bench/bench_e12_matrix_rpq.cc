@@ -130,7 +130,7 @@ int main() {
   double gate_nfa_ms = 0.0, gate_matrix_ms = 0.0;
 
   for (const Workload& w : workloads) {
-    const LabeledGraphView view = LabeledGraphView::WithCsr(*w.graph);
+    const LabeledGraphView view(*w.graph);
     std::printf("%s: %zu nodes, %zu edges\n", w.name, w.graph->num_nodes(),
                 w.graph->num_edges());
 

@@ -198,7 +198,7 @@ int main() {
   size_t overapprox_pairs = 0;
   double overapprox_ms = 0.0;
   {
-    const LabeledGraphView view = LabeledGraphView::WithCsr(dblp);
+    const LabeledGraphView view(dblp);
     RegexPtr regex = *ParseRegex("(cites/cites*)/(cites^-/(cites^-)*)");
     Result<PathNfa> nfa = PathNfa::Compile(view, *regex);
     if (!nfa.ok()) {

@@ -5,9 +5,8 @@
 // compares against run-level DFS with post-hoc deduplication, whose
 // time-to-first-k answers degrades with ambiguity.
 //
-// Every configuration runs on both traversal backends — the list-based
-// reference and the CSR snapshot — with a preprocessing thread sweep,
-// and all measurements are mirrored to BENCH_e2_enum_delay.json as the
+// Every configuration runs with a preprocessing thread sweep, and all
+// measurements are mirrored to BENCH_e2_enum_delay.json as the
 // machine-readable regression baseline.
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "obs/obs.h"
@@ -84,7 +82,6 @@ size_t RunLevelDfsFirstK(const PathNfa& nfa, size_t length, size_t want,
 /// One JSON record of the delay experiment.
 struct DelayRow {
   size_t layers, width, threads;
-  const char* backend;
   double total, t_preproc_ms, mean_delay_us, max_delay_us;
   size_t answers;
 };
@@ -103,7 +100,7 @@ int main() {
   using namespace kgq;
 
   Table t("E2 — enumeration: preprocessing + per-answer delay",
-          {"layers", "width", "backend", "threads", "total answers",
+          {"layers", "width", "threads", "total answers",
            "t_preproc(ms)", "mean delay(us)", "max delay(us)",
            "answers timed"});
 
@@ -117,95 +114,77 @@ int main() {
     for (size_t layers : {6, 10, 14}) {
       const size_t width = 6;
       LabeledGraph g = LayeredDag(layers, width, "n", "e");
-      const LabeledGraphView list_view(g);
-      const LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
-      RegexPtr regex = *ParseRegex("e*");
+      const LabeledGraphView view(g);
+      PathNfa nfa = *PathNfa::Compile(view, **ParseRegex("e*"));
 
-      for (const char* backend : {"list", "csr"}) {
-        PathNfa nfa = *PathNfa::Compile(
-            backend[0] == 'c' ? csr_view : list_view, *regex);
+      ExactPathIndex index(nfa, layers);
+      double total = index.Count(layers);
 
-        ExactPathIndex index(nfa, layers);
-        double total = index.Count(layers);
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        PathQueryOptions popts;
+        popts.parallel.num_threads = threads;
+        Timer preproc;
+        PathEnumerator enumerator(nfa, layers, popts);
+        double t_preproc = preproc.Millis();
 
-        for (size_t threads : {size_t{1}, size_t{4}}) {
-          PathQueryOptions popts;
-          popts.parallel.num_threads = threads;
-          Timer preproc;
-          PathEnumerator enumerator(nfa, layers, popts);
-          double t_preproc = preproc.Millis();
-
-          const size_t timed = 20000;
-          Path p;
-          double max_delay = 0.0, sum_delay = 0.0;
-          size_t produced = 0;
-          for (size_t i = 0; i < timed; ++i) {
-            Timer delay;
-            if (!enumerator.Next(&p)) break;
-            double us = delay.Micros();
-            max_delay = std::max(max_delay, us);
-            sum_delay += us;
-            ++produced;
-          }
-          if (layers == 6 && backend[0] == 'l' && threads == 1) {
-            first_max_delay = max_delay;
-          }
-          // "Flat": max delay on the biggest instance within 20x of the
-          // smallest (wall-clock noise tolerated), although the answer
-          // count grew by 6^8 ≈ 1.7M times. Applied to both backends.
-          if (layers == 14 &&
-              max_delay > 20.0 * std::max(first_max_delay, 5.0)) {
-            delays_flat = false;
-          }
-          double mean = produced == 0 ? 0.0 : sum_delay / produced;
-          t.AddRow({std::to_string(layers), std::to_string(width), backend,
-                    std::to_string(threads), FormatDouble(total, 0),
-                    FormatDouble(t_preproc, 2), FormatDouble(mean, 2),
-                    FormatDouble(max_delay, 1), std::to_string(produced)});
-          delay_rows.push_back({layers, width, threads, backend, total,
-                                t_preproc, mean, max_delay, produced});
+        const size_t timed = 20000;
+        Path p;
+        double max_delay = 0.0, sum_delay = 0.0;
+        size_t produced = 0;
+        for (size_t i = 0; i < timed; ++i) {
+          Timer delay;
+          if (!enumerator.Next(&p)) break;
+          double us = delay.Micros();
+          max_delay = std::max(max_delay, us);
+          sum_delay += us;
+          ++produced;
         }
+        if (layers == 6 && threads == 1) first_max_delay = max_delay;
+        // "Flat": max delay on the biggest instance within 20x of the
+        // smallest (wall-clock noise tolerated), although the answer
+        // count grew by 6^8 ≈ 1.7M times.
+        if (layers == 14 &&
+            max_delay > 20.0 * std::max(first_max_delay, 5.0)) {
+          delays_flat = false;
+        }
+        double mean = produced == 0 ? 0.0 : sum_delay / produced;
+        t.AddRow({std::to_string(layers), std::to_string(width),
+                  std::to_string(threads), FormatDouble(total, 0),
+                  FormatDouble(t_preproc, 2), FormatDouble(mean, 2),
+                  FormatDouble(max_delay, 1), std::to_string(produced)});
+        delay_rows.push_back({layers, width, threads, total, t_preproc, mean,
+                              max_delay, produced});
       }
     }
   }
   t.Print(std::cout);
 
-  // Ablation: configuration-level (dedup-free) enumeration on each
-  // backend vs run-level DFS + dedup on an ambiguous query, time to
-  // first 5000 distinct answers.
+  // Ablation: configuration-level (dedup-free) enumeration vs run-level
+  // DFS + dedup on an ambiguous query, time to first 5000 distinct
+  // answers.
   Table ab("E2b — ablation: config-level enumeration vs run-level DFS+dedup",
            {"n", "query", "engine", "first-k", "t(ms)"});
   std::vector<AblationRow> ablation_rows;
-  double list_total_ms = 0.0, csr_total_ms = 0.0;
   Rng gen(4242);
   LabeledGraph g = ErdosRenyi(150, 600, {"p"}, {"a", "b"}, &gen);
   LabeledGraphView view(g);
-  const LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
   {
     KGQ_SPAN("e2.ablation");
     for (const char* q : {"(a+b/b^-)*", "((a+b)/a + b/(a+b)/(a+b))*"}) {
       RegexPtr regex = *ParseRegex(q);
       const size_t k = 8, want = 5000;
 
-      for (const char* backend : {"list", "csr"}) {
-        PathNfa nfa =
-            *PathNfa::Compile(backend[0] == 'c' ? csr_view : view, *regex);
-        Timer t_config;
-        PathEnumerator enumerator(nfa, k);
-        Path p;
-        size_t produced = 0;
-        while (produced < want && enumerator.Next(&p)) ++produced;
-        double ms = t_config.Millis();
-        (backend[0] == 'l' ? list_total_ms : csr_total_ms) += ms;
-        std::string engine = std::string("config-") + backend;
-        ab.AddRow({"150", q, engine, std::to_string(produced),
-                   FormatDouble(ms, 1)});
-        ablation_rows.push_back({q, backend[0] == 'l' ? "config-list"
-                                                      : "config-csr",
-                                 produced, ms});
-      }
-
       PathNfa nfa = *PathNfa::Compile(view, *regex);
+      Timer t_config;
+      PathEnumerator enumerator(nfa, k);
+      Path p;
+      size_t produced = 0;
+      while (produced < want && enumerator.Next(&p)) ++produced;
+      double ms = t_config.Millis();
+      ab.AddRow({"150", q, "config-level", std::to_string(produced),
+                 FormatDouble(ms, 1)});
+      ablation_rows.push_back({q, "config-level", produced, ms});
+
       double run_secs = 0.0;
       size_t run_got = RunLevelDfsFirstK(nfa, k, want, &run_secs);
       ab.AddRow({"150", q, "run-level", std::to_string(run_got),
@@ -214,12 +193,6 @@ int main() {
     }
   }
   ab.Print(std::cout);
-
-  double enum_speedup =
-      csr_total_ms > 0.0 ? list_total_ms / csr_total_ms : 0.0;
-  std::printf("CSR vs list enumeration (first-k total): %.1fms vs %.1fms "
-              "(%.2fx)\n",
-              csr_total_ms, list_total_ms, enum_speedup);
 
   // Machine-readable mirror of everything above, plus the full obs
   // registry: per-answer delay histogram, edges-scanned counters, and
@@ -239,8 +212,6 @@ int main() {
       w.UInt(r.layers);
       w.Key("width");
       w.UInt(r.width);
-      w.Key("backend");
-      w.String(r.backend);
       w.Key("threads");
       w.UInt(r.threads);
       w.Key("total_answers");
@@ -271,8 +242,6 @@ int main() {
       w.EndObject();
     }
     w.EndArray();
-    w.Key("enumeration_speedup_csr_over_list");
-    w.Double(enum_speedup);
     w.Key("delays_flat");
     w.Bool(delays_flat);
     w.Key("obs");

@@ -10,6 +10,7 @@
 // the blocked-GEMM backend should deliver ≥3x single-thread speedup.
 // Results are mirrored to BENCH_e7_logic_gnn.json (rows + obs registry).
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -188,11 +189,11 @@ int main() {
   // Neural-substrate sweep: a d=64, 2-layer AC-GNN forward pass over a
   // 10k-node BA graph, under backend × threads. Correctness
   // gates the exit code (every configuration must equal the node-loop
-  // reference exactly); the speedup verdict is reported.
+  // reference exactly); the single-thread speedup verdict is reported.
   std::vector<SweepRow> sweep;
   size_t sweep_nodes = 0, sweep_edges = 0;
   bool sweep_identical = true;
-  double best_1t_speedup = 0.0;
+  double node_median_ms = 0.0, gemm_median_ms = 0.0;
   {
     constexpr size_t kDim = 64;
     Rng grng(20260806);
@@ -250,9 +251,6 @@ int main() {
         sweep_identical = sweep_identical && identical;
         SweepRow row{backend == GnnBackend::kGemm ? "gemm" : "nodeloop",
                      threads, ms, ref_ms / ms, identical};
-        if (row.backend == "gemm" && threads == 1) {
-          best_1t_speedup = std::max(best_1t_speedup, row.speedup);
-        }
         sweep.push_back(row);
         st.AddRow({row.backend, std::to_string(threads), FormatDouble(ms, 2),
                    FormatDouble(row.speedup, 2) + "x",
@@ -260,12 +258,38 @@ int main() {
       }
     }
     st.Print(std::cout);
-    std::printf(
-        "substrate sweep: all configurations bit-identical → %s; "
-        "best single-thread GEMM speedup %.2fx (target ≥3x) → %s\n",
-        sweep_identical ? "OK" : "FAIL", best_1t_speedup,
-        best_1t_speedup >= 3.0 ? "OK" : "MISS");
+
+    // The speedup verdict: nodeloop@1 and gemm@1 timed in interleaved
+    // rounds, so both see the same machine load, and the ratio of their
+    // medians — one best-of-5 reference timing swings up to 2x between
+    // runs on a shared machine.
+    GnnOptions gemm_opts;
+    gemm_opts.backend = GnnBackend::kGemm;
+    gemm_opts.parallel.num_threads = 1;
+    constexpr size_t kRounds = 9;
+    std::vector<double> node_ms, gemm_ms;
+    for (size_t round = 0; round < kRounds; ++round) {
+      for (std::vector<double>* times : {&node_ms, &gemm_ms}) {
+        Timer tm;
+        Matrix y =
+            *gnn.Run(snap, x, times == &node_ms ? ref_opts : gemm_opts);
+        times->push_back(tm.Millis());
+      }
+    }
+    auto median = [](std::vector<double> v) {
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return v[v.size() / 2];
+    };
+    node_median_ms = median(node_ms);
+    gemm_median_ms = median(gemm_ms);
   }
+  const double speedup_1t = node_median_ms / gemm_median_ms;
+  std::printf(
+      "substrate sweep: all configurations bit-identical → %s; "
+      "single-thread GEMM speedup %.2fx (median of %.1f ms vs %.1f ms over "
+      "interleaved rounds; target ≥3x) → %s\n",
+      sweep_identical ? "OK" : "FAIL", speedup_1t, node_median_ms,
+      gemm_median_ms, speedup_1t >= 3.0 ? "OK" : "MISS");
 
   // Machine-readable mirror: sweep rows + the obs registry (gemm flop /
   // spmm row counters, WL round histograms) accumulated above.
@@ -301,8 +325,15 @@ int main() {
       w.EndObject();
     }
     w.EndArray();
-    w.Key("best_single_thread_speedup");
-    w.Double(best_1t_speedup);
+    w.Key("single_thread_median_ms");
+    w.BeginObject();
+    w.Key("nodeloop");
+    w.Double(node_median_ms);
+    w.Key("gemm");
+    w.Double(gemm_median_ms);
+    w.EndObject();
+    w.Key("single_thread_speedup");
+    w.Double(speedup_1t);
     w.Key("obs");
     obs::Registry::Get().WriteJson(&w);
     w.EndObject();

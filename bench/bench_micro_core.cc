@@ -1,16 +1,13 @@
 // Microbenchmarks of the core substrate (google-benchmark): interning,
 // bitset kernels, triple-store operations, query parsing and compilation
 // — plus the Thompson-vs-Glushkov construction ablation (DESIGN.md) and
-// the list-vs-CSR traversal ablation (adjacency sweeps, label scans and
-// the multi-source pair evaluator on both backends, with a thread
-// sweep). Results are mirrored to BENCH_micro_core.json for the
-// regression baseline.
+// a thread sweep of the multi-source pair evaluator. Results are
+// mirrored to BENCH_micro_core.json for the regression baseline.
 
 #include <benchmark/benchmark.h>
 
 #include <fstream>
 
-#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "pathalg/exact.h"
@@ -119,116 +116,23 @@ void BM_CountThompson(benchmark::State& state) {
 }
 BENCHMARK(BM_CountThompson);
 
-// --------- List-based adjacency vs CSR snapshot (the PR's ablation).
-
-/// Shared sweep workload: average degree ~100 with eight labels, so a
-/// label partition prunes ~7/8 of each node span and per-node overheads
-/// amortize over real scans.
-const LabeledGraph& SweepGraph() {
-  static const LabeledGraph g = [] {
-    Rng rng(13);
-    return ErdosRenyi(5000, 500000, {"p"},
-                      {"a", "b", "c", "d", "e", "f", "g", "h"}, &rng);
-  }();
-  return g;
-}
-
-const CsrSnapshot& SweepSnapshot() {
-  static const CsrSnapshot snap = CsrSnapshot::FromGraph(SweepGraph());
-  return snap;
-}
-
-/// Full out-adjacency sweep on the mutable model: per edge, one load
-/// from the node's edge-id vector plus a random-access lookup of the
-/// edge target.
-void BM_AdjacencySweepList(benchmark::State& state) {
-  const LabeledGraph& g = SweepGraph();
-  for (auto _ : state) {
-    uint64_t acc = 0;
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      for (EdgeId e : g.OutEdges(n)) acc += g.EdgeTarget(e);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_AdjacencySweepList);
-
-/// The same sweep over the snapshot: one sequential stream, neighbor
-/// inline in the entry.
-void BM_AdjacencySweepCsr(benchmark::State& state) {
-  const CsrSnapshot& snap = SweepSnapshot();
-  for (auto _ : state) {
-    uint64_t acc = 0;
-    for (NodeId n = 0; n < snap.num_nodes(); ++n) {
-      for (const CsrSnapshot::Entry& a : snap.Out(n)) acc += a.neighbor;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(snap.num_edges()));
-}
-BENCHMARK(BM_AdjacencySweepCsr);
-
-/// Single-label scan on the mutable model: every out edge is touched and
-/// its label loaded just to keep 1/4 of them.
-void BM_LabelScanList(benchmark::State& state) {
-  const LabeledGraph& g = SweepGraph();
-  ConstId label = *g.dict().Find("a");
-  for (auto _ : state) {
-    uint64_t acc = 0;
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      for (EdgeId e : g.OutEdges(n)) {
-        if (g.EdgeLabel(e) == label) acc += g.EdgeTarget(e);
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_LabelScanList);
-
-/// The same scan over the per-label partitions: only the matching
-/// contiguous range is read — the product-automaton step shape.
-void BM_LabelScanCsr(benchmark::State& state) {
-  const CsrSnapshot& snap = SweepSnapshot();
-  LabelId label = *snap.FindLabel("a");
-  for (auto _ : state) {
-    uint64_t acc = 0;
-    for (NodeId n = 0; n < snap.num_nodes(); ++n) {
-      for (const CsrSnapshot::Entry& a : snap.OutForLabel(n, label)) {
-        acc += a.neighbor;
-      }
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_LabelScanCsr);
+// --------- Multi-source pair evaluation, thread sweep.
 
 /// End-to-end multi-source pair evaluation (8 edge labels, query over 2
-/// of them). Arg = thread count; the CSR variant runs over a view that
-/// carries a CSR and so additionally steps over label partitions.
-void AllPairsBench(benchmark::State& state, bool use_csr) {
+/// of them) on the view's CSR. Arg = thread count.
+void BM_AllPairs(benchmark::State& state) {
   static Rng rng(29);
   static const LabeledGraph g = ErdosRenyi(
       300, 2400, {"p"}, {"a", "b", "c", "d", "e", "f", "g", "h"}, &rng);
-  static const LabeledGraphView list_view(g);
-  static const LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
-  RegexPtr regex = *ParseRegex("(a/b)*");
-  Result<PathNfa> nfa =
-      PathNfa::Compile(use_csr ? csr_view : list_view, *regex);
+  static const LabeledGraphView view(g);
+  Result<PathNfa> nfa = PathNfa::Compile(view, **ParseRegex("(a/b)*"));
   PathQueryOptions opts;
   opts.parallel.num_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(AllPairs(*nfa, opts).size());
   }
 }
-
-void BM_AllPairsList(benchmark::State& state) { AllPairsBench(state, false); }
-BENCHMARK(BM_AllPairsList)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_AllPairsCsr(benchmark::State& state) { AllPairsBench(state, true); }
-BENCHMARK(BM_AllPairsCsr)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_AllPairs)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 

@@ -35,10 +35,10 @@ int main() {
   DblpGraphOptions gopts;
   Rng rng(gopts.seed);
   LabeledGraph g = BuildDblpGraph(gopts, &rng);
-  // A view that carries a CSR of the graph: per-label statistics for the
-  // planner and contiguous label partitions for the executor.
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
-  const CsrSnapshot& snap = *view.csr();
+  // The view's CSR: per-label statistics for the planner and contiguous
+  // label partitions for the executor.
+  LabeledGraphView view(g);
+  const CsrSnapshot& snap = view.csr();
   std::cout << "DBLP-synth: " << g.num_nodes() << " nodes, " << g.num_edges()
             << " edges; about[property_graph] is the rare keyword ("
             << "writes=" << snap.LabelFrequency("writes")

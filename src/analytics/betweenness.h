@@ -58,9 +58,9 @@ struct BcrOptions {
 /// conforming distances; per pair, paths are counted with the exact
 /// (determinized) DP, and through-counts are obtained as
 /// total − count(avoiding x) for each candidate x. Ground truth for
-/// small/medium graphs. Over a view that carries a CSR (GraphView::
-/// csr()) every configuration BFS, enumeration and FPRAS pass scans its
-/// contiguous adjacency; results are bit-identical either way.
+/// small/medium graphs. Every configuration BFS, enumeration and FPRAS
+/// pass scans the contiguous adjacency of the view's CSR
+/// (GraphView::csr()).
 Result<std::vector<double>> RegexBetweenness(const GraphView& view,
                                              const Regex& regex,
                                              const BcrOptions& opts = {});

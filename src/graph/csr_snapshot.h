@@ -42,9 +42,9 @@ inline constexpr LabelId kNoLabel = 0xFFFFFFFFu;
 ///
 /// Ordering contract: `Out(n)` and `In(n)` enumerate edges in ascending
 /// edge id — exactly the insertion order of `Multigraph::OutEdges` /
-/// `InEdges`. A path kernel over a view with a CSR therefore takes the
-/// *same step sequence* as over the plain view's lists, which is what
-/// makes CSR-backed results bit-identical (including the
+/// `InEdges`. A path kernel over a view's CSR therefore takes the *same
+/// step sequence* as a walk of the view's lists, and every view kind of
+/// one graph yields bit-identical results (including the
 /// rng-stream-sensitive FPRAS); `tests/test_csr_equivalence.cc`
 /// enforces this. The analytics and neural kernels read only the
 /// snapshot; within a node they visit neighbors in this order.
@@ -64,7 +64,7 @@ inline constexpr LabelId kNoLabel = 0xFFFFFFFFu;
 /// A snapshot does not own or observe its source graph afterwards: it
 /// copies everything it needs (including label spellings), so the
 /// source may mutate or die. A kernel reads the snapshot it is handed
-/// for the duration of the call; a view that carries one keeps it alive.
+/// for the duration of the call; every view keeps its own alive.
 class CsrSnapshot {
  public:
   /// One adjacency slot: the crossed edge, the node on the other side

@@ -21,14 +21,8 @@ DenseLabels DenseLabelsOf(const LabeledGraph& graph) {
   return {graph.node_labels().data(), graph.edge_labels().data(), find, find};
 }
 
-size_t GraphView::num_nodes() const {
-  const CsrSnapshot* snap = csr();
-  return snap != nullptr ? snap->num_nodes() : topology().num_nodes();
-}
-size_t GraphView::num_edges() const {
-  const CsrSnapshot* snap = csr();
-  return snap != nullptr ? snap->num_edges() : topology().num_edges();
-}
+size_t GraphView::num_nodes() const { return csr_->num_nodes(); }
+size_t GraphView::num_edges() const { return csr_->num_edges(); }
 
 bool GraphView::NodePropertyIs(NodeId, std::string_view,
                                std::string_view) const {
@@ -45,26 +39,20 @@ bool GraphView::EdgeFeatureIs(EdgeId, size_t, std::string_view) const {
   return false;
 }
 
-LabeledGraphView LabeledGraphView::WithCsr(const LabeledGraph& graph) {
-  LabeledGraphView view(graph);
-  view.csr_ =
-      std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph));
-  return view;
-}
+LabeledGraphView::LabeledGraphView(const LabeledGraph& graph)
+    : GraphView(
+          std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph))),
+      graph_(graph) {}
 
-PropertyGraphView PropertyGraphView::WithCsr(const PropertyGraph& graph) {
-  PropertyGraphView view(graph);
-  view.csr_ =
-      std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph));
-  return view;
-}
+PropertyGraphView::PropertyGraphView(const PropertyGraph& graph)
+    : GraphView(
+          std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph))),
+      graph_(graph) {}
 
-VectorGraphView VectorGraphView::WithCsr(const VectorGraph& graph) {
-  VectorGraphView view(graph);
-  view.csr_ =
-      std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph));
-  return view;
-}
+VectorGraphView::VectorGraphView(const VectorGraph& graph)
+    : GraphView(
+          std::make_shared<const CsrSnapshot>(CsrSnapshot::FromGraph(graph))),
+      graph_(graph) {}
 
 bool LabeledGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
   return IdMatches(graph_.dict(), graph_.NodeLabel(n), label);

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <utility>
 
 #include "graph/labeled_graph.h"
 #include "graph/multigraph.h"
@@ -45,11 +46,17 @@ DenseLabels DenseLabelsOf(const LabeledGraph& graph);
 /// Atoms that do not exist in a model are uniformly false there (e.g.
 /// property atoms over a plain labeled graph), mirroring the paper's
 /// per-model test grammars.
+///
+/// Every view carries one adjacency, its CSR (csr()), which the query
+/// kernels read. A view reads the graph it wraps without copying it:
+/// that graph must outlive the view and stay unchanged while it lives.
 class GraphView {
  public:
   virtual ~GraphView() = default;
 
-  /// The underlying multigraph (N, E, ρ).
+  /// The underlying multigraph (N, E, ρ). The query kernels read csr()
+  /// instead; only the semantic oracles, path validation and the FPRAS
+  /// decoder walk these lists.
   virtual const Multigraph& topology() const = 0;
 
   virtual bool NodeLabelIs(NodeId n, std::string_view label) const = 0;
@@ -72,33 +79,34 @@ class GraphView {
   /// comparing strings per element.
   virtual DenseLabels dense_labels() const { return {}; }
 
-  /// The CSR this view carries, or nullptr (the default). Its topology
-  /// and edge labels are the view's own *by construction*: same nodes,
-  /// same edge ids and endpoints, and EdgeLabelIs(e, ℓ) iff
-  /// FindLabel(ℓ) is the CSR's label of e. Only a view builds its
-  /// CSR — the WithCsr constructors of the model views below and
-  /// RdfGraphView, and the epoch views of the serving layer
-  /// (serve::EpochSnapshot::View) — and it is the only way a CSR
-  /// reaches the query kernels, which trust it without checks. The CSR
-  /// lives as long as the view.
-  virtual const CsrSnapshot* csr() const { return nullptr; }
+  /// The CSR this view carries. Its topology and edge labels are the
+  /// view's own *by construction*: same nodes, same edge ids and
+  /// endpoints, and EdgeLabelIs(e, ℓ) iff FindLabel(ℓ) is the CSR's
+  /// label of e. Every view carries one — the model views below and
+  /// RdfGraphView build it from the graph they wrap, the epoch views of
+  /// the serving layer (serve::EpochSnapshot::View) share the epoch's —
+  /// and it is the one adjacency the query kernels read, trusted
+  /// without checks. It lives as long as the view.
+  const CsrSnapshot& csr() const { return *csr_; }
 
-  /// Sizes, read off csr() when it is set so that sizing a view never
-  /// needs its topology().
+  /// Sizes, read off csr().
   size_t num_nodes() const;
   size_t num_edges() const;
+
+ protected:
+  explicit GraphView(std::shared_ptr<const CsrSnapshot> csr)
+      : csr_(std::move(csr)) {}
+
+  /// Set by every derived constructor; never null afterwards.
+  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 /// View over a labeled graph: label atoms only.
 class LabeledGraphView final : public GraphView {
  public:
-  /// A plain view: csr() is nullptr. The graph must outlive the view.
-  explicit LabeledGraphView(const LabeledGraph& graph) : graph_(graph) {}
-  /// A view that carries its own CSR, built from `graph`. The graph
-  /// must outlive the view and stay unchanged.
-  static LabeledGraphView WithCsr(const LabeledGraph& graph);
-
-  const CsrSnapshot* csr() const override { return csr_.get(); }
+  /// Builds the view's CSR from `graph`. The graph must outlive the
+  /// view and stay unchanged while it lives.
+  explicit LabeledGraphView(const LabeledGraph& graph);
 
   const Multigraph& topology() const override { return graph_.topology(); }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
@@ -111,19 +119,14 @@ class LabeledGraphView final : public GraphView {
 
  private:
   const LabeledGraph& graph_;
-  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 /// View over a property graph: label and property atoms.
 class PropertyGraphView final : public GraphView {
  public:
-  /// A plain view: csr() is nullptr. The graph must outlive the view.
-  explicit PropertyGraphView(const PropertyGraph& graph) : graph_(graph) {}
-  /// A view that carries its own CSR, built from `graph`. The graph
-  /// must outlive the view and stay unchanged.
-  static PropertyGraphView WithCsr(const PropertyGraph& graph);
-
-  const CsrSnapshot* csr() const override { return csr_.get(); }
+  /// Builds the view's CSR from `graph`. The graph must outlive the
+  /// view and stay unchanged while it lives.
+  explicit PropertyGraphView(const PropertyGraph& graph);
 
   const Multigraph& topology() const override {
     return graph_.labeled().topology();
@@ -142,7 +145,6 @@ class PropertyGraphView final : public GraphView {
 
  private:
   const PropertyGraph& graph_;
-  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 /// View over a vector-labeled graph: feature atoms. As a convenience —
@@ -150,13 +152,9 @@ class PropertyGraphView final : public GraphView {
 /// label in feature row 0 — label atoms are answered by feature row 0.
 class VectorGraphView final : public GraphView {
  public:
-  /// A plain view: csr() is nullptr. The graph must outlive the view.
-  explicit VectorGraphView(const VectorGraph& graph) : graph_(graph) {}
-  /// A view that carries its own CSR, built from `graph`. The graph
-  /// must outlive the view and stay unchanged.
-  static VectorGraphView WithCsr(const VectorGraph& graph);
-
-  const CsrSnapshot* csr() const override { return csr_.get(); }
+  /// Builds the view's CSR from `graph`. The graph must outlive the
+  /// view and stay unchanged while it lives.
+  explicit VectorGraphView(const VectorGraph& graph);
 
   const Multigraph& topology() const override { return graph_.topology(); }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
@@ -170,7 +168,6 @@ class VectorGraphView final : public GraphView {
 
  private:
   const VectorGraph& graph_;
-  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 }  // namespace kgq

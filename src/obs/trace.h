@@ -47,7 +47,7 @@ namespace obs {
 /// field, so gates can normalize it and byte-compare the rest.
 struct ProfileNode {
   std::string kind;    ///< LogicalKindName of the operator.
-  std::string engine;  ///< Physical engine ("csr"/"list", "matrix"/"nfa");
+  std::string engine;  ///< Physical engine ("csr", "matrix"/"nfa");
                        ///< empty when the operator has no engine choice.
   uint64_t rows_in = 0;   ///< Sum of the children's rows_out (0 for leaves).
   uint64_t rows_out = 0;  ///< Rows this operator produced.

@@ -265,14 +265,10 @@ inline size_t OrWords(uint64_t* dst, const uint64_t* src, size_t words) {
 
 /// The product-graph fixpoint: per automaton state, the nodes ×
 /// sources bits of every configuration reached.
-Result<std::vector<BitMatrix>> Fixpoint(const PathNfa& nfa,
-                                        const std::vector<NodeId>& sources,
-                                        const PathQueryOptions& opts) {
-  const CsrSnapshot* csr = nfa.snapshot();
-  if (csr == nullptr) {
-    return Status::InvalidArgument(
-        "the matrix RPQ engine requires a view that carries a CSR");
-  }
+std::vector<BitMatrix> Fixpoint(const PathNfa& nfa,
+                                const std::vector<NodeId>& sources,
+                                const PathQueryOptions& opts) {
+  const CsrSnapshot& csr = nfa.snapshot();
   KGQ_SPAN("matrix_rpq.eval");
   const size_t num_nodes = nfa.num_nodes();
   const size_t num_q = nfa.num_states();
@@ -365,8 +361,8 @@ Result<std::vector<BitMatrix>> Fixpoint(const PathNfa& nfa,
                 const BitMatrix& src = frontier[t.from];
                 if (t.cls == PathNfa::AtomClass::kLabel) {
                   CsrSnapshot::Span part = t.backward
-                                               ? csr->OutForLabel(n, t.label)
-                                               : csr->InForLabel(n, t.label);
+                                               ? csr.OutForLabel(n, t.label)
+                                               : csr.InForLabel(n, t.label);
                   entries += part.size();
                   for (const CsrSnapshot::Entry& e : part) {
                     if (!act[e.neighbor]) continue;
@@ -374,7 +370,7 @@ Result<std::vector<BitMatrix>> Fixpoint(const PathNfa& nfa,
                   }
                 } else {
                   CsrSnapshot::Span adj =
-                      t.backward ? csr->Out(n) : csr->In(n);
+                      t.backward ? csr.Out(n) : csr.In(n);
                   entries += adj.size();
                   for (const CsrSnapshot::Entry& e : adj) {
                     if (!act[e.neighbor]) continue;
@@ -460,11 +456,10 @@ void ForEachHit(const PathNfa& nfa, const std::vector<BitMatrix>& visited,
 
 }  // namespace
 
-Result<BoolCsr> MatrixPairRelation(const PathNfa& nfa,
-                                   const std::vector<NodeId>& sources,
-                                   const PathQueryOptions& opts) {
-  KGQ_ASSIGN_OR_RETURN(std::vector<BitMatrix> visited,
-                       Fixpoint(nfa, sources, opts));
+BoolCsr MatrixPairRelation(const PathNfa& nfa,
+                           const std::vector<NodeId>& sources,
+                           const PathQueryOptions& opts) {
+  const std::vector<BitMatrix> visited = Fixpoint(nfa, sources, opts);
   // Node-major harvest in two passes: the first sizes each source's
   // row, the second fills it; nodes ascend, so every row comes out
   // sorted.
@@ -487,25 +482,22 @@ Result<BoolCsr> MatrixPairRelation(const PathNfa& nfa,
   return out;
 }
 
-Result<std::vector<Bitset>> MatrixReachFromAll(
-    const PathNfa& nfa, const std::vector<NodeId>& sources,
-    const PathQueryOptions& opts) {
-  KGQ_ASSIGN_OR_RETURN(std::vector<BitMatrix> visited,
-                       Fixpoint(nfa, sources, opts));
+std::vector<Bitset> MatrixReachFromAll(const PathNfa& nfa,
+                                       const std::vector<NodeId>& sources,
+                                       const PathQueryOptions& opts) {
+  const std::vector<BitMatrix> visited = Fixpoint(nfa, sources, opts);
   std::vector<Bitset> out(sources.size(), Bitset(nfa.num_nodes()));
   ForEachHit(nfa, visited, opts, [&](size_t si, NodeId n) { out[si].Set(n); });
   return out;
 }
 
-Result<Bitset> MatrixReachableFrom(const PathNfa& nfa, NodeId start,
-                                   const PathQueryOptions& opts) {
-  KGQ_ASSIGN_OR_RETURN(std::vector<Bitset> rows,
-                       MatrixReachFromAll(nfa, {start}, opts));
-  return std::move(rows[0]);
+Bitset MatrixReachableFrom(const PathNfa& nfa, NodeId start,
+                           const PathQueryOptions& opts) {
+  return std::move(MatrixReachFromAll(nfa, {start}, opts)[0]);
 }
 
-Result<std::vector<Bitset>> MatrixAllPairs(const PathNfa& nfa,
-                                           const PathQueryOptions& opts) {
+std::vector<Bitset> MatrixAllPairs(const PathNfa& nfa,
+                                   const PathQueryOptions& opts) {
   std::vector<NodeId> sources(nfa.num_nodes());
   for (NodeId n = 0; n < sources.size(); ++n) sources[n] = n;
   return MatrixReachFromAll(nfa, sources, opts);
@@ -515,7 +507,7 @@ void MatrixReachTableLayers(const PathNfa& nfa, size_t max_len,
                             const PathQueryOptions& opts,
                             std::vector<PathNfa::StateMask>* table) {
   KGQ_SPAN("matrix_rpq.reach_table");
-  const CsrSnapshot* csr = nfa.snapshot();
+  const CsrSnapshot& csr = nfa.snapshot();
   const size_t num_nodes = nfa.num_nodes();
   const size_t num_q = nfa.num_states();
 
@@ -585,8 +577,8 @@ void MatrixReachTableLayers(const PathNfa& nfa, size_t max_len,
               if (result & (1ull << t.from)) continue;
               if (t.cls == PathNfa::AtomClass::kLabel) {
                 CsrSnapshot::Span part = t.backward
-                                             ? csr->InForLabel(n, t.label)
-                                             : csr->OutForLabel(n, t.label);
+                                             ? csr.InForLabel(n, t.label)
+                                             : csr.OutForLabel(n, t.label);
                 entries += part.size();
                 for (const CsrSnapshot::Entry& e : part) {
                   if (opts.avoid != kNoNode && e.neighbor == opts.avoid) {
@@ -598,7 +590,7 @@ void MatrixReachTableLayers(const PathNfa& nfa, size_t max_len,
                   }
                 }
               } else {
-                CsrSnapshot::Span adj = t.backward ? csr->In(n) : csr->Out(n);
+                CsrSnapshot::Span adj = t.backward ? csr.In(n) : csr.Out(n);
                 entries += adj.size();
                 for (const CsrSnapshot::Entry& e : adj) {
                   if (opts.avoid != kNoNode && e.neighbor == opts.avoid) {

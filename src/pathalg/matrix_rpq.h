@@ -9,7 +9,6 @@
 #include "pathalg/options.h"
 #include "rpq/path_nfa.h"
 #include "util/bitset.h"
-#include "util/result.h"
 #include "util/thread_pool.h"
 
 namespace kgq {
@@ -157,33 +156,31 @@ class BitMatrix {
 /// the targets of ReachableFrom(nfa, sources[i], opts). `opts.engine`
 /// is ignored (this *is* the matrix engine); start/end/avoid are
 /// honored. The frontiers stay nodes × sources bits per automaton
-/// state; the result is sized by its pairs.
-///
-/// Fails with InvalidArgument when the compiled view carries no CSR —
-/// its per-label partitions are the CSR operands of the products.
-Result<BoolCsr> MatrixPairRelation(const PathNfa& nfa,
-                                   const std::vector<NodeId>& sources,
-                                   const PathQueryOptions& opts = {});
+/// state; the result is sized by its pairs. The per-label partitions
+/// of the compiled view's CSR are the operands of the products.
+BoolCsr MatrixPairRelation(const PathNfa& nfa,
+                           const std::vector<NodeId>& sources,
+                           const PathQueryOptions& opts = {});
 
 /// MatrixPairRelation as one Bitset of num_nodes bits per source.
-Result<std::vector<Bitset>> MatrixReachFromAll(
-    const PathNfa& nfa, const std::vector<NodeId>& sources,
-    const PathQueryOptions& opts = {});
+std::vector<Bitset> MatrixReachFromAll(const PathNfa& nfa,
+                                       const std::vector<NodeId>& sources,
+                                       const PathQueryOptions& opts = {});
 
 /// Single-source convenience (a 1-row MatrixReachFromAll).
-Result<Bitset> MatrixReachableFrom(const PathNfa& nfa, NodeId start,
-                                   const PathQueryOptions& opts = {});
+Bitset MatrixReachableFrom(const PathNfa& nfa, NodeId start,
+                           const PathQueryOptions& opts = {});
 
 /// All-pairs on the matrix engine: result[a] = ReachableFrom(a), every
 /// node a source — the bulk workload the engine exists for.
-Result<std::vector<Bitset>> MatrixAllPairs(const PathNfa& nfa,
-                                           const PathQueryOptions& opts = {});
+std::vector<Bitset> MatrixAllPairs(const PathNfa& nfa,
+                                   const PathQueryOptions& opts = {});
 
 /// Matrix construction of the backward ReachTable layers: fills `table`
 /// (size (max_len+1) · num_nodes, layer-major — the ReachTable layout)
 /// with masks bit-identical to the scalar per-step construction. Layer
 /// j is one product sweep over layer j-1 per NFA transition instead of
-/// a per-node step scan. Requires a view that carries a CSR.
+/// a per-node step scan.
 void MatrixReachTableLayers(const PathNfa& nfa, size_t max_len,
                             const PathQueryOptions& opts,
                             std::vector<PathNfa::StateMask>* table);

@@ -10,22 +10,21 @@ namespace kgq {
 /// ReachableFrom / PairRelation (and its AllPairs / CountPairs wrappers)
 /// and the ReachTable layers.
 enum class PathEngine {
-  /// Product-configuration BFS per source over the PathNfa (the
-  /// reference engine; always available). A multi-source call reuses
-  /// one search scratch per thread, so each source costs what it
-  /// reaches.
+  /// Product-configuration BFS per source over the PathNfa. A
+  /// multi-source call reuses one search scratch per thread, so each
+  /// source costs what it reaches.
   kNfa,
   /// Boolean-semiring matrix fixpoint (pathalg/matrix_rpq): one masked
   /// SpGEMM per iteration covers every source at once, 64 sources per
-  /// machine word. Requires a view that carries a CSR — silently falls
-  /// back to kNfa without one, so requesting it is never wrong.
+  /// machine word; its operands are the label partitions of the view's
+  /// CSR. A multi-source call with a start restriction runs kNfa.
   kMatrix,
   /// Decided per call from observed density (PairRelation only): the
   /// NFA engine runs a deterministic strided sample of up to 64
   /// sources, stopping once their visited nodes total n. The call goes
-  /// to kMatrix iff the graph has at least 64 nodes, its view carries a
-  /// CSR and the sample's mean reach is at least n/64 — one
-  /// frontier word's worth, the matrix engine's break-even; otherwise
+  /// to kMatrix iff the graph has at least 64 nodes, no start
+  /// restriction is set and the sample's mean reach is at least n/64 —
+  /// one frontier word's worth, the matrix engine's break-even; otherwise
   /// the NFA engine finishes the remaining sources and keeps the
   /// sampled rows. The choice depends only on the graph and the query,
   /// never on the thread count. A single source (ReachableFrom) and
@@ -49,7 +48,7 @@ struct PathQueryOptions {
   /// thread count; see ParallelOptions.
   ParallelOptions parallel;
   /// Physical engine for the saturating entry points. Every engine is
-  /// bit-identical (tests/test_regex_fuzz.cc five-way); kMatrix is the
+  /// bit-identical (tests/test_regex_fuzz.cc four-way); kMatrix is the
   /// raw-speed play for dense bulk multi-source workloads, kAuto picks
   /// between the two from a sample.
   PathEngine engine = PathEngine::kNfa;

@@ -142,13 +142,13 @@ struct Sample {
 };
 
 /// Resolves opts.engine for a multi-source call to kNfa or kMatrix.
-/// The matrix engine needs the snapshot's partitions and a full word
-/// of sources; kAuto also needs the sample, which it leaves in
+/// The matrix engine needs every node as a source (no start
+/// restriction); kAuto also needs the sample, which it leaves in
 /// `sample` for the NFA engine to reuse.
 PathEngine ChooseEngine(const PathNfa& nfa, const PathQueryOptions& opts,
                         ScratchPool* pool, Sample* sample) {
   if (opts.engine == PathEngine::kNfa) return PathEngine::kNfa;
-  const bool usable = nfa.snapshot() != nullptr && opts.start == kNoNode;
+  const bool usable = opts.start == kNoNode;
   if (opts.engine == PathEngine::kMatrix) {
     return usable ? PathEngine::kMatrix : PathEngine::kNfa;
   }
@@ -218,11 +218,8 @@ std::vector<NodeId> AllSources(size_t num_nodes) {
 
 Bitset ReachableFrom(const PathNfa& nfa, NodeId start,
                      const PathQueryOptions& opts) {
-  // Engine dispatch: the matrix fixpoint needs the snapshot's per-label
-  // partitions; without one the request silently degrades to the BFS.
-  if (opts.engine == PathEngine::kMatrix && nfa.snapshot() != nullptr) {
-    Result<Bitset> r = MatrixReachableFrom(nfa, start, opts);
-    if (r.ok()) return *std::move(r);
+  if (opts.engine == PathEngine::kMatrix) {
+    return MatrixReachableFrom(nfa, start, opts);
   }
   Bitset out(nfa.num_nodes());
   BfsScratch scratch(nfa.num_nodes());
@@ -238,11 +235,8 @@ BoolCsr PairRelation(const PathNfa& nfa, const PathQueryOptions& opts,
   ScratchPool pool(n);
   Sample sample;
   if (ChooseEngine(nfa, opts, &pool, &sample) == PathEngine::kMatrix) {
-    Result<BoolCsr> r = MatrixPairRelation(nfa, AllSources(n), opts);
-    if (r.ok()) {
-      if (ran != nullptr) *ran = PathEngine::kMatrix;
-      return *std::move(r);
-    }
+    if (ran != nullptr) *ran = PathEngine::kMatrix;
+    return MatrixPairRelation(nfa, AllSources(n), opts);
   }
   if (ran != nullptr) *ran = PathEngine::kNfa;
   // Each chunk appends its rows to its own buffer; the buffers are
@@ -275,12 +269,8 @@ std::vector<Bitset> AllPairs(const PathNfa& nfa, const PathQueryOptions& opts,
   ScratchPool pool(n);
   Sample sample;
   if (ChooseEngine(nfa, opts, &pool, &sample) == PathEngine::kMatrix) {
-    Result<std::vector<Bitset>> r =
-        MatrixReachFromAll(nfa, AllSources(n), opts);
-    if (r.ok()) {
-      if (ran != nullptr) *ran = PathEngine::kMatrix;
-      return *std::move(r);
-    }
+    if (ran != nullptr) *ran = PathEngine::kMatrix;
+    return MatrixReachFromAll(nfa, AllSources(n), opts);
   }
   if (ran != nullptr) *ran = PathEngine::kNfa;
   std::vector<Bitset> out(n, Bitset(n));

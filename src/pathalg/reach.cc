@@ -17,7 +17,7 @@ ReachTable::ReachTable(const PathNfa& nfa, size_t max_len,
   KGQ_COUNTER_INC("pathalg.reach.builds");
   // Engine dispatch: the matrix construction fills all layers (including
   // layer 0) with masks bit-identical to the scalar loops below.
-  if (opts.engine == PathEngine::kMatrix && nfa.snapshot() != nullptr) {
+  if (opts.engine == PathEngine::kMatrix) {
     MatrixReachTableLayers(nfa, max_len, opts, &table_);
     return;
   }

@@ -296,17 +296,14 @@ class Executor {
     return edge;
   }
 
-  /// True iff EdgeScans read csr_'s label partitions and their spans
-  /// are sorted by neighbor.
-  bool SortedSpans() const {
-    return csr_ != nullptr && csr_->label_spans_sorted();
-  }
+  /// True iff csr_'s label spans, which EdgeScans read, are sorted by
+  /// neighbor.
+  bool SortedSpans() const { return csr_.label_spans_sorted(); }
 
   /// Records the physical engine the current operator ran into the
   /// active profile node (no-op without a trace). The choice depends
-  /// only on the plan, the graph and whether the view carries a CSR,
-  /// never on thread count — the "engine" field is one of the
-  /// deterministic profile fields.
+  /// only on the plan and the graph, never on thread count — the
+  /// "engine" field is one of the deterministic profile fields.
   static void ProfileEngine(const char* engine) {
     if (obs::TraceContext* trace = obs::CurrentTrace()) {
       if (obs::ProfileNode* node = trace->CurrentOp()) node->engine = engine;
@@ -349,15 +346,13 @@ class Executor {
     return rs;
   }
 
-  /// Label-partition scan: one pass over the label's CSR spans (the
-  /// list path walks every edge when no exact partition exists), pushing
+  /// Label-partition scan: one pass over the label's CSR spans, pushing
   /// each (src, dst) row — one column on the diagonal — into `sink`
   /// until it asks to stop. Over sorted spans the rows come out in
   /// (src, dst) order: a full scan visits sources ascending, a bound
   /// endpoint reads one sorted span.
   Status EdgeScan(const LogicalOp& op, const RowSink& sink, uint64_t* rows) {
-    const bool partitions = csr_ != nullptr;
-    ProfileEngine(partitions ? "csr" : "list");
+    ProfileEngine("csr");
     const bool diagonal = (op.src_var == op.dst_var);
     bool src_bound = false, dst_bound = false;
     NodeId src_at = kNoNode, dst_at = kNoNode;
@@ -379,52 +374,40 @@ class Executor {
       ++*rows;
       return sink(row);
     };
-    if (partitions) {
-      std::optional<LabelId> lab = csr_->FindLabel(op.label);
-      // Entries of the spans this call reads, tallied here and added to
-      // the registry once; a scan the sink stops counts what it read.
-      uint64_t entries = 0;
-      if (lab.has_value()) {
-        // (a, b) pairs: forward atoms read a's out partition; backward
-        // atoms read a's in partition (neighbor = the edge's source).
-        auto scan_from = [&](NodeId a) {
-          CsrSnapshot::Span part = op.backward
-                                       ? csr_->InForLabel(a, *lab)
-                                       : csr_->OutForLabel(a, *lab);
-          for (const CsrSnapshot::Entry& entry : part) {
-            ++entries;
-            if (!emit(a, entry.neighbor)) return false;
-          }
-          return true;
-        };
-        if (src_bound) {
-          scan_from(src_at);
-        } else if (dst_bound && !diagonal) {
-          // Bound target: one partition of the reverse view.
-          CsrSnapshot::Span part = op.backward
-                                       ? csr_->OutForLabel(dst_at, *lab)
-                                       : csr_->InForLabel(dst_at, *lab);
-          for (const CsrSnapshot::Entry& entry : part) {
-            ++entries;
-            if (!emit(entry.neighbor, dst_at)) break;
-          }
-        } else {
-          for (NodeId a = 0; a < csr_->num_nodes(); ++a) {
-            if (!scan_from(a)) break;
-          }
+    std::optional<LabelId> lab = csr_.FindLabel(op.label);
+    // Entries of the spans this call reads, tallied here and added to
+    // the registry once; a scan the sink stops counts what it read.
+    uint64_t entries = 0;
+    if (lab.has_value()) {
+      // (a, b) pairs: forward atoms read a's out partition; backward
+      // atoms read a's in partition (neighbor = the edge's source).
+      auto scan_from = [&](NodeId a) {
+        CsrSnapshot::Span part = op.backward ? csr_.InForLabel(a, *lab)
+                                             : csr_.OutForLabel(a, *lab);
+        for (const CsrSnapshot::Entry& entry : part) {
+          ++entries;
+          if (!emit(a, entry.neighbor)) return false;
+        }
+        return true;
+      };
+      if (src_bound) {
+        scan_from(src_at);
+      } else if (dst_bound && !diagonal) {
+        // Bound target: one partition of the reverse view.
+        CsrSnapshot::Span part = op.backward
+                                     ? csr_.OutForLabel(dst_at, *lab)
+                                     : csr_.InForLabel(dst_at, *lab);
+        for (const CsrSnapshot::Entry& entry : part) {
+          ++entries;
+          if (!emit(entry.neighbor, dst_at)) break;
+        }
+      } else {
+        for (NodeId a = 0; a < csr_.num_nodes(); ++a) {
+          if (!scan_from(a)) break;
         }
       }
-      KGQ_COUNTER_ADD("plan.scan.label_partition_entries", entries);
-    } else {
-      const Multigraph& g = view_.topology();
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (!view_.EdgeLabelIs(e, op.label)) continue;
-        const bool more = op.backward
-                              ? emit(g.EdgeTarget(e), g.EdgeSource(e))
-                              : emit(g.EdgeSource(e), g.EdgeTarget(e));
-        if (!more) break;
-      }
     }
+    KGQ_COUNTER_ADD("plan.scan.label_partition_entries", entries);
     KGQ_COUNTER_ADD("plan.rows.edge_scan", *rows);
     return Status::OK();
   }
@@ -447,9 +430,8 @@ class Executor {
                          PathNfa::Compile(view_, *op.path->regex()));
     PathQueryOptions popts;
     popts.parallel = options_.parallel;
-    // Planner-selected physical engine. The matrix fixpoint needs the
-    // CSR's label partitions; without a CSR the request degrades to the
-    // BFS engine (results are bit-identical either way).
+    // Planner-selected physical engine (results are bit-identical
+    // either way).
     popts.engine = op.engine;
     // A bound target is the engines' end restriction: they emit it
     // alone instead of whole rows.
@@ -462,9 +444,7 @@ class Executor {
     if (src_bound) {
       // Single-source fast path: one saturating configuration BFS
       // instead of n of them.
-      if (op.engine == PathEngine::kMatrix && csr_ != nullptr) {
-        ran = PathEngine::kMatrix;
-      }
+      if (op.engine == PathEngine::kMatrix) ran = PathEngine::kMatrix;
       ReachableFrom(nfa, src_at, popts).ForEach([&](size_t b) {
         emit(src_at, static_cast<NodeId>(b));
       });
@@ -483,7 +463,7 @@ class Executor {
   }
 
   /// Context-free PathAtom: the full pair relation of the grammar
-  /// nonterminal (matrix fixpoint with a CSR + planner opt-in, the
+  /// nonterminal (matrix fixpoint on the planner's opt-in, the
   /// CYK-style reference otherwise — bit-identical), then endpoint
   /// bounds filter the relation. Unlike the regular engines there is no
   /// single-source shortcut: the grammar's derivations are not
@@ -502,7 +482,7 @@ class Executor {
     }
     const CnfGrammar& grammar = *op.path->grammar();
     const uint32_t nt = op.path->nonterminal();
-    const bool matrix = op.engine == PathEngine::kMatrix && csr_ != nullptr;
+    const bool matrix = op.engine == PathEngine::kMatrix;
     ProfileEngine(matrix ? "cfpq-matrix" : "cfpq-ref");
     auto emit = [&](NodeId a, NodeId b) {
       if (src_bound && a != src_at) return;
@@ -513,7 +493,7 @@ class Executor {
     if (matrix) {
       KGQ_ASSIGN_OR_RETURN(
           BoolCsr rel,
-          CfpqSolveMatrix(*csr_, grammar, nt, options_.parallel));
+          CfpqSolveMatrix(csr_, grammar, nt, options_.parallel));
       for (size_t a = 0; a < rel.num_rows; ++a) {
         for (size_t k = rel.offsets[a]; k < rel.offsets[a + 1]; ++k) {
           emit(static_cast<NodeId>(a), rel.cols[k]);
@@ -653,7 +633,7 @@ class Executor {
       KGQ_ASSIGN_OR_RETURN(RowCheck check, CheckOf(**it, left.schema));
       checks.push_back(std::move(check));
     }
-    const std::optional<LabelId> lab = csr_->FindLabel(scan.label);
+    const std::optional<LabelId> lab = csr_.FindLabel(scan.label);
     // The edge is found from either endpoint's span. Search the one of
     // the endpoint in the left side's leading column when there is one:
     // ordered left rows then share one span per run of equal leading
@@ -678,8 +658,8 @@ class Executor {
           const NodeId anchor = anchor_dst ? v : u;
           if (anchor != anchored) {
             anchored = anchor;
-            span = use_in ? csr_->InForLabel(anchor, *lab)
-                          : csr_->OutForLabel(anchor, *lab);
+            span = use_in ? csr_.InForLabel(anchor, *lab)
+                          : csr_.OutForLabel(anchor, *lab);
           }
           auto [lo, hi] = std::equal_range(
               span.begin(), span.end(),
@@ -823,7 +803,7 @@ class Executor {
 
   const GraphView& view_;
   const ExecOptions& options_;
-  const CsrSnapshot* const csr_;  // view_.csr().
+  const CsrSnapshot& csr_;  // view_.csr().
 };
 
 }  // namespace

@@ -20,13 +20,13 @@ struct RowSet {
   RowTable rows;
 };
 
-/// Execution knobs shared by all physical operators. The CSR the
-/// operators run on is the view's own (GraphView::csr()): with one,
-/// EdgeScans read contiguous label partitions and PathAtoms run the
-/// product on it; when its label spans are also sorted
-/// (CsrSnapshot::label_spans_sorted, true of every canonically ordered
-/// build such as a serving epoch), scans emit rows in order, so LIMIT
-/// can stop them early and a closing edge is a binary-search probe.
+/// Execution knobs shared by all physical operators. The operators run
+/// on the view's own CSR (GraphView::csr()): EdgeScans read its
+/// contiguous label partitions and PathAtoms run the product on it.
+/// When its label spans are sorted (CsrSnapshot::label_spans_sorted,
+/// true of every canonically ordered build such as a serving epoch),
+/// scans emit rows in order, so LIMIT can stop them early and a closing
+/// edge is a binary-search probe.
 struct ExecOptions {
   /// Thread budget for the parallel phases (PathAtom pair evaluation
   /// fans out per start node). Results are identical for every thread

@@ -18,7 +18,7 @@ namespace kgq {
 /// patterns (with property-path atoms) and CRPQs all compile into a
 /// ConjunctiveQuery, which the optimizer (plan/optimizer.h) lowers to a
 /// LogicalOp tree and the executor (plan/exec.h) evaluates over a
-/// GraphView, optionally backed by a CsrSnapshot.
+/// GraphView and its CSR.
 ///
 /// This is the "patterns + regular path atoms under one algebra" shape
 /// of Section 4: a conjunction of binary path atoms (x) -[r]-> (y) over
@@ -107,10 +107,8 @@ class LogicalOp {
   /// (pathalg/matrix_rpq) for regular atoms, the CFPQ fixpoint
   /// (pathalg/cfpq_matrix) for context-free atoms — and kNfa the
   /// per-source BFS / CYK-style reference. kAuto (regular atoms only)
-  /// leaves the choice to PairRelation's run-time sample. The executor
-  /// runs a matrix engine only when the view carries a CSR (the
-  /// engines are bit-identical, so this is pure physics — never
-  /// semantics).
+  /// leaves the choice to PairRelation's run-time sample. The engines
+  /// are bit-identical, so this is pure physics — never semantics.
   PathEngine engine = PathEngine::kNfa;
   /// kNodeScan / kFilter: the test (null = none).
   TestPtr test;

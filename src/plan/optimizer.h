@@ -50,9 +50,7 @@ struct PlannerOptions {
   /// bit-identical rows, the rule only moves the work onto masked
   /// SpGEMM sweeps when the atom is a dense bulk all-pairs evaluation —
   /// measured by a source sample at run time for regular atoms,
-  /// estimated by EstimateCfpqPairs for context-free ones. The executor
-  /// falls back to the BFS / CYK-reference engine when the view
-  /// carries no CSR.
+  /// estimated by EstimateCfpqPairs for context-free ones.
   MatrixRpqMode matrix_rpq = MatrixRpqMode::kAuto;
 };
 

@@ -11,14 +11,12 @@ GraphStats GraphStats::From(
     const std::map<std::string, size_t>* node_label_counts) {
   GraphStats stats;
   stats.view_ = view;
-  stats.snapshot_ = snapshot;
+  stats.snapshot_ =
+      snapshot != nullptr || view == nullptr ? snapshot : &view->csr();
   stats.node_label_counts_ = node_label_counts;
-  if (snapshot != nullptr) {
-    stats.num_nodes_ = static_cast<double>(snapshot->num_nodes());
-    stats.num_edges_ = static_cast<double>(snapshot->num_edges());
-  } else if (view != nullptr) {
-    stats.num_nodes_ = static_cast<double>(view->num_nodes());
-    stats.num_edges_ = static_cast<double>(view->num_edges());
+  if (stats.snapshot_ != nullptr) {
+    stats.num_nodes_ = static_cast<double>(stats.snapshot_->num_nodes());
+    stats.num_edges_ = static_cast<double>(stats.snapshot_->num_edges());
   }
   return stats;
 }

@@ -18,20 +18,20 @@ namespace kgq {
 /// (its build-time per-label tallies — CountForLabel / LabelFrequency —
 /// and offset-array degrees); node-test selectivities are evaluated
 /// exactly against the GraphView (one O(n) MatchNodes pass per distinct
-/// test, done once at planning time). Both sources are optional: without
-/// a snapshot every label falls back to the global edge count, without a
-/// view every node test to a fixed default selectivity. Estimates are
+/// test, done once at planning time). Stats without a view or snapshot
+/// (default-constructed) estimate every label at the global edge count
+/// and every node test at a fixed default selectivity. Estimates are
 /// heuristics — they only need to *rank* plans, not predict runtimes.
 class GraphStats {
  public:
   GraphStats() = default;
 
-  /// Stats over `view`, optionally backed by `snapshot` for per-label
-  /// frequencies and by `node_label_counts` (label → node count, e.g.
-  /// the serving layer's per-epoch tallies) for O(1) node-label
-  /// selectivities — exactly the count the O(n) MatchNodes pass would
-  /// produce, without the pass. All pointers may be null (size-only /
-  /// scan-based estimates) but when given must outlive the GraphStats.
+  /// Stats over `view`, backed by `snapshot` — the view's own csr()
+  /// when null — for sizes and per-label frequencies, and by
+  /// `node_label_counts` (label → node count, e.g. the serving layer's
+  /// per-epoch tallies) for O(1) node-label selectivities — exactly the
+  /// count the O(n) MatchNodes pass would produce, without the pass.
+  /// Every pointer given must outlive the GraphStats.
   static GraphStats From(
       const GraphView* view, const CsrSnapshot* snapshot,
       const std::map<std::string, size_t>* node_label_counts = nullptr);
@@ -43,7 +43,7 @@ class GraphStats {
   double AvgDegree() const;
 
   /// Number of edges whose label is `label` — exact with a snapshot,
-  /// the global edge count otherwise.
+  /// the global edge count in default-constructed stats.
   double LabelFrequency(std::string_view label) const;
 
   /// Fraction of nodes satisfying `test`, in [0, 1] — exact with a

@@ -266,7 +266,7 @@ Result<QueryResult> ExecuteMatchPlanned(const GraphView& view,
                                         const MatchQuery& query,
                                         const MatchPlanOptions& options) {
   KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq, CompileMatch(query));
-  GraphStats stats = GraphStats::From(&view, view.csr());
+  GraphStats stats = GraphStats::From(&view, &view.csr());
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanQuery(cq, stats, options.planner));
   ExecOptions eopts;

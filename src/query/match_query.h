@@ -84,7 +84,7 @@ struct MatchPlanOptions {
 };
 
 /// Compile → optimize → execute through the unified physical operators,
-/// over the view's csr() when it carries one (stats + fast scans).
+/// over the view's csr() (stats + label-partition scans).
 /// Produces exactly ExecuteMatch's rows (sorted, deduplicated, limited)
 /// for every PlannerOptions configuration and thread count.
 Result<QueryResult> ExecuteMatchPlanned(const GraphView& view,

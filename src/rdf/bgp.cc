@@ -220,7 +220,7 @@ Result<ConjunctiveQuery> CompileBgp(const std::vector<TriplePattern>& patterns,
 Result<std::vector<Binding>> EvalBgpPlanned(
     const TripleStore& store, const std::vector<TriplePattern>& patterns,
     const BgpPlanOptions& options) {
-  return EvalBgpPlanned(RdfGraphView::WithCsr(store), patterns, options);
+  return EvalBgpPlanned(RdfGraphView(store), patterns, options);
 }
 
 Result<std::vector<Binding>> EvalBgpPlanned(
@@ -240,7 +240,7 @@ Result<std::vector<Binding>> EvalBgpPlanned(
   bool ask_query = cq->projection.empty();
   if (ask_query) cq->projection.push_back(cq->bound.begin()->first);
 
-  GraphStats stats = GraphStats::From(&view, view.csr());
+  GraphStats stats = GraphStats::From(&view, &view.csr());
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanQuery(*cq, stats, options.planner));
   ExecOptions eopts;

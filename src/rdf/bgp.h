@@ -70,17 +70,17 @@ struct BgpPlanOptions {
 };
 
 /// Plans and executes the BGP through the unified operators over `view`
-/// — its csr(), when set, feeds the planner's per-label statistics and
-/// the label-partition scans — then maps rows back to solution
-/// Bindings (sorted, distinct — exactly EvalBgp's output, with or
-/// without a CSR). Patterns with variable predicates fall back to
-/// EvalBgp. An all-constant pattern set yields EvalBgp's convention: one
-/// empty binding if the pattern holds, none otherwise.
+/// — its csr() feeds the planner's per-label statistics and the
+/// label-partition scans — then maps rows back to solution Bindings
+/// (sorted, distinct — exactly EvalBgp's output). Patterns with
+/// variable predicates fall back to EvalBgp. An all-constant pattern set
+/// yields EvalBgp's convention: one empty binding if the pattern holds,
+/// none otherwise.
 Result<std::vector<Binding>> EvalBgpPlanned(
     const RdfGraphView& view, const std::vector<TriplePattern>& patterns,
     const BgpPlanOptions& options = {});
 
-/// EvalBgpPlanned over RdfGraphView::WithCsr(store).
+/// EvalBgpPlanned over RdfGraphView(store).
 Result<std::vector<Binding>> EvalBgpPlanned(
     const TripleStore& store, const std::vector<TriplePattern>& patterns,
     const BgpPlanOptions& options = {});

@@ -9,7 +9,7 @@ namespace kgq {
 
 RdfGraphView::RdfGraphView(const TripleStore& store,
                            const RdfsVocabulary& vocab)
-    : store_(store) {
+    : GraphView(nullptr), store_(store) {
   for (const std::string& pred :
        {vocab.type, std::string(kRdfTypeIri),
         std::string(kNodeLabelPredicate)}) {
@@ -35,6 +35,10 @@ RdfGraphView::RdfGraphView(const TripleStore& store,
     (void)added;
     edge_preds_.push_back(t.p);
   }
+  csr_ = std::make_shared<const CsrSnapshot>(
+      CsrSnapshot::FromLabeledEdges(graph_, [this](EdgeId e) {
+        return store_.dict().Lookup(edge_preds_[e]);
+      }));
 }
 
 bool RdfGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
@@ -50,16 +54,6 @@ bool RdfGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
 bool RdfGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
   std::optional<ConstId> label_id = store_.dict().Find(label);
   return label_id.has_value() && edge_preds_[e] == *label_id;
-}
-
-RdfGraphView RdfGraphView::WithCsr(const TripleStore& store,
-                                   const RdfsVocabulary& vocab) {
-  RdfGraphView view(store, vocab);
-  view.csr_ = std::make_shared<const CsrSnapshot>(
-      CsrSnapshot::FromLabeledEdges(view.graph_, [&view](EdgeId e) {
-        return view.store_.dict().Lookup(view.edge_preds_[e]);
-      }));
-  return view;
 }
 
 NodeId RdfGraphView::NodeOf(std::string_view term) const {

@@ -22,19 +22,13 @@ namespace kgq {
 /// Node-label tests `?C` hold at n iff the store contains
 /// (n, rdf:type, C) — compact or full-IRI form — or (n, kgq:label, C). Classes are nodes too (that's
 /// RDF); property tests and feature tests are not part of this model.
-/// Later inserts into the store are not reflected in the view.
 class RdfGraphView final : public GraphView {
  public:
-  /// A plain view: csr() is nullptr. The store must outlive the view.
+  /// Builds the view's topology and its CSR, whose edge partitions are
+  /// labeled by predicate. The store must outlive the view and stay
+  /// unchanged while it lives.
   explicit RdfGraphView(const TripleStore& store,
                         const RdfsVocabulary& vocab = {});
-  /// A view that also carries a CSR of its topology with
-  /// predicate-labeled edge partitions — the planner's per-label
-  /// statistics and the executor's label-partition scans read it.
-  static RdfGraphView WithCsr(const TripleStore& store,
-                              const RdfsVocabulary& vocab = {});
-
-  const CsrSnapshot* csr() const override { return csr_.get(); }
 
   const Multigraph& topology() const override { return graph_; }
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
@@ -60,7 +54,6 @@ class RdfGraphView final : public GraphView {
   // Predicates whose triples define node "labels": the vocabulary's
   // type, the full rdf:type IRI (Turtle `a`), and kgq:label.
   std::vector<ConstId> label_preds_;
-  std::shared_ptr<const CsrSnapshot> csr_;
 };
 
 }  // namespace kgq

@@ -22,16 +22,15 @@ Result<std::vector<Bitset>> CfpqReferenceRelation(const GraphView& view,
     if (!grammar.nullable(a)) continue;
     for (size_t u = 0; u < n; ++u) rel[a][u].Set(u);
   }
-  // Endpoints from the view's own CSR when it has one (same edge ids by
-  // construction), so the relation never needs the view's topology().
-  const CsrSnapshot* csr = view.csr();
-  const Multigraph* g = csr == nullptr ? &view.topology() : nullptr;
+  // Endpoints from the view's own CSR (same edge ids by construction),
+  // so the relation never needs the view's topology().
+  const CsrSnapshot& csr = view.csr();
   const size_t m = view.num_edges();
   for (const CnfGrammar::TermProd& t : grammar.term_prods()) {
     for (EdgeId e = 0; e < m; ++e) {
       if (!view.EdgeLabelIs(e, t.label)) continue;
-      NodeId u = csr != nullptr ? csr->EdgeSource(e) : g->EdgeSource(e);
-      NodeId v = csr != nullptr ? csr->EdgeTarget(e) : g->EdgeTarget(e);
+      NodeId u = csr.EdgeSource(e);
+      NodeId v = csr.EdgeTarget(e);
       if (t.backward) {
         rel[t.lhs][v].Set(u);
       } else {

@@ -168,7 +168,7 @@ Result<ConjunctiveQuery> CompileCrpq(const Crpq& q) {
 Result<RowSet> EvalCrpq(const GraphView& view, const Crpq& q,
                         const CrpqOptions& options) {
   KGQ_ASSIGN_OR_RETURN(ConjunctiveQuery cq, CompileCrpq(q));
-  GraphStats stats = GraphStats::From(&view, view.csr());
+  GraphStats stats = GraphStats::From(&view, &view.csr());
   KGQ_ASSIGN_OR_RETURN(LogicalOpPtr plan,
                        PlanQuery(cq, stats, options.planner));
   ExecOptions eopts;

@@ -73,10 +73,10 @@ struct CrpqOptions {
 };
 
 /// Compile → optimize (PlanQuery) → execute (ExecutePlan); the view's
-/// csr(), when set, feeds the cardinality stats and the label-partition
-/// scans. Rows are canonical: sorted, deduplicated, limited — identical
-/// to EvalCrpqReference for every PlannerOptions configuration, with or
-/// without a CSR, and at every thread count.
+/// csr() feeds the cardinality stats and the label-partition scans.
+/// Rows are canonical: sorted, deduplicated, limited — identical to
+/// EvalCrpqReference for every PlannerOptions configuration and at
+/// every thread count.
 Result<RowSet> EvalCrpq(const GraphView& view, const Crpq& q,
                         const CrpqOptions& options = {});
 

@@ -30,14 +30,9 @@ Result<PathNfa> PathNfa::Compile(const GraphView& view, const Regex& regex,
   for (uint32_t f : qa.accepting()) nfa.final_mask_ |= 1ull << f;
   nfa.fwd_trans_.resize(nfa.num_q_);
   nfa.bwd_trans_.resize(nfa.num_q_);
-  nfa.csr_ = view.csr();
-  if (nfa.csr_ != nullptr) {
-    // Label atoms resolve to the CSR's label ids (AddEdgeAtom).
-    nfa.label_dirs_.assign(nfa.csr_->num_labels(), 0);
-  } else {
-    nfa.edge_fwd_usable_ = Bitset(nfa.num_edges_);
-    nfa.edge_bwd_usable_ = Bitset(nfa.num_edges_);
-  }
+  nfa.csr_ = &view.csr();
+  // Label atoms resolve to the CSR's label ids (AddEdgeAtom).
+  nfa.label_dirs_.assign(nfa.csr_->num_labels(), 0);
 
   // Node-test transitions become per-node conditional ε edges; pure ε
   // transitions are unconditional. Collect both for closure computation.
@@ -128,7 +123,7 @@ void PathNfa::AddEdgeAtom(uint32_t from, uint32_t to, const TestExpr& test,
                           bool backward) {
   const uint32_t atom = static_cast<uint32_t>(edge_match_.size());
   (backward ? bwd_trans_ : fwd_trans_)[from].push_back({atom, to});
-  if (csr_ != nullptr && test.kind() == TestExpr::Kind::kLabel) {
+  if (test.kind() == TestExpr::Kind::kLabel) {
     // The view's CSR spells its labels: O(1), no per-edge pass.
     std::optional<LabelId> lab = csr_->FindLabel(test.label());
     atom_csr_label_.push_back(lab.value_or(kAtomDead));
@@ -136,12 +131,9 @@ void PathNfa::AddEdgeAtom(uint32_t from, uint32_t to, const TestExpr& test,
     edge_match_.emplace_back();
     return;
   }
-  Bitset match = MatchEdges(*view_, test);
-  Bitset& usable = backward ? edge_bwd_usable_ : edge_fwd_usable_;
-  if (usable.size() != num_edges_) usable = Bitset(num_edges_);
-  usable |= match;
+  (backward ? filtered_bwd_ : filtered_fwd_).push_back(atom);
   atom_csr_label_.push_back(kAtomFiltered);
-  edge_match_.push_back(std::move(match));
+  edge_match_.push_back(MatchEdges(*view_, test));
 }
 
 Status PathNfa::AttachSnapshot(const CsrSnapshot* snapshot) const {
@@ -202,7 +194,7 @@ PathNfa::StateMask PathNfa::CloseAt(NodeId n, StateMask m) const {
 
 PathNfa::StateMask PathNfa::Advance(StateMask m, const Step& s) const {
   bool self = (s.from == s.to);
-  const LabelId label = csr_ != nullptr ? csr_->EdgeLabel(s.edge) : kNoLabel;
+  const LabelId label = csr_->EdgeLabel(s.edge);
   StateMask raw = 0;
   StateMask rest = m;
   while (rest != 0) {

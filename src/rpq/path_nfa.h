@@ -32,14 +32,12 @@ namespace kgq {
 ///    backward atoms (direction normalization keeps the path↔word map a
 ///    bijection).
 ///
-/// Over a view that carries a CSR (GraphView::csr()) the product runs
-/// on it: steps scan its contiguous adjacency, and a pure label atom is
-/// matched by label id — it compiles in O(1) and saturating searches
-/// scan its label partition — while only other tests get an O(|E|)
-/// per-edge match bitset. Over a plain view every edge atom gets a
-/// match bitset and steps walk the multigraph's per-node lists. Both
-/// produce the same steps in the same order, so every algorithm returns
-/// bit-identical results either way.
+/// The product runs on the view's CSR (GraphView::csr()): steps scan
+/// its contiguous adjacency, and a pure label atom is matched by label
+/// id — it compiles in O(1) and saturating searches scan its label
+/// partition — while only other tests get an O(|E|) per-edge match
+/// bitset. CSR `Out`/`In` keep edge-id order, so steps come in the
+/// order of the multigraph's per-node lists.
 ///
 /// The automaton component is limited to 64 states (bitmask fast path).
 /// With the default Glushkov construction that is one state per regex
@@ -67,12 +65,11 @@ class PathNfa {
 
   /// Compiles `regex` against `view`; the view must outlive the PathNfa.
   ///
-  /// When `view.csr()` is set, the product runs on it: label atoms
-  /// resolve to its label ids (unknown labels are dead atoms), and only
-  /// non-label atoms pay an O(|E|) match bitset. Otherwise every edge
-  /// atom gets a match bitset. Node-test atoms get an O(|N|) match
-  /// bitset and per-node ε-closures shared by node-test signature;
-  /// without node tests the closure is one row shared by every node.
+  /// The product runs on `view.csr()`: label atoms resolve to its label
+  /// ids (unknown labels are dead atoms), and only non-label atoms pay
+  /// an O(|E|) match bitset. Node-test atoms get an O(|N|) match bitset
+  /// and per-node ε-closures shared by node-test signature; without
+  /// node tests the closure is one row shared by every node.
   static Result<PathNfa> Compile(
       const GraphView& view, const Regex& regex,
       Construction construction = Construction::kGlushkov);
@@ -83,8 +80,8 @@ class PathNfa {
   /// kgqbench harness still calls it.
   Status AttachSnapshot(const CsrSnapshot* snapshot) const;
 
-  /// The compiled view's CSR (`view().csr()`), or nullptr.
-  const CsrSnapshot* snapshot() const { return csr_; }
+  /// The compiled view's CSR (`view().csr()`).
+  const CsrSnapshot& snapshot() const { return *csr_; }
 
   /// Number of automaton states.
   size_t num_states() const { return num_q_; }
@@ -117,46 +114,21 @@ class PathNfa {
   /// Steps entering `blocked` (or leaving it) are the caller's business —
   /// the path algorithms filter on their own options.
   ///
-  /// With a CSR the scan runs over its contiguous adjacency; both
-  /// backends emit the identical step sequence (out edges then in
-  /// edges, ascending edge id).
+  /// The scan runs over the CSR's contiguous adjacency: out edges then
+  /// in edges, ascending edge id.
   template <typename Fn>
   void ForEachStep(NodeId n, Fn&& fn) const {
-    if (csr_ != nullptr) {
-      if (KGQ_OBS_ON()) {
-        KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                        csr_->Out(n).size() + csr_->In(n).size());
-        KGQ_COUNTER_INC("rpq.step.csr_scans");
+    KGQ_COUNTER_ADD("rpq.step.edges_scanned",
+                    csr_->Out(n).size() + csr_->In(n).size());
+    for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
+      const uint8_t dirs = UsableDirs(a);
+      if ((dirs & kFwd) || (a.neighbor == n && (dirs & kBwd))) {
+        fn(Step{a.edge, false, n, a.neighbor});
       }
-      for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
-        const uint8_t dirs = UsableDirs(a);
-        if ((dirs & kFwd) || (a.neighbor == n && (dirs & kBwd))) {
-          fn(Step{a.edge, false, n, a.neighbor});
-        }
-      }
-      for (const CsrSnapshot::Entry& a : csr_->In(n)) {
-        if (a.neighbor == n) continue;  // Self-loop emitted as forward.
-        if (UsableDirs(a) & kBwd) fn(Step{a.edge, true, n, a.neighbor});
-      }
-      return;
     }
-    const Multigraph& g = view_->topology();
-    if (KGQ_OBS_ON()) {
-      KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                      g.OutEdges(n).size() + g.InEdges(n).size());
-      KGQ_COUNTER_INC("rpq.step.list_scans");
-    }
-    for (EdgeId e : g.OutEdges(n)) {
-      NodeId to = g.EdgeTarget(e);
-      bool self = (to == n);
-      bool usable = edge_fwd_usable_.Test(e) ||
-                    (self && edge_bwd_usable_.Test(e));
-      if (usable) fn(Step{e, false, n, to});
-    }
-    for (EdgeId e : g.InEdges(n)) {
-      NodeId to = g.EdgeSource(e);
-      if (to == n) continue;  // Self-loop already emitted as forward.
-      if (edge_bwd_usable_.Test(e)) fn(Step{e, true, n, to});
+    for (const CsrSnapshot::Entry& a : csr_->In(n)) {
+      if (a.neighbor == n) continue;  // Self-loop emitted as forward.
+      if (UsableDirs(a) & kBwd) fn(Step{a.edge, true, n, a.neighbor});
     }
   }
 
@@ -164,41 +136,17 @@ class PathNfa {
   /// used by the FPRAS layer recurrence).
   template <typename Fn>
   void ForEachStepInto(NodeId n, Fn&& fn) const {
-    if (csr_ != nullptr) {
-      if (KGQ_OBS_ON()) {
-        KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                        csr_->Out(n).size() + csr_->In(n).size());
-        KGQ_COUNTER_INC("rpq.step.csr_scans");
+    KGQ_COUNTER_ADD("rpq.step.edges_scanned",
+                    csr_->Out(n).size() + csr_->In(n).size());
+    for (const CsrSnapshot::Entry& a : csr_->In(n)) {
+      const uint8_t dirs = UsableDirs(a);
+      if ((dirs & kFwd) || (a.neighbor == n && (dirs & kBwd))) {
+        fn(Step{a.edge, false, a.neighbor, n});
       }
-      for (const CsrSnapshot::Entry& a : csr_->In(n)) {
-        const uint8_t dirs = UsableDirs(a);
-        if ((dirs & kFwd) || (a.neighbor == n && (dirs & kBwd))) {
-          fn(Step{a.edge, false, a.neighbor, n});
-        }
-      }
-      for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
-        if (a.neighbor == n) continue;
-        if (UsableDirs(a) & kBwd) fn(Step{a.edge, true, a.neighbor, n});
-      }
-      return;
     }
-    const Multigraph& g = view_->topology();
-    if (KGQ_OBS_ON()) {
-      KGQ_COUNTER_ADD("rpq.step.edges_scanned",
-                      g.OutEdges(n).size() + g.InEdges(n).size());
-      KGQ_COUNTER_INC("rpq.step.list_scans");
-    }
-    for (EdgeId e : g.InEdges(n)) {
-      NodeId from = g.EdgeSource(e);
-      bool self = (from == n);
-      bool usable = edge_fwd_usable_.Test(e) ||
-                    (self && edge_bwd_usable_.Test(e));
-      if (usable) fn(Step{e, false, from, n});
-    }
-    for (EdgeId e : g.OutEdges(n)) {
-      NodeId from = g.EdgeTarget(e);
-      if (from == n) continue;
-      if (edge_bwd_usable_.Test(e)) fn(Step{e, true, from, n});
+    for (const CsrSnapshot::Entry& a : csr_->Out(n)) {
+      if (a.neighbor == n) continue;
+      if (UsableDirs(a) & kBwd) fn(Step{a.edge, true, a.neighbor, n});
     }
   }
 
@@ -221,33 +169,16 @@ class PathNfa {
   /// equals { (s.to, bits of AdvanceSingle(q, s) before closure) } over
   /// ForEachStep(n). Callers close the emitted states at to_node.
   ///
-  /// With a CSR, transitions whose atom is a pure label test scan that
-  /// label's contiguous partition instead of filtering the node's full
+  /// Transitions whose atom is a pure label test scan that label's
+  /// contiguous partition instead of filtering the node's full
   /// adjacency — the product-graph step the CSR exists for — and each
-  /// scan is counted in `tally`. Emission *order* differs from the list
-  /// backend, and a (to_node, to_state) pair may be emitted once per
-  /// witnessing edge, so only order-insensitive saturating consumers
-  /// (existential reachability) may use this.
+  /// scan is counted in `tally`. Emission *order* differs from
+  /// ForEachStep's, and a (to_node, to_state) pair may be emitted once
+  /// per witnessing edge, so only order-insensitive saturating
+  /// consumers (existential reachability) may use this.
   template <typename Fn>
   void ForEachSuccessor(NodeId n, uint32_t q, SuccessorTally* tally,
                         Fn&& fn) const {
-    if (csr_ == nullptr) {
-      // Plain view: every atom has its match bitset.
-      ForEachStep(n, [&](const Step& s) {
-        bool self = (s.from == s.to);
-        if (!s.backward || self) {
-          for (const EdgeTrans& t : fwd_trans_[q]) {
-            if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
-          }
-        }
-        if (s.backward || self) {
-          for (const EdgeTrans& t : bwd_trans_[q]) {
-            if (edge_match_[t.atom].Test(s.edge)) fn(s.to, t.to);
-          }
-        }
-      });
-      return;
-    }
     auto scan = [&](const EdgeTrans& t, bool backward) {
       const LabelId lab = atom_csr_label_[t.atom];
       if (lab == kAtomDead) return;
@@ -298,8 +229,7 @@ class PathNfa {
   /// Number of edge atoms (the index space of TransitionView::atom).
   size_t num_atoms() const { return edge_match_.size(); }
 
-  /// How an atom resolves against the view's CSR (without one, every
-  /// live atom is kFiltered).
+  /// How an atom resolves against the view's CSR.
   enum class AtomClass {
     kDead,      ///< Matches no edge: the transition never fires.
     kLabel,     ///< Pure label ℓ resolved to a CSR label partition.
@@ -315,8 +245,7 @@ class PathNfa {
   /// True iff the atom matches edge e — the per-edge filter of
   /// kFiltered atoms.
   bool AtomMatchesEdge(uint32_t atom, EdgeId e) const {
-    return AtomMatches(atom, e,
-                       csr_ != nullptr ? csr_->EdgeLabel(e) : kNoLabel);
+    return AtomMatches(atom, e, csr_->EdgeLabel(e));
   }
 
   /// ε-closure sharing: nodes with the same node-test signature share
@@ -353,7 +282,7 @@ class PathNfa {
   };
 
   // atom_csr_label_ sentinels: atom matches no edge of the CSR / atom
-  // is not a pure-label test on a CSR (filter via edge_match_).
+  // is not a pure-label test (filter via edge_match_).
   static constexpr LabelId kAtomDead = 0xFFFFFFFFu;
   static constexpr LabelId kAtomFiltered = 0xFFFFFFFEu;
 
@@ -368,7 +297,7 @@ class PathNfa {
                    bool backward);
 
   /// True iff atom `a` matches edge e, whose label in csr_ is `label`
-  /// (read only for label atoms, which exist only with a CSR).
+  /// (read only for label atoms).
   bool AtomMatches(uint32_t a, EdgeId e, LabelId label) const {
     const LabelId lab = atom_csr_label_[a];
     return lab == kAtomFiltered ? edge_match_[a].Test(e) : lab == label;
@@ -378,17 +307,23 @@ class PathNfa {
   /// adjacency entry `a` of csr_.
   uint8_t UsableDirs(const CsrSnapshot::Entry& a) const {
     uint8_t dirs = label_dirs_[a.label];
-    if (edge_fwd_usable_.size() != 0 && edge_fwd_usable_.Test(a.edge)) {
-      dirs |= kFwd;
+    for (uint32_t atom : filtered_fwd_) {
+      if (edge_match_[atom].Test(a.edge)) {
+        dirs |= kFwd;
+        break;
+      }
     }
-    if (edge_bwd_usable_.size() != 0 && edge_bwd_usable_.Test(a.edge)) {
-      dirs |= kBwd;
+    for (uint32_t atom : filtered_bwd_) {
+      if (edge_match_[atom].Test(a.edge)) {
+        dirs |= kBwd;
+        break;
+      }
     }
     return dirs;
   }
 
   const GraphView* view_ = nullptr;
-  const CsrSnapshot* csr_ = nullptr;  // view_->csr().
+  const CsrSnapshot* csr_ = nullptr;  // &view_->csr().
   size_t num_nodes_ = 0;
   size_t num_edges_ = 0;
   uint32_t num_q_ = 0;
@@ -396,25 +331,22 @@ class PathNfa {
   StateMask final_mask_ = 0;
 
   // Per-atom edge match bitsets (shared index space for fwd and bwd
-  // atoms; empty for label atoms on a CSR), and per-state transition
-  // lists by direction.
+  // atoms; empty for label atoms), and per-state transition lists by
+  // direction.
   std::vector<Bitset> edge_match_;
   std::vector<std::vector<EdgeTrans>> fwd_trans_;  // indexed by state
   std::vector<std::vector<EdgeTrans>> bwd_trans_;
 
-  // Per-atom CSR label id, or kAtomDead / kAtomFiltered (every atom is
-  // kAtomFiltered without a CSR).
+  // Per-atom CSR label id, or kAtomDead / kAtomFiltered.
   std::vector<LabelId> atom_csr_label_;
 
-  // With a CSR: per csr_ label id, the directions some label atom fires
-  // on it.
+  // Per csr_ label id, the directions some label atom fires on it.
   std::vector<uint8_t> label_dirs_;
 
-  // Union of the match bitsets in each direction — of every atom, or
-  // with a CSR of the non-label atoms only (empty when there are
-  // none).
-  Bitset edge_fwd_usable_;
-  Bitset edge_bwd_usable_;
+  // The kAtomFiltered atoms of each direction: an edge is usable in a
+  // direction when one of them matches it.
+  std::vector<uint32_t> filtered_fwd_;
+  std::vector<uint32_t> filtered_bwd_;
 
   // ε-closures are shared between nodes with the same node-test
   // signature: closure_rows_ holds one row of num_q_ masks per distinct

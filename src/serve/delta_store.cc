@@ -41,12 +41,12 @@ bool EpochGraphView::NodeLabelIs(NodeId n, std::string_view label) const {
 }
 
 bool EpochGraphView::EdgeLabelIs(EdgeId e, std::string_view label) const {
-  return csr_->LabelName(csr_->EdgeLabel(e)) == label;
+  return csr().LabelName(csr().EdgeLabel(e)) == label;
 }
 
 DenseLabels EpochGraphView::dense_labels() const {
   const Interner* names = snap_->nodes.names.get();
-  const CsrSnapshot* csr = csr_;
+  const CsrSnapshot* csr = csr_.get();
   return {snap_->nodes.ids.get(), csr->edge_labels().data(),
           [names](std::string_view s) {
             return names->Find(s).value_or(kNullConst);

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/csr_snapshot.h"
@@ -89,28 +90,28 @@ struct EpochDelta {
 struct EpochSnapshot;
 
 /// The GraphView of one epoch, answered from the epoch's dense parts
-/// alone: edges, topology sizes and edge labels from its CSR (csr()),
-/// node labels from its node table. dense_labels() hands both label
-/// columns to BoundTest, so a label test costs one id compare per
-/// element. Only topology() reaches EpochSnapshot::graph() — it
-/// materializes the LabeledGraph on first use, and nothing a served
-/// query runs calls it. Only EpochSnapshot::View() creates one; the
-/// snapshot must outlive the view.
+/// alone: edges, topology sizes and edge labels from its CSR (csr(),
+/// shared with the epoch), node labels from its node table.
+/// dense_labels() hands both label columns to BoundTest, so a label
+/// test costs one id compare per element. Only topology() reaches
+/// EpochSnapshot::graph() — it materializes the LabeledGraph on first
+/// use, and nothing a served query runs calls it. Only
+/// EpochSnapshot::View() creates one; the snapshot must outlive the
+/// view.
 class EpochGraphView final : public GraphView {
  public:
   const Multigraph& topology() const override;
   bool NodeLabelIs(NodeId n, std::string_view label) const override;
   bool EdgeLabelIs(EdgeId e, std::string_view label) const override;
   DenseLabels dense_labels() const override;
-  const CsrSnapshot* csr() const override { return csr_; }
 
  private:
   friend struct EpochSnapshot;
-  EpochGraphView(const EpochSnapshot& snap, const CsrSnapshot& csr)
-      : snap_(&snap), csr_(&csr) {}
+  EpochGraphView(const EpochSnapshot& snap,
+                 std::shared_ptr<const CsrSnapshot> csr)
+      : GraphView(std::move(csr)), snap_(&snap) {}
 
   const EpochSnapshot* snap_;
-  const CsrSnapshot* csr_;
 };
 
 /// One published version of the graph: an immutable materialization of
@@ -147,7 +148,7 @@ struct EpochSnapshot {
 
   /// The materialized LabeledGraph of this epoch — identical to what a
   /// from-scratch canonical build constructs. A convenience for callers
-  /// that want a LabeledGraph (reference oracles, list-based kernels):
+  /// that want a LabeledGraph (reference oracles, path validation):
   /// built lazily on first use, or pre-seeded by the full-rebuild
   /// publish path. No served request reaches it. Thread-safe; snapshots
   /// with identical content share one build.
@@ -155,7 +156,7 @@ struct EpochSnapshot {
 
   /// The view every served query plans and executes on: the CSR and the
   /// node table, O(1) to create (graph() stays unbuilt).
-  EpochGraphView View() const { return EpochGraphView(*this, *csr); }
+  EpochGraphView View() const { return EpochGraphView(*this, csr); }
 
   /// Shared lazy cell so content-identical epochs (empty publishes)
   /// reuse one graph build.

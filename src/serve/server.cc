@@ -238,7 +238,7 @@ Result<QueryAnswer> ComputePrepared(const Server::PreparedQuery& prep,
                        PlanPrepared(prep, snap, planner, &ask));
   EpochGraphView view = snap.View();
   ExecOptions eopts;
-  eopts.parallel = prep.parallel;  // The snapshot is view.csr().
+  eopts.parallel = prep.parallel;  // Runs on the epoch's CSR.
 
   // The enable decision is snapshotted once, here: a concurrent
   // SetEnabled flip mid-execution can therefore never produce a torn

@@ -253,7 +253,6 @@ TEST(CfpqPlanTest, ExplainShowsCfpqMatrixEngine) {
 TEST(CfpqPlanTest, MixedAtomsPlannedMatchesReference) {
   LabeledGraph g = UpTree();
   LabeledGraphView view(g);
-  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
   Result<Crpq> q = ParseCrpq(
       "grammar SG { SG -> up SG up^- | up up^- } "
       "q(x, y) :- (x) -[ SG ]-> (y), (y) -[ up ]-> (z)");
@@ -262,14 +261,11 @@ TEST(CfpqPlanTest, MixedAtomsPlannedMatchesReference) {
   ASSERT_TRUE(ref.ok()) << ref.status();
   for (MatrixRpqMode mode :
        {MatrixRpqMode::kOff, MatrixRpqMode::kAuto, MatrixRpqMode::kAlways}) {
-    for (bool with_csr : {false, true}) {
-      CrpqOptions opts;
-      opts.planner.matrix_rpq = mode;
-      Result<RowSet> got = EvalCrpq(with_csr ? csr_view : view, *q, opts);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->rows, ref->rows)
-          << "mode=" << static_cast<int>(mode) << " csr=" << with_csr;
-    }
+    CrpqOptions opts;
+    opts.planner.matrix_rpq = mode;
+    Result<RowSet> got = EvalCrpq(view, *q, opts);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->rows, ref->rows) << "mode=" << static_cast<int>(mode);
   }
 }
 

@@ -3,14 +3,15 @@
 // (rpq/cfpq_reference.h) on 32 seeds of ER and BA random graphs, at 1
 // and 4 threads — results must be bit-identical (canonical sorted CSR).
 // A second battery runs mixed regular + context-free CRPQs through the
-// full planner (matrix engine forced and off, snapshot on and off)
-// against EvalCrpqReference.
+// full planner (matrix engine forced and off, labeled and property
+// views of the graph) against EvalCrpqReference.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "graph/conversions.h"
 #include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
@@ -105,7 +106,9 @@ TEST_P(CfpqDifferential, MixedCrpqPlannedMatchesReference) {
           : BarabasiAlbert(11 + rng.Below(6), 2, {"p", "q"}, {"a", "b"},
                            &rng);
   LabeledGraphView view(g);
-  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
+  const PropertyGraph pg = LabeledToProperty(g);
+  const PropertyGraphView property_view(pg);
+  const GraphView* const views[] = {&view, &property_view};
 
   // Mixed-atom query shapes: context-free atoms joined with regex atoms
   // over shared variables, endpoint tests, diagonal atoms, non-start
@@ -127,17 +130,18 @@ TEST_P(CfpqDifferential, MixedCrpqPlannedMatchesReference) {
     Result<RowSet> ref = EvalCrpqReference(view, *q);
     ASSERT_TRUE(ref.ok()) << ref.status();
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (bool with_csr : {false, true}) {
+      for (const GraphView* on : views) {
         for (MatrixRpqMode matrix :
              {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
           CrpqOptions opts;
           opts.parallel.num_threads = threads;
           opts.planner.matrix_rpq = matrix;
-          Result<RowSet> got = EvalCrpq(with_csr ? csr_view : view, *q, opts);
+          Result<RowSet> got = EvalCrpq(*on, *q, opts);
           ASSERT_TRUE(got.ok()) << got.status();
           ASSERT_EQ(got->schema, ref->schema);
           ASSERT_EQ(got->rows, ref->rows)
-              << "threads=" << threads << " csr=" << with_csr
+              << "threads=" << threads
+              << " property=" << (on == &property_view)
               << " matrix=" << (matrix == MatrixRpqMode::kAlways);
         }
       }

@@ -1,17 +1,19 @@
-// Differential equivalence suite for the CSR snapshot backend: over 50+
-// seeded random labeled graphs (with multi-edges, self-loops, isolated
-// nodes and empty label sets), every CSR-backed path kernel must return
-// *bit-identical* results to the list-based reference — at one thread
-// and at several. This is the contract that lets a view carry a CSR:
-// it can only change speed, never output. A PathNfa meets a CSR only
-// through its view (GraphView::csr()); the suite runs the path kernels
-// over labeled, property, vector, RDF and epoch views that carry one,
-// and checks the pairing those views promise.
+// Differential equivalence suite for the views' CSRs: over 50+ seeded
+// random labeled graphs (with multi-edges, self-loops, isolated nodes
+// and empty label sets), every path kernel must return *bit-identical*
+// results over every kind of view of the same graph — property, vector,
+// epoch and RDF against the labeled view — at one thread and at
+// several. A PathNfa meets a CSR only through its view
+// (GraphView::csr()); each view builds or shares its own, and the suite
+// checks the pairing those views promise. The labeled view's enumeration
+// is held to EvalReference, which walks the view's topology() lists
+// instead of its CSR.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "rdf/rdf_view.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
+#include "rpq/reference_eval.h"
 #include "rpq/regex.h"
 #include "serve/delta_store.h"
 #include "util/rng.h"
@@ -102,8 +105,8 @@ LabeledGraph MakeGraph(uint64_t seed, Rng* rng) {
 }
 
 /// An epoch whose CSR is FromGraph(g): its graph() is g with the same
-/// node and edge ids (parallel edges included), and its View() is a
-/// view whose csr() is set.
+/// node and edge ids (parallel edges included), and its View() shares
+/// that CSR.
 serve::EpochSnapshot EpochOf(const LabeledGraph& g) {
   serve::NodeTable nodes;
   for (NodeId n = 0; n < g.num_nodes(); ++n) nodes.Add(g.NodeLabelString(n));
@@ -120,6 +123,25 @@ const char* const kFixedRegexes[] = {
     "a/b^-", "(a+b^-)*", "a/[a|b]/?p", "[!a]^-/b*", "z", "a/z^-+b",
 };
 
+/// Path lengths every kernel below is checked up to.
+constexpr size_t kMaxLen = 3;
+
+/// The paths `nfa` enumerates at each length up to kMaxLen must be
+/// exactly the paper-literal oracle's over the same view.
+void ExpectEnumerationMatchesOracle(const GraphView& view, const Regex& regex,
+                                    const PathNfa& nfa) {
+  std::vector<std::set<Path>> oracle(kMaxLen + 1);
+  for (Path& p : EvalReference(view, regex, kMaxLen)) {
+    oracle[p.Length()].insert(std::move(p));
+  }
+  for (size_t k = 0; k <= kMaxLen; ++k) {
+    PathEnumerator enumerator(nfa, k);
+    std::vector<Path> paths = enumerator.Drain();
+    ASSERT_EQ(std::set<Path>(paths.begin(), paths.end()), oracle[k])
+        << "k=" << k;
+  }
+}
+
 ParallelOptions Threads(size_t k) {
   ParallelOptions par;
   par.num_threads = k;
@@ -127,12 +149,12 @@ ParallelOptions Threads(size_t k) {
 }
 
 /// Every path kernel over `got` must return exactly what it returns over
-/// the list-based reference `want` (same graph, same regex): reach rows
-/// on both engines at 1 and 4 threads, the path *sequence* of the
+/// the reference `want` (same graph, same regex, another view): reach
+/// rows on both engines at 1 and 4 threads, the path *sequence* of the
 /// enumerator, the exact DP and the FPRAS estimate and samples.
 void ExpectSamePathKernels(const PathNfa& want, const PathNfa& got,
                            uint64_t seed) {
-  const size_t max_len = 3;
+  const size_t max_len = kMaxLen;
   // Existential pair semantics (reach rows), sequential and parallel.
   std::vector<Bitset> want_pairs = AllPairs(want);
   for (PathEngine engine : {PathEngine::kNfa, PathEngine::kMatrix}) {
@@ -154,7 +176,7 @@ void ExpectSamePathKernels(const PathNfa& want, const PathNfa& got,
 
   for (size_t k = 0; k <= max_len; ++k) {
     // Enumeration: the *sequence* of paths must be identical, not just
-    // the set — the CSR branch preserves step order.
+    // the set — every view's CSR keeps edge-id step order.
     PathEnumerator want_enum(want, k);
     PathEnumerator got_enum(got, k);
     std::vector<Path> want_paths = want_enum.Drain();
@@ -193,30 +215,54 @@ void ExpectSamePathKernels(const PathNfa& want, const PathNfa& got,
   }
 }
 
+/// The labeled graph an RDF view answers like over the suite's
+/// alphabet: the view's nodes and edges in id order, each edge labeled
+/// by its predicate and each node by the one of {p, q} it carries ("-"
+/// when it carries neither, as the class nodes do).
+LabeledGraph MirrorOf(const RdfGraphView& rdf) {
+  LabeledGraph g;
+  const Multigraph& t = rdf.topology();
+  for (NodeId n = 0; n < t.num_nodes(); ++n) {
+    g.AddNode(rdf.NodeLabelIs(n, "p")   ? "p"
+              : rdf.NodeLabelIs(n, "q") ? "q"
+                                        : "-");
+  }
+  for (EdgeId e = 0; e < t.num_edges(); ++e) {
+    std::string label;
+    for (const char* pred : {"a", "b", kNodeLabelPredicate}) {
+      if (rdf.EdgeLabelIs(e, pred)) label = pred;
+    }
+    EXPECT_FALSE(label.empty()) << "edge " << e;
+    EXPECT_TRUE(g.AddEdge(t.EdgeSource(e), t.EdgeTarget(e), label).ok());
+  }
+  return g;
+}
+
 class CsrEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(CsrEquivalence, PathKernelsBitIdentical) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   Rng rng(7000 + seed);
   LabeledGraph g = MakeGraph(seed, &rng);
-  LabeledGraphView view(g);
-  // Views of the same nodes and edges that carry their own CSR.
+  const LabeledGraphView view(g);
+  // Other views of the same nodes and edges.
   const PropertyGraph pg = LabeledToProperty(g);
   const VectorGraph vg = LabeledToVector(g);
   const serve::EpochSnapshot epoch = EpochOf(g);
-  const LabeledGraphView labeled_csr = LabeledGraphView::WithCsr(g);
-  const PropertyGraphView property_csr = PropertyGraphView::WithCsr(pg);
-  const VectorGraphView vector_csr = VectorGraphView::WithCsr(vg);
+  const PropertyGraphView property_view(pg);
+  const VectorGraphView vector_view(vg);
   const serve::EpochGraphView epoch_view = epoch.View();
-  const std::pair<const char*, const GraphView*> csr_views[] = {
-      {"labeled", &labeled_csr},
-      {"property", &property_csr},
-      {"vector", &vector_csr},
+  const std::pair<const char*, const GraphView*> views[] = {
+      {"property", &property_view},
+      {"vector", &vector_view},
       {"epoch", &epoch_view}};
-  // The RDF encoding of g: its own node ids, compared plain vs. CSR.
+  // The RDF encoding of g has its own node and edge ids (label classes
+  // become nodes, parallel triples collapse); it is compared against
+  // the labeled view of its mirror.
   const TripleStore store = LabeledToRdf(g);
   const RdfGraphView rdf(store);
-  const RdfGraphView rdf_csr = RdfGraphView::WithCsr(store);
+  const LabeledGraph mirror = MirrorOf(rdf);
+  const LabeledGraphView mirror_view(mirror);
 
   std::vector<RegexPtr> regexes;
   for (const char* text : kFixedRegexes) regexes.push_back(*ParseRegex(text));
@@ -227,24 +273,25 @@ TEST_P(CsrEquivalence, PathKernelsBitIdentical) {
     SCOPED_TRACE(regex->ToString());
     for (PathNfa::Construction cons :
          {PathNfa::Construction::kGlushkov, PathNfa::Construction::kThompson}) {
-      Result<PathNfa> list_nfa = PathNfa::Compile(view, *regex, cons);
-      ASSERT_TRUE(list_nfa.ok()) << list_nfa.status();
-      ASSERT_EQ(list_nfa->snapshot(), nullptr);
-      for (const auto& [name, csr_view] : csr_views) {
+      Result<PathNfa> want = PathNfa::Compile(view, *regex, cons);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ExpectEnumerationMatchesOracle(view, *regex, *want);
+      if (HasFatalFailure()) return;
+      for (const auto& [name, other] : views) {
         SCOPED_TRACE(name);
-        Result<PathNfa> csr_nfa = PathNfa::Compile(*csr_view, *regex, cons);
-        ASSERT_TRUE(csr_nfa.ok()) << csr_nfa.status();
-        ASSERT_EQ(csr_nfa->snapshot(), csr_view->csr());
-        ExpectSamePathKernels(*list_nfa, *csr_nfa, seed);
+        Result<PathNfa> got = PathNfa::Compile(*other, *regex, cons);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(&got->snapshot(), &other->csr());
+        ExpectSamePathKernels(*want, *got, seed);
         if (HasFatalFailure()) return;
       }
 
       SCOPED_TRACE("rdf");
-      Result<PathNfa> rdf_list = PathNfa::Compile(rdf, *regex, cons);
-      Result<PathNfa> rdf_nfa = PathNfa::Compile(rdf_csr, *regex, cons);
-      ASSERT_TRUE(rdf_list.ok() && rdf_nfa.ok());
-      ASSERT_EQ(rdf_nfa->snapshot(), rdf_csr.csr());
-      ExpectSamePathKernels(*rdf_list, *rdf_nfa, seed);
+      Result<PathNfa> mirror_nfa = PathNfa::Compile(mirror_view, *regex, cons);
+      Result<PathNfa> rdf_nfa = PathNfa::Compile(rdf, *regex, cons);
+      ASSERT_TRUE(mirror_nfa.ok() && rdf_nfa.ok());
+      ASSERT_EQ(&rdf_nfa->snapshot(), &rdf.csr());
+      ExpectSamePathKernels(*mirror_nfa, *rdf_nfa, seed);
       if (HasFatalFailure()) return;
     }
   }
@@ -274,8 +321,10 @@ TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
   Rng rng(5000 + seed);
   LabeledGraph g = MakeGraph(seed, &rng);
   if (g.num_nodes() > 12) GTEST_SKIP() << "bc_r subset (size)";
-  LabeledGraphView view(g);
-  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
+  const LabeledGraphView view(g);
+  // The same graph through another model's view.
+  const PropertyGraph pg = LabeledToProperty(g);
+  const PropertyGraphView other(pg);
 
   RegexPtr regex =
       Regex::Star(Regex::Union(Regex::EdgeLabel("a"), Regex::EdgeLabel("b")));
@@ -289,13 +338,14 @@ TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     got_opts.parallel = Threads(threads);
     Result<std::vector<double>> got =
-        RegexBetweenness(csr_view, *regex, got_opts);
+        RegexBetweenness(other, *regex, got_opts);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(*got, *want) << "threads=" << threads;
   }
 
   // Approximate bc_r: fixed master seed ⇒ identical source plans and
-  // per-source streams ⇒ identical output, CSR or not.
+  // per-source streams ⇒ identical output, whatever the view or the
+  // thread count.
   BcrOptions approx_opts = want_opts;
   approx_opts.fpras.samples_per_state = 8;
   approx_opts.fpras.union_trials = 16;
@@ -306,7 +356,7 @@ TEST_P(CsrEquivalence, RegexBetweennessBitIdentical) {
   approx_opts.parallel = Threads(4);
   Rng got_rng(77 + seed);
   Result<std::vector<double>> got_approx =
-      RegexBetweennessApprox(csr_view, *regex, approx_opts, &got_rng);
+      RegexBetweennessApprox(other, *regex, approx_opts, &got_rng);
   ASSERT_TRUE(got_approx.ok()) << got_approx.status();
   ASSERT_EQ(*got_approx, *want_approx);
 }
@@ -321,8 +371,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsrEquivalence, ::testing::Range(0, 52));
 /// including labels no edge carries.
 void ExpectCsrPairsWithView(const GraphView& view,
                             const std::vector<std::string>& labels) {
-  const CsrSnapshot* csr = view.csr();
-  ASSERT_NE(csr, nullptr);
+  const CsrSnapshot* csr = &view.csr();
   const Multigraph& g = view.topology();
   ASSERT_EQ(csr->num_nodes(), g.num_nodes());
   ASSERT_EQ(csr->num_edges(), g.num_edges());
@@ -366,8 +415,9 @@ VectorGraph RandomVectorGraph(Rng* rng) {
   return g;
 }
 
-// Every view kind that can carry its own CSR pairs with it by
-// construction — the property the kernels trust without checking.
+// Every view kind's one-argument constructor builds its own CSR, which
+// pairs with the view by construction — the property the kernels trust
+// without checking.
 TEST(CsrEquivalenceGuards, ViewsPairWithTheirOwnCsr) {
   // Present labels, node labels, an absent label, the ⊥ spelling, the
   // RDF label predicate and the empty string.
@@ -377,26 +427,22 @@ TEST(CsrEquivalenceGuards, ViewsPairWithTheirOwnCsr) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(600 + seed);
     const LabeledGraph g = MakeGraph(seed, &rng);
-    ExpectCsrPairsWithView(LabeledGraphView::WithCsr(g), labels);
+    ExpectCsrPairsWithView(LabeledGraphView(g), labels);
     const PropertyGraph pg = LabeledToProperty(g);
-    ExpectCsrPairsWithView(PropertyGraphView::WithCsr(pg), labels);
+    ExpectCsrPairsWithView(PropertyGraphView(pg), labels);
     const VectorGraph vg = RandomVectorGraph(&rng);
-    ExpectCsrPairsWithView(VectorGraphView::WithCsr(vg), labels);
+    ExpectCsrPairsWithView(VectorGraphView(vg), labels);
     const TripleStore store = LabeledToRdf(g);
-    ExpectCsrPairsWithView(RdfGraphView::WithCsr(store), labels);
+    ExpectCsrPairsWithView(RdfGraphView(store), labels);
     if (HasFatalFailure()) return;
-    // The one-argument constructors stay plain.
-    EXPECT_EQ(LabeledGraphView(g).csr(), nullptr);
-    EXPECT_EQ(PropertyGraphView(pg).csr(), nullptr);
-    EXPECT_EQ(VectorGraphView(vg).csr(), nullptr);
-    EXPECT_EQ(RdfGraphView(store).csr(), nullptr);
   }
 }
 
 // A CSR reaches the product only through its view. AttachSnapshot
 // accepts the compiled view's own csr() and rejects any other snapshot
 // without touching the product — here a copy of the graph with a and b
-// swapped, whose topology is identical.
+// swapped, whose topology is identical, and the CSR of a second view of
+// the same graph.
 TEST(CsrEquivalenceGuards, AttachSnapshotRejectsForeignSnapshots) {
   Rng rng(4);
   LabeledGraph g = ErdosRenyi(14, 45, {"p", "q"}, {"a", "b"}, &rng);
@@ -417,27 +463,28 @@ TEST(CsrEquivalenceGuards, AttachSnapshotRejectsForeignSnapshots) {
     ASSERT_EQ(foreign.EdgeSource(e), g.EdgeSource(e));
     ASSERT_EQ(foreign.EdgeTarget(e), g.EdgeTarget(e));
   }
-  const LabeledGraphView plain(g);
-  const LabeledGraphView with_csr = LabeledGraphView::WithCsr(g);
+  const LabeledGraphView view(g);
+  const LabeledGraphView twin(g);
+  ASSERT_NE(&twin.csr(), &view.csr());
 
   for (const char* text : {"a/b^-", "(a+b^-)*/?p", "a"}) {
     SCOPED_TRACE(text);
     RegexPtr regex = *ParseRegex(text);
-    for (const LabeledGraphView* view : {&plain, &with_csr}) {
-      Result<PathNfa> nfa = PathNfa::Compile(*view, *regex);
-      ASSERT_TRUE(nfa.ok()) << nfa.status();
-      const std::vector<Bitset> want = AllPairs(*nfa);
-      EXPECT_TRUE(nfa->AttachSnapshot(view->csr()).ok());
-      Status st = nfa->AttachSnapshot(&foreign);
+    Result<PathNfa> nfa = PathNfa::Compile(view, *regex);
+    ASSERT_TRUE(nfa.ok()) << nfa.status();
+    const std::vector<Bitset> want = AllPairs(*nfa);
+    EXPECT_TRUE(nfa->AttachSnapshot(&view.csr()).ok());
+    for (const CsrSnapshot* other : {&foreign, &twin.csr()}) {
+      Status st = nfa->AttachSnapshot(other);
       EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ(nfa->snapshot(), view->csr());
-      EXPECT_EQ(AllPairs(*nfa), want);
     }
+    EXPECT_EQ(&nfa->snapshot(), &view.csr());
+    EXPECT_EQ(AllPairs(*nfa), want);
   }
 }
 
-// Over a view that owns its CSR, pure label atoms compile straight to
-// the CSR's label ids — forward and inverse alike.
+// Over an epoch view, which shares the epoch's CSR, pure label atoms
+// compile straight to the CSR's label ids — forward and inverse alike.
 TEST(CsrEquivalenceGuards, OwnCsrLabelAtomsResolveToLabelIds) {
   LabeledGraph g;
   for (int i = 0; i < 4; ++i) g.AddNode("person");
@@ -449,7 +496,7 @@ TEST(CsrEquivalenceGuards, OwnCsrLabelAtomsResolveToLabelIds) {
 
   Result<PathNfa> nfa = PathNfa::Compile(view, **ParseRegex("knows/knows^-"));
   ASSERT_TRUE(nfa.ok()) << nfa.status();
-  ASSERT_EQ(nfa->snapshot(), epoch.csr.get());
+  ASSERT_EQ(&nfa->snapshot(), epoch.csr.get());
   ASSERT_EQ(nfa->num_atoms(), 2u);
   const LabelId knows = *epoch.csr->FindLabel("knows");
   for (uint32_t atom = 0; atom < nfa->num_atoms(); ++atom) {

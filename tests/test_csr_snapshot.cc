@@ -345,7 +345,7 @@ TEST(CsrSnapshot, LabelFrequencyMatchesBruteForceOnRandomGraphs) {
   }
 }
 
-// FromLabeledEdges — the factory RdfGraphView::WithCsr uses — must
+// FromLabeledEdges — the factory the RdfGraphView constructor uses — must
 // behave exactly like FromGraph when fed the same labeling.
 TEST(CsrSnapshot, FromLabeledEdgesMatchesFromGraph) {
   LabeledGraph g = DiamondWithExtras();

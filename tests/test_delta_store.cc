@@ -331,7 +331,7 @@ void ExpectSnapshotsIdentical(const EpochSnapshot& got,
   ASSERT_EQ(got.csr->num_nodes(), got.graph().num_nodes());
   ASSERT_EQ(got.csr->num_edges(), got.graph().num_edges());
   const EpochGraphView view = got.View();
-  ASSERT_EQ(view.csr(), got.csr.get());
+  ASSERT_EQ(&view.csr(), got.csr.get());
   for (EdgeId e = 0; e < got.num_edges(); ++e) {
     ASSERT_EQ(got.csr->EdgeSource(e), got.graph().EdgeSource(e));
     ASSERT_EQ(got.csr->EdgeTarget(e), got.graph().EdgeTarget(e));

@@ -476,7 +476,7 @@ TEST(PairSearchTest, ReusedScratchMatchesFreshSearch) {
   cases.push_back({BarabasiAlbert(600, 2, {"p", "q"}, {"a", "b"}, &rng),
                    {"a*", "(a+a^-)*", "b/a^-"}});
   for (const Case& c : cases) {
-    LabeledGraphView view = LabeledGraphView::WithCsr(c.graph);
+    LabeledGraphView view(c.graph);
     const NodeId mid = static_cast<NodeId>(c.graph.num_nodes() / 2);
     std::vector<PathQueryOptions> restrictions(5);
     restrictions[1].start = mid;
@@ -533,7 +533,7 @@ TEST(PairSearchTest, SuccessorCountersAreExactAtEveryThreadCount) {
   obs::Registry::SetEnabled(true);
   Rng rng(11);
   LabeledGraph g = ErdosRenyi(300, 900, {"p", "q"}, {"a", "b"}, &rng);
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  LabeledGraphView view(g);
   const char* const names[] = {"rpq.successor.edges_scanned",
                                "rpq.successor.label_partition_hits",
                                "rpq.successor.bitset_fallback_hits"};

@@ -76,10 +76,11 @@ TEST(GraphStats, ReadsLabelFrequenciesFromTheSnapshot) {
                    static_cast<double>(snap.LabelFrequency("rides")));
   EXPECT_DOUBLE_EQ(stats.LabelFrequency("no_such_label"), 0.0);
 
-  // Without a snapshot, every label falls back to the edge count.
-  GraphStats blind = GraphStats::From(&view, nullptr);
-  EXPECT_DOUBLE_EQ(blind.LabelFrequency("rides"),
-                   static_cast<double>(g.num_edges()));
+  // Without a snapshot argument the stats read the view's own CSR.
+  GraphStats own = GraphStats::From(&view, nullptr);
+  EXPECT_DOUBLE_EQ(own.num_edges(), static_cast<double>(g.num_edges()));
+  EXPECT_DOUBLE_EQ(own.LabelFrequency("rides"),
+                   static_cast<double>(snap.LabelFrequency("rides")));
 }
 
 TEST(GraphStats, NodeTestSelectivityIsExactWithAView) {
@@ -253,17 +254,14 @@ TEST(Optimizer, ExplainRendersTheTreeWithEstimates) {
 TEST(Executor, AnswersFigure2RidersQuery) {
   LabeledGraph g = Figure2Labeled();
   LabeledGraphView view(g);
-  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
 
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus)");
   std::vector<std::vector<NodeId>> expected = {
       {fig2::kJuan}, {fig2::kPedro}, {fig2::kRosa}};
 
-  for (bool with_csr : {false, true}) {
-    RowSet rows = *EvalCrpq(with_csr ? csr_view : view, q);
-    ASSERT_EQ(rows.schema, std::vector<std::string>{"x"});
-    EXPECT_EQ(Rows(rows.rows), expected) << "csr=" << with_csr;
-  }
+  RowSet rows = *EvalCrpq(view, q);
+  ASSERT_EQ(rows.schema, std::vector<std::string>{"x"});
+  EXPECT_EQ(Rows(rows.rows), expected);
   RowSet ref = *EvalCrpqReference(view, q);
   EXPECT_EQ(Rows(ref.rows), expected);
 }
@@ -272,7 +270,7 @@ TEST(Executor, AnswersFigure2RidersQuery) {
 // infected person.
 TEST(Executor, AnswersTheContactTracingJoin) {
   LabeledGraph g = Figure2Labeled();
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  LabeledGraphView view(g);
 
   Crpq q = *ParseCrpq(
       "q(x) :- (x: person) -[ rides ]-> (b: bus), "
@@ -282,7 +280,7 @@ TEST(Executor, AnswersTheContactTracingJoin) {
   // infected, not person, so he is excluded.
   std::vector<std::vector<NodeId>> expected = {{fig2::kJuan}, {fig2::kRosa}};
   EXPECT_EQ(Rows(rows.rows), expected) << ExplainPlan(
-      **PlanQuery(*CompileCrpq(q), GraphStats::From(&view, view.csr())));
+      **PlanQuery(*CompileCrpq(q), GraphStats::From(&view, &view.csr())));
   EXPECT_EQ(Rows((*EvalCrpqReference(view, q)).rows), expected);
 }
 
@@ -293,13 +291,10 @@ TEST(Executor, DiagonalAtomSelectsSelfLoopsOnly) {
   (void)g.AddEdge(1, 1, "a");  // Self-loop.
   (void)g.AddEdge(2, 0, "a");
   LabeledGraphView view(g);
-  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
 
   Crpq q = *ParseCrpq("q(x) :- (x) -[ a ]-> (x)");
   std::vector<std::vector<NodeId>> expected = {{1}};
-  for (bool with_csr : {false, true}) {
-    EXPECT_EQ(Rows((*EvalCrpq(with_csr ? csr_view : view, q)).rows), expected);
-  }
+  EXPECT_EQ(Rows((*EvalCrpq(view, q)).rows), expected);
   EXPECT_EQ(Rows((*EvalCrpqReference(view, q)).rows), expected);
 }
 
@@ -317,8 +312,8 @@ TEST(Executor, TestOnlyVariablesCrossJoinViaNodeScan) {
 
 TEST(Executor, BoundVariablesPinLeavesAndAbsentConstantsYieldEmpty) {
   LabeledGraph g = Figure2Labeled();
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
-  GraphStats stats = GraphStats::From(&view, view.csr());
+  LabeledGraphView view(g);
+  GraphStats stats = GraphStats::From(&view, &view.csr());
 
   ConjunctiveQuery q;
   q.atoms.push_back({"x", "b", *ParseRegex("rides")});
@@ -373,7 +368,7 @@ TEST(Executor, EmitsObsCountersAndSpans) {
   obs::Registry::Get().Reset();
 
   LabeledGraph g = Figure2Labeled();
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
+  LabeledGraphView view(g);
   Crpq q = *ParseCrpq("q(x) :- (x) -[ rides ]-> (b: bus)");
   CounterEvents entries("plan.scan.label_partition_entries");
   {
@@ -390,7 +385,7 @@ TEST(Executor, EmitsObsCountersAndSpans) {
   EXPECT_GT(reg.SpanCount("plan.execute"), 0u);
   // The full scan reads every rides entry once and reports the tally in
   // one registry add per call, not one per node.
-  const uint64_t rides = view.csr()->LabelFrequency("rides");
+  const uint64_t rides = view.csr().LabelFrequency("rides");
   ASSERT_GT(rides, 0u);
   EXPECT_EQ(reg.CounterValue("plan.scan.label_partition_entries"), rides);
   EXPECT_EQ(entries.total, rides);
@@ -433,6 +428,23 @@ LabeledGraph CanonicalTransitGraph() {
   return g;
 }
 
+/// `g` with its edges added in reverse id order: the same nodes and
+/// edge set, but a CSR whose label spans are unsorted wherever a node
+/// has two neighbors under one label — the executor's materializing
+/// regime (scans sort in Project, closing edges hash).
+LabeledGraph ReversedEdges(const LabeledGraph& g) {
+  LabeledGraph out;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    out.AddNode(g.NodeLabelString(n));
+  }
+  for (EdgeId e = g.num_edges(); e-- > 0;) {
+    EXPECT_TRUE(out.AddEdge(g.topology().EdgeSource(e),
+                            g.topology().EdgeTarget(e), g.EdgeLabelString(e))
+                    .ok());
+  }
+  return out;
+}
+
 /// Pre-order search for the first profile node of `kind`.
 const obs::ProfileNode* FindProfiled(const obs::ProfileNode& node,
                                      const std::string& kind) {
@@ -447,10 +459,12 @@ TEST(OrderedPipeline, LimitStopsTheScanEarly) {
   obs::Registry::SetEnabled(true);
   LabeledGraph g = CanonicalTransitGraph();
   ASSERT_GE(g.num_edges(), 10000u);
-  LabeledGraphView plain(g);
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
-  const CsrSnapshot& snap = *view.csr();
+  LabeledGraphView view(g);
+  const CsrSnapshot& snap = view.csr();
   ASSERT_TRUE(snap.label_spans_sorted());
+  const LabeledGraph reversed = ReversedEdges(g);
+  LabeledGraphView unsorted(reversed);
+  ASSERT_FALSE(unsorted.csr().label_spans_sorted());
 
   // Full-sort reference: every rides edge, sorted, deduplicated, cut.
   std::vector<std::vector<NodeId>> want;
@@ -471,8 +485,8 @@ TEST(OrderedPipeline, LimitStopsTheScanEarly) {
   }();
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(Rows(got->rows), want);
-  // The list path (no CSR) materializes and sorts everything.
-  EXPECT_EQ(Rows((*ExecuteMatchPlanned(plain, mq)).rows), want);
+  // Over unsorted spans the scan materializes and Project sorts.
+  EXPECT_EQ(Rows((*ExecuteMatchPlanned(unsorted, mq)).rows), want);
 
   if (!obs::kCompiledIn) return;
   std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
@@ -499,9 +513,11 @@ TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
       }
     }
   }
-  LabeledGraphView plain(g);
-  LabeledGraphView sorted = LabeledGraphView::WithCsr(g);
-  ASSERT_TRUE(sorted.csr()->label_spans_sorted());
+  LabeledGraphView sorted(g);
+  ASSERT_TRUE(sorted.csr().label_spans_sorted());
+  const LabeledGraph reversed = ReversedEdges(g);
+  LabeledGraphView unsorted(reversed);
+  ASSERT_FALSE(unsorted.csr().label_spans_sorted());
 
   auto scan = [](const std::string& src, const std::string& dst) {
     auto op = std::make_shared<LogicalOp>();
@@ -531,16 +547,17 @@ TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
   // x ∈ {0, 2} (the persons), y any other node.
   const std::vector<std::vector<NodeId>> want = {
       {0, 1}, {0, 2}, {0, 3}, {2, 0}, {2, 1}, {2, 3}};
-  // With the sorted CSR the join probes; without one it hashes.
-  for (const LabeledGraphView* view : {&sorted, &plain}) {
+  // Over sorted spans the join probes; over unsorted ones it hashes.
+  for (const LabeledGraphView* view : {&sorted, &unsorted}) {
+    const bool probes = view->csr().label_spans_sorted();
     obs::TraceContext trace;
     Result<RowSet> got = [&] {
       obs::ScopedTrace scope(&trace);
       return ExecutePlan(*view, project);
     }();
     ASSERT_TRUE(got.ok()) << got.status();
-    EXPECT_EQ(Rows(got->rows), want) << "csr=" << (view->csr() != nullptr);
-    if (!obs::kCompiledIn || view->csr() == nullptr) continue;
+    EXPECT_EQ(Rows(got->rows), want) << "sorted=" << probes;
+    if (!obs::kCompiledIn || !probes) continue;
     std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
     ASSERT_NE(profile, nullptr);
     const obs::ProfileNode* probe = FindProfiled(*profile, "HashJoin");
@@ -559,9 +576,11 @@ TEST(OrderedPipeline, ProbeAppliesTheClosingEdgesOwnFilters) {
 TEST(OrderedPipeline, ClosingEdgeProbesInsteadOfHashing) {
   obs::Registry::SetEnabled(true);
   LabeledGraph g = CanonicalTransitGraph();
-  LabeledGraphView plain(g);
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
-  ASSERT_TRUE(view.csr()->label_spans_sorted());
+  LabeledGraphView view(g);
+  ASSERT_TRUE(view.csr().label_spans_sorted());
+  const LabeledGraph reversed = ReversedEdges(g);
+  LabeledGraphView unsorted(reversed);
+  ASSERT_FALSE(unsorted.csr().label_spans_sorted());
 
   // Reference: the mutual-knows pairs, sorted.
   std::set<std::pair<NodeId, NodeId>> knows;
@@ -590,7 +609,7 @@ TEST(OrderedPipeline, ClosingEdgeProbesInsteadOfHashing) {
     }();
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_EQ(Rows(got->rows), want);
-    EXPECT_EQ(Rows((*EvalCrpq(plain, q)).rows), want);  // list path, hash join
+    EXPECT_EQ(Rows((*EvalCrpq(unsorted, q)).rows), want);  // hash join
 
     if (!obs::kCompiledIn) continue;
     std::shared_ptr<const obs::ProfileNode> profile = trace.TakeProfile();
@@ -618,9 +637,11 @@ TEST(OrderedPipeline, ConstantLeadingColumnDoesNotBlockTheLimitStop) {
     ASSERT_TRUE(g.AddEdge(0, n, "knows").ok());
   }
   ASSERT_TRUE(g.AddEdge(1, kDegree + 1, "knows").ok());
-  LabeledGraphView plain(g);
-  LabeledGraphView view = LabeledGraphView::WithCsr(g);
-  ASSERT_TRUE(view.csr()->label_spans_sorted());
+  LabeledGraphView view(g);
+  ASSERT_TRUE(view.csr().label_spans_sorted());
+  const LabeledGraph reversed = ReversedEdges(g);
+  LabeledGraphView unsorted(reversed);
+  ASSERT_FALSE(unsorted.csr().label_spans_sorted());
 
   // n0 knows ?y LIMIT 1: the scan's schema is [x, y] with x bound, so
   // [y] is an order prefix once the constant column is skipped.
@@ -629,7 +650,7 @@ TEST(OrderedPipeline, ConstantLeadingColumnDoesNotBlockTheLimitStop) {
   q.bound["x"] = 0;
   q.projection = {"y"};
   q.limit = 1;
-  GraphStats stats = GraphStats::From(&view, view.csr());
+  GraphStats stats = GraphStats::From(&view, &view.csr());
   LogicalOpPtr plan = *PlanQuery(q, stats);
   ASSERT_NE(FindKind(*plan, LogicalKind::kEdgeScan), nullptr)
       << ExplainPlan(*plan);
@@ -641,7 +662,7 @@ TEST(OrderedPipeline, ConstantLeadingColumnDoesNotBlockTheLimitStop) {
   }();
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(Rows(got->rows), (Rows{{1}}));
-  EXPECT_EQ(Rows((*ExecutePlan(plain, *plan)).rows), (Rows{{1}}));
+  EXPECT_EQ(Rows((*ExecutePlan(unsorted, *plan)).rows), (Rows{{1}}));
   if (!obs::kCompiledIn) return;
   EXPECT_LT(entries.total, 100u)
       << "the bound scan read its whole span: LIMIT did not stop it";
@@ -694,9 +715,12 @@ TEST(RowTable, ZeroColumnProjectYieldsOneRowIffTheInputHasRows) {
   LabeledGraph g;
   for (int i = 0; i < 3; ++i) g.AddNode("n");
   ASSERT_TRUE(g.AddEdge(0, 1, "a").ok());
+  ASSERT_TRUE(g.AddEdge(0, 2, "a").ok());
   ASSERT_TRUE(g.AddEdge(1, 2, "a").ok());
-  LabeledGraphView plain(g);
-  LabeledGraphView sorted = LabeledGraphView::WithCsr(g);
+  LabeledGraphView sorted(g);
+  const LabeledGraph reversed = ReversedEdges(g);
+  LabeledGraphView unsorted(reversed);
+  ASSERT_FALSE(unsorted.csr().label_spans_sorted());
   for (const char* label : {"a", "absent"}) {
     auto scan = std::make_shared<LogicalOp>();
     scan->kind = LogicalKind::kEdgeScan;
@@ -707,13 +731,13 @@ TEST(RowTable, ZeroColumnProjectYieldsOneRowIffTheInputHasRows) {
     LogicalOp project;
     project.kind = LogicalKind::kProject;
     project.children = {scan};
-    // Streamed (sorted CSR) and materialized (list) paths alike.
-    for (const LabeledGraphView* view : {&sorted, &plain}) {
+    // Streamed (sorted spans) and materialized (unsorted) paths alike.
+    for (const LabeledGraphView* view : {&sorted, &unsorted}) {
       Result<RowSet> got = ExecutePlan(*view, project);
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(got->rows.arity(), 0u);
       EXPECT_EQ(got->rows.size(), std::string(label) == "a" ? 1u : 0u)
-          << label << " csr=" << (view->csr() != nullptr);
+          << label << " sorted=" << view->csr().label_spans_sorted();
     }
   }
 }
@@ -842,8 +866,10 @@ TEST(FlatJoin, CrossProductIsNestedLoopsInOrder) {
   ASSERT_TRUE(g.AddEdge(3, 3, "b").ok());
   LabeledGraphView view(g);
   LogicalOpPtr join = JoinOf(ScanOf("x", "y", "a"), ScanOf("u", "v", "b"));
-  const Rows want = {{0, 1, 4, 5}, {0, 1, 5, 4}, {0, 1, 3, 3},
-                     {2, 3, 4, 5}, {2, 3, 5, 4}, {2, 3, 3, 3}};
+  // Each scan emits its label partition source by source: the b rows
+  // come as (3, 3), (4, 5), (5, 4).
+  const Rows want = {{0, 1, 3, 3}, {0, 1, 4, 5}, {0, 1, 5, 4},
+                     {2, 3, 3, 3}, {2, 3, 4, 5}, {2, 3, 5, 4}};
   EXPECT_EQ(Rows((*ExecutePlan(view, *join)).rows), want);
   ExpectJoinMatchesReference(view, *join);
 }
@@ -859,7 +885,10 @@ TEST(FlatJoin, TwoColumnKeysWithASkewedFirstColumn) {
     const NodeId from = rng.Below(10) == 0 ? rng.Below(60) : 0;
     ASSERT_TRUE(g.AddEdge(from, rng.Below(60), i % 3 == 0 ? "b" : "a").ok());
   }
-  LabeledGraphView view(g);  // No CSR: a built join, never a probe.
+  LabeledGraphView view(g);
+  // Random insertion order leaves the spans unsorted: a built join,
+  // never a probe.
+  ASSERT_FALSE(view.csr().label_spans_sorted());
   for (bool swap : {false, true}) {
     LogicalOpPtr a = ScanOf("x", "y", "a");
     LogicalOpPtr b = ScanOf("x", "y", "b");
@@ -880,26 +909,24 @@ TEST(FlatJoin, BuildKeysAwayFromZeroAndEmptySides) {
     ASSERT_TRUE(g.AddEdge(n % 7, n, "big").ok());
     ASSERT_TRUE(g.AddEdge((n + 1) % 5, n, "big").ok());
   }
-  for (const LabeledGraphView& view :
-       {LabeledGraphView(g), LabeledGraphView::WithCsr(g)}) {
-    for (bool swap : {false, true}) {
-      LogicalOpPtr small = ScanOf("y", "z", "small");
-      LogicalOpPtr big = ScanOf("x", "y", "big");
-      ExpectJoinMatchesReference(
-          view, swap ? *JoinOf(small, big) : *JoinOf(big, small), 1);
-    }
-    // Empty build side, empty probe side, both empty.
-    LogicalOpPtr none = ScanOf("y", "w", "absent");
-    LogicalOpPtr also_none = ScanOf("w", "y", "absent");
-    for (const LogicalOpPtr& join :
-         {JoinOf(ScanOf("x", "y", "big"), none),
-          JoinOf(none, ScanOf("x", "y", "big")), JoinOf(none, also_none)}) {
-      Result<RowSet> got = ExecutePlan(view, *join);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_TRUE(got->rows.empty());
-      EXPECT_EQ(got->rows.arity(), join->schema.size());
-      ExpectJoinMatchesReference(view, *join, 0);
-    }
+  const LabeledGraphView view(g);
+  for (bool swap : {false, true}) {
+    LogicalOpPtr small = ScanOf("y", "z", "small");
+    LogicalOpPtr big = ScanOf("x", "y", "big");
+    ExpectJoinMatchesReference(
+        view, swap ? *JoinOf(small, big) : *JoinOf(big, small), 1);
+  }
+  // Empty build side, empty probe side, both empty.
+  LogicalOpPtr none = ScanOf("y", "w", "absent");
+  LogicalOpPtr also_none = ScanOf("w", "y", "absent");
+  for (const LogicalOpPtr& join :
+       {JoinOf(ScanOf("x", "y", "big"), none),
+        JoinOf(none, ScanOf("x", "y", "big")), JoinOf(none, also_none)}) {
+    Result<RowSet> got = ExecutePlan(view, *join);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(got->rows.empty());
+    EXPECT_EQ(got->rows.arity(), join->schema.size());
+    ExpectJoinMatchesReference(view, *join, 0);
   }
 }
 
@@ -1120,9 +1147,9 @@ TEST(MatrixRpqRule, AutoChoosesTheEngineFromObservedDensity) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.text);
-    LabeledGraphView view = LabeledGraphView::WithCsr(*c.graph);
+    LabeledGraphView view(*c.graph);
     Crpq q = *ParseCrpq(c.text);
-    GraphStats stats = GraphStats::From(&view, view.csr());
+    GraphStats stats = GraphStats::From(&view, &view.csr());
     Result<LogicalOpPtr> plan = PlanQuery(*CompileCrpq(q), stats);
     ASSERT_TRUE(plan.ok()) << plan.status();
     EXPECT_EQ(ExplainPlan(**plan).find("engine="), std::string::npos)

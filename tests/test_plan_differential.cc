@@ -1,13 +1,13 @@
 // Randomized differential testing of the query planner: random
 // conjunctive queries with regular path atoms over ER and BA graphs,
-// planned execution (optimized and naive, on a plain view and on views
-// that carry their own CSR, matrix RPQ engine forced and off, at 1 and
-// 4 threads) against the retained reference evaluators of all three
-// front-ends. The planner may pick any join order and any physical
-// operator — the canonical output discipline (sorted, deduplicated,
-// limited) makes the comparison bit-exact.
+// planned execution (optimized and naive, on labeled, property and
+// epoch views, matrix RPQ engine forced and off, at 1 and 4 threads)
+// against the retained reference evaluators of all three front-ends.
+// The planner may pick any join order and any physical operator — the
+// canonical output discipline (sorted, deduplicated, limited) makes the
+// comparison bit-exact.
 //
-// The CSR legs cover the executor's two regimes. A labeled or property
+// The views cover the executor's two regimes. A labeled or property
 // view's own CSR of an insertion-ordered graph generally has unsorted
 // label spans, so scans materialize and Project sorts. The same graph
 // published through a DeltaStore is canonically ordered: its epoch
@@ -163,26 +163,23 @@ serve::EpochPtr PublishCanonical(const LabeledGraph& g) {
   return epoch;
 }
 
-/// The views a planned query runs on: the plain view (list paths), a
-/// labeled and a property view that carry their own CSR, and the epoch
-/// view of the graph published canonically (sorted spans).
+/// The views a planned query runs on: a labeled and a property view
+/// with their own CSRs, and the epoch view of the graph published
+/// canonically (sorted spans).
 struct PlannedViews {
   explicit PlannedViews(const LabeledGraph& g)
-      : plain(g),
-        labeled_csr(LabeledGraphView::WithCsr(g)),
+      : labeled(g),
         property(LabeledToProperty(g)),
-        property_csr(PropertyGraphView::WithCsr(property)),
+        property_view(property),
         epoch(PublishCanonical(g)),
         epoch_view(epoch->View()),
-        all{{"plain", &plain},
-            {"labeled csr", &labeled_csr},
-            {"property csr", &property_csr},
+        all{{"labeled", &labeled},
+            {"property", &property_view},
             {"epoch", &epoch_view}} {}
 
-  const LabeledGraphView plain;
-  const LabeledGraphView labeled_csr;
+  const LabeledGraphView labeled;
   const PropertyGraph property;
-  const PropertyGraphView property_csr;
+  const PropertyGraphView property_view;
   const serve::EpochPtr epoch;
   const serve::EpochGraphView epoch_view;
   const std::vector<std::pair<const char*, const GraphView*>> all;
@@ -199,8 +196,8 @@ TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
                        {"a", "b"}, &rng)
           : BarabasiAlbert(12 + rng.Below(8), 2, {"p", "q"}, {"a", "b"},
                            &rng);
-  LabeledGraphView view(g);
   const PlannedViews views(g);
+  const LabeledGraphView& view = views.labeled;
 
   PlannerOptions naive;
   naive.push_filters = false;
@@ -220,7 +217,7 @@ TEST_P(PlanDifferential, PlannedCrpqMatchesReference) {
         for (bool optimized : {true, false}) {
           // The matrix engine is a pure physical choice: forcing it on
           // (or off) must never change a row, on optimized and naive
-          // plans alike, with and without the CSR it needs.
+          // plans alike.
           for (MatrixRpqMode matrix :
                {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
             CrpqOptions opts;
@@ -246,8 +243,8 @@ TEST_P(PlanDifferential, PlannedMatchQueryMatchesReference) {
   Rng rng(4000 + seed);
   LabeledGraph g = ErdosRenyi(10 + rng.Below(6), 30 + rng.Below(20),
                               {"p", "q"}, {"a", "b"}, &rng);
-  LabeledGraphView view(g);
   const PlannedViews views(g);
+  const LabeledGraphView& view = views.labeled;
 
   for (int round = 0; round < 4; ++round) {
     // Random chain of 1–3 hops with random endpoint tests.
@@ -309,8 +306,7 @@ TEST_P(PlanDifferential, PlannedBgpMatchesReference) {
     }
   }
 
-  const RdfGraphView plain(store);
-  const RdfGraphView with_csr = RdfGraphView::WithCsr(store);
+  const RdfGraphView view(store);
   const std::vector<std::string> queries = {
       "?x a ?y",
       "?x a ?y . ?y b ?z",
@@ -328,19 +324,17 @@ TEST_P(PlanDifferential, PlannedBgpMatchesReference) {
     Result<std::vector<Binding>> ref = EvalBgp(store, *patterns);
     ASSERT_TRUE(ref.ok()) << ref.status();
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (const RdfGraphView* view : {&plain, &with_csr}) {
-        for (MatrixRpqMode matrix :
-             {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
-          BgpPlanOptions opts;
-          opts.parallel.num_threads = threads;
-          opts.planner.matrix_rpq = matrix;
-          Result<std::vector<Binding>> got =
-              EvalBgpPlanned(*view, *patterns, opts);
-          ASSERT_TRUE(got.ok()) << got.status();
-          ASSERT_EQ(*got, *ref)
-              << "threads=" << threads << " csr=" << (view == &with_csr)
-              << " matrix=" << (matrix == MatrixRpqMode::kAlways);
-        }
+      for (MatrixRpqMode matrix :
+           {MatrixRpqMode::kAlways, MatrixRpqMode::kOff}) {
+        BgpPlanOptions opts;
+        opts.parallel.num_threads = threads;
+        opts.planner.matrix_rpq = matrix;
+        Result<std::vector<Binding>> got =
+            EvalBgpPlanned(view, *patterns, opts);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_EQ(*got, *ref)
+            << "threads=" << threads
+            << " matrix=" << (matrix == MatrixRpqMode::kAlways);
       }
     }
   }

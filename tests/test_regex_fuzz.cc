@@ -1,17 +1,15 @@
 // Randomized differential testing: generate random regexes and random
-// graphs (Erdős–Rényi and Barabási–Albert), then require that five
-// engines agree — the paper-literal reference evaluator, the Glushkov
-// product, the Thompson product, the CSR-snapshot-backed evaluator, and
-// the boolean-matrix fixpoint (pathalg/matrix_rpq) — path-for-path for
-// the bounded engines and row-for-row for the pair evaluators, at 1 and
-// 4 threads, and that the exact counter and enumerator agree with all
-// of them.
+// graphs (Erdős–Rényi and Barabási–Albert), then require that four
+// engines agree — the paper-literal reference evaluator (EvalReference),
+// the Glushkov product, the Thompson product, and the boolean-matrix
+// fixpoint (pathalg/matrix_rpq) — path-for-path for the bounded engines
+// and row-for-row for the pair evaluators, at 1 and 4 threads, and that
+// the exact counter and enumerator agree with all of them.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "graph/csr_snapshot.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "pathalg/enumerate.h"
@@ -66,7 +64,6 @@ TEST_P(RegexFuzz, AllEnginesAgree) {
                        ? ErdosRenyi(8, 18, {"p", "q"}, {"a", "b"}, &rng)
                        : BarabasiAlbert(9, 2, {"p", "q"}, {"a", "b"}, &rng);
   LabeledGraphView view(g);
-  LabeledGraphView csr_view = LabeledGraphView::WithCsr(g);
   const size_t max_len = 4;
 
   for (int round = 0; round < 6; ++round) {
@@ -89,20 +86,14 @@ TEST_P(RegexFuzz, AllEnginesAgree) {
         PathNfa::Compile(view, *regex, PathNfa::Construction::kThompson);
     ASSERT_TRUE(glushkov.ok());
     ASSERT_TRUE(thompson.ok());
-    // Third engine: a Glushkov product stepping over the view's CSR
-    // instead of the adjacency lists (three-way differential).
-    Result<PathNfa> csr =
-        PathNfa::Compile(csr_view, *regex, PathNfa::Construction::kGlushkov);
-    ASSERT_TRUE(csr.ok());
-    ASSERT_EQ(csr->snapshot(), csr_view.csr());
 
     for (size_t k = 0; k <= max_len; ++k) {
       std::set<Path> at_k;
       for (const Path& p : reference) {
         if (p.Length() == k) at_k.insert(p);
       }
-      // Enumeration on both constructions and on the CSR evaluator.
-      for (PathNfa* nfa : {&*glushkov, &*thompson, &*csr}) {
+      // Enumeration on both constructions.
+      for (PathNfa* nfa : {&*glushkov, &*thompson}) {
         PathEnumerator enumerator(*nfa, k);
         std::set<Path> got;
         Path p;
@@ -126,30 +117,24 @@ TEST_P(RegexFuzz, AllEnginesAgree) {
     par_opts.parallel.num_threads = 4;
     std::vector<Bitset> glushkov_seq = AllPairs(*glushkov, seq_opts);
     std::vector<Bitset> glushkov_par = AllPairs(*glushkov, par_opts);
+    std::vector<Bitset> thompson_seq = AllPairs(*thompson, seq_opts);
     std::vector<Bitset> thompson_par = AllPairs(*thompson, par_opts);
-    std::vector<Bitset> csr_seq = AllPairs(*csr, seq_opts);
-    std::vector<Bitset> csr_par = AllPairs(*csr, par_opts);
     ASSERT_EQ(glushkov_seq, glushkov_par) << "parallel changed pairs";
+    ASSERT_EQ(thompson_seq, thompson_par) << "parallel changed pairs";
     ASSERT_EQ(glushkov_par, thompson_par)
         << "Glushkov vs Thompson disagree under the parallel evaluator";
-    ASSERT_EQ(csr_seq, glushkov_seq)
-        << "CSR vs list disagree under the sequential evaluator";
-    ASSERT_EQ(csr_par, glushkov_par)
-        << "CSR vs list disagree under the parallel evaluator";
-    // Fifth engine: the boolean-matrix fixpoint, both through the
+    // Fourth engine: the boolean-matrix fixpoint, both through the
     // engine knob (AllPairs dispatch) and the direct entry point, at
     // both thread counts — bit-identical rows to the BFS engines.
     PathQueryOptions mat_seq = seq_opts;
     mat_seq.engine = PathEngine::kMatrix;
     PathQueryOptions mat_par = par_opts;
     mat_par.engine = PathEngine::kMatrix;
-    ASSERT_EQ(AllPairs(*csr, mat_seq), glushkov_seq)
+    ASSERT_EQ(AllPairs(*glushkov, mat_seq), glushkov_seq)
         << "matrix vs BFS disagree under the sequential evaluator";
-    ASSERT_EQ(AllPairs(*csr, mat_par), glushkov_par)
+    ASSERT_EQ(AllPairs(*thompson, mat_par), glushkov_par)
         << "matrix vs BFS disagree under the parallel evaluator";
-    Result<std::vector<Bitset>> mat_direct = MatrixAllPairs(*csr, mat_par);
-    ASSERT_TRUE(mat_direct.ok()) << mat_direct.status();
-    ASSERT_EQ(*mat_direct, glushkov_par)
+    ASSERT_EQ(MatrixAllPairs(*glushkov, mat_par), glushkov_par)
         << "MatrixAllPairs disagrees with the BFS engines";
     // Every reference path witnesses its (start, end) pair in the
     // unbounded pair relation.
