@@ -1,17 +1,24 @@
 // Microbenchmarks of the core substrate (google-benchmark): interning,
 // bitset kernels, triple-store operations, query parsing and compilation
 // — plus the Thompson-vs-Glushkov construction ablation (DESIGN.md) and
-// a thread sweep of the multi-source pair evaluator. Results are
+// a thread sweep of the multi-source pair evaluator and of the row
+// passes (Project's sort, the built join) on a large answer. Results are
 // mirrored to BENCH_micro_core.json for the regression baseline.
 
 #include <benchmark/benchmark.h>
 
 #include <fstream>
 
+#include <numeric>
+
+#include "datasets/dblp_synth.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "pathalg/exact.h"
 #include "pathalg/pairs.h"
+#include "plan/exec.h"
+#include "plan/optimizer.h"
+#include "plan/stats.h"
 #include "rdf/triple_store.h"
 #include "rpq/parser.h"
 #include "rpq/path_nfa.h"
@@ -133,6 +140,79 @@ void BM_AllPairs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllPairs)->Arg(1)->Arg(2)->Arg(4);
+
+// --------- Row passes on a large answer, thread sweep.
+
+/// The co-citation pattern (a writes p, p cites c, q cites c, b writes
+/// q) on DBLP-synth at 15k papers and 3k authors: three built joins
+/// feeding a Project of ~190k five-column rows.
+struct CocitationPlan {
+  LabeledGraph graph;
+  std::unique_ptr<LabeledGraphView> view;
+  LogicalOpPtr plan;  // Project over the joins.
+  RowSet joined;      // The joins' output, Project's input.
+
+  static const CocitationPlan& Get() {
+    static const CocitationPlan* shared = [] {
+      auto* p = new CocitationPlan;
+      Rng rng(1);
+      DblpGraphOptions opts;
+      opts.num_papers = 15000;
+      opts.num_authors = 3000;
+      opts.max_citations = 2;
+      p->graph = BuildDblpGraph(opts, &rng);
+      p->view = std::make_unique<LabeledGraphView>(p->graph);
+      ConjunctiveQuery q;
+      q.atoms.push_back({"a", "p", *ParseRegex("writes")});
+      q.atoms.push_back({"p", "c", *ParseRegex("cites")});
+      q.atoms.push_back({"q", "c", *ParseRegex("cites")});
+      q.atoms.push_back({"b", "q", *ParseRegex("writes")});
+      q.projection = {"a", "p", "c", "q", "b"};
+      const GraphStats stats = GraphStats::From(p->view.get(), &p->view->csr());
+      p->plan = *PlanQuery(q, stats);
+      p->joined = *ExecutePlan(*p->view, *p->plan->children[0]);
+      return p;
+    }();
+    return *shared;
+  }
+};
+
+enum class RowPass { kSort, kJoin };
+
+/// Project's sort (SortUniqueProjection of the joined rows) or the joins
+/// that feed it (ExecutePlan of the join subtree, scans included).
+/// Arg = thread count.
+void BM_RowPath(benchmark::State& state, RowPass pass) {
+  const CocitationPlan& cc = CocitationPlan::Get();
+  ParallelOptions parallel;
+  parallel.num_threads = static_cast<size_t>(state.range(0));
+  std::vector<size_t> cols(cc.plan->columns.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    cols[i] = static_cast<size_t>(
+        std::find(cc.joined.schema.begin(), cc.joined.schema.end(),
+                  cc.plan->columns[i]) -
+        cc.joined.schema.begin());
+  }
+  size_t rows = 0;
+  for (auto _ : state) {
+    if (pass == RowPass::kSort) {
+      state.PauseTiming();
+      RowTable input = cc.joined.rows;
+      state.ResumeTiming();
+      rows = SortUniqueProjection(std::move(input), cols, parallel).size();
+    } else {
+      ExecOptions options;
+      options.parallel = parallel;
+      rows = ExecutePlan(*cc.view, *cc.plan->children[0], options)->rows.size();
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK_CAPTURE(BM_RowPath, sort, RowPass::kSort)
+    ->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_RowPath, join, RowPass::kJoin)
+    ->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -212,13 +212,17 @@ class Executor {
     }
   }
 
-  /// True iff `op` streams its rows sorted lexicographically by its
+  /// True iff `op` yields its rows sorted lexicographically by its
   /// schema (parallel-edge duplicates adjacent): a label-partition scan
-  /// over sorted spans, and any Filter or probe join over such a stream.
+  /// over sorted spans, a PathAtom (every path engine emits its (src,
+  /// dst) pairs ascending and distinct), and any Filter or probe join
+  /// over such an input.
   bool Ordered(const LogicalOp& op) {
     switch (op.kind) {
       case LogicalKind::kEdgeScan:
         return SortedSpans();
+      case LogicalKind::kPathAtom:
+        return true;
       case LogicalKind::kFilter:
         return Ordered(*op.children[0]);
       case LogicalKind::kHashJoin:
@@ -517,10 +521,18 @@ class Executor {
   /// the remaining key columns per candidate. Output order: probe rows
   /// in order, each followed by its matching build rows ascending.
   /// Without shared columns the join is a nested-loop cross product.
+  ///
+  /// On a thread budget, a probe side of more than one
+  /// RowTable::kParallelGrain chunk runs chunk by chunk in parallel, in
+  /// two passes: each chunk counts its output rows, the output is
+  /// allocated once at the exact total, and each chunk then writes its
+  /// rows from its prefix offset, so every row is written once and the
+  /// order is the sequential one. Otherwise one pass on the calling
+  /// thread appends the rows: a second probe pass would cost more than
+  /// the buffer's regrowth.
   Result<RowSet> HashJoin(const LogicalOp& op) {
     KGQ_ASSIGN_OR_RETURN(RowSet left, Exec(*op.children[0]));
     KGQ_ASSIGN_OR_RETURN(RowSet right, Exec(*op.children[1]));
-    RowSet rs = EmptyRows(op.schema);
 
     // Join keys: columns present on both sides, in left-schema order.
     std::vector<std::pair<size_t, size_t>> keys;  // (left col, right col)
@@ -536,62 +548,135 @@ class Executor {
       }
     }
     const size_t left_width = left.schema.size();
-    auto emit = [&](const NodeId* l, const NodeId* r) {
-      NodeId* out = rs.rows.NewRow();
-      std::copy_n(l, left_width, out);
+    auto emit = [&](NodeId* out, const NodeId* l, const NodeId* r) {
+      for (size_t k = 0; k < left_width; ++k) out[k] = l[k];
       for (size_t k = 0; k < right_extra.size(); ++k) {
         out[left_width + k] = r[right_extra[k]];
       }
     };
 
+    RowSet rs = EmptyRows(op.schema);
     if (keys.empty()) {
-      // Disconnected conjuncts: cross product.
-      for (size_t l = 0; l < left.rows.size(); ++l) {
-        for (size_t r = 0; r < right.rows.size(); ++r) {
-          emit(left.rows[l].data(), right.rows[r].data());
+      // Disconnected conjuncts: cross product, left row l's block of
+      // right rows at l * |right|.
+      const size_t per_left = right.rows.size();
+      rs.rows = RowTable(op.schema.size(), left.rows.size() * per_left);
+      const ParallelOptions& par = options_.parallel;
+      ForEachRowChunk(left.rows.size(), par, [&](size_t, size_t lo, size_t hi) {
+        for (size_t l = lo; l < hi; ++l) {
+          for (size_t r = 0; r < per_left; ++r) {
+            emit(rs.rows.MutableRow(l * per_left + r), left.rows[l].data(),
+                 right.rows[r].data());
+          }
         }
+      });
+      KGQ_COUNTER_ADD("plan.rows.hash_join", rs.rows.size());
+      return rs;
+    }
+    // Build on the smaller input, probe with the larger.
+    const bool build_left = left.rows.size() <= right.rows.size();
+    const RowTable& build = build_left ? left.rows : right.rows;
+    const RowTable& probe = build_left ? right.rows : left.rows;
+    if (build.size() > std::numeric_limits<uint32_t>::max()) {
+      return Status::OutOfRange("hash join build side exceeds 2^32 rows");
+    }
+    // (build col, probe col) per key; the first one is bucketed.
+    std::vector<std::pair<size_t, size_t>> cols;
+    for (const auto& [l, r] : keys) {
+      cols.emplace_back(build_left ? l : r, build_left ? r : l);
+    }
+    const BucketIndex index(build, cols[0].first);
+    KGQ_HISTOGRAM_RECORD("plan.join.build_rows", build.size());
+    // Calls match(row, other) for each build row `other` that joins
+    // probe row p, in ascending order, and returns how many there were.
+    auto for_matches = [&](size_t p, auto&& match) {
+      const NodeId* row = probe[p].data();
+      const std::span<const uint32_t> bucket =
+          index.Bucket(row[cols[0].second]);
+      size_t hits = 0;
+      for (uint32_t b : bucket) {
+        const NodeId* other = build[b].data();
+        bool same = true;
+        for (size_t k = 1; k < cols.size() && same; ++k) {
+          same = other[cols[k].first] == row[cols[k].second];
+        }
+        if (!same) continue;
+        ++hits;
+        match(row, other);
+      }
+      return hits;
+    };
+    // The same count without the rows: a one-key join matches its whole
+    // bucket.
+    auto count_matches = [&](size_t p) {
+      if (cols.size() > 1) {
+        return for_matches(p, [](const NodeId*, const NodeId*) {});
+      }
+      return index.Bucket(probe[p][cols[0].second]).size();
+    };
+    // plan.join.probe_hits is tallied per chunk of probe rows —
+    // hit_rows[k][h] probe rows of chunk k found h build rows — and
+    // flushed once below, one update per distinct h.
+    const ParallelOptions& par = options_.parallel;
+    const size_t grain = RowTable::kParallelGrain;
+    const bool chunked = probe.size() > grain && par.ResolveThreads() > 1;
+    const size_t chunks = chunked ? (probe.size() + grain - 1) / grain : 1;
+    std::vector<std::vector<uint64_t>> hit_rows(KGQ_OBS_ON() ? chunks : 0);
+    auto tally_of = [&](size_t k) -> std::vector<uint64_t>* {
+      if (hit_rows.empty()) return nullptr;
+      hit_rows[k].assign(index.max_bucket() + 1, 0);
+      return &hit_rows[k];
+    };
+    if (!chunked) {
+      // One pass on the calling thread, appending each row.
+      std::vector<uint64_t>* tally = tally_of(0);
+      std::vector<NodeId> out(op.schema.size());
+      for (size_t p = 0; p < probe.size(); ++p) {
+        const size_t hits =
+            for_matches(p, [&](const NodeId* row, const NodeId* other) {
+              emit(out.data(), build_left ? other : row,
+                   build_left ? row : other);
+              rs.rows.Append(out.data());
+            });
+        if (tally != nullptr) ++(*tally)[hits];
       }
     } else {
-      // Build on the smaller input, probe with the larger.
-      const bool build_left = left.rows.size() <= right.rows.size();
-      const RowTable& build = build_left ? left.rows : right.rows;
-      const RowTable& probe = build_left ? right.rows : left.rows;
-      if (build.size() > std::numeric_limits<uint32_t>::max()) {
-        return Status::OutOfRange("hash join build side exceeds 2^32 rows");
-      }
-      // (build col, probe col) per key; the first one is bucketed.
-      std::vector<std::pair<size_t, size_t>> cols;
-      for (const auto& [l, r] : keys) {
-        cols.emplace_back(build_left ? l : r, build_left ? r : l);
-      }
-      const BucketIndex index(build, cols[0].first);
-      KGQ_HISTOGRAM_RECORD("plan.join.build_rows", build.size());
-      // plan.join.probe_hits, tallied here: hit_rows[h] probe rows found
-      // h build rows. Flushed as one update per distinct h.
-      std::vector<uint64_t> hit_rows;
-      if (KGQ_OBS_ON()) hit_rows.assign(index.max_bucket() + 1, 0);
-      for (size_t p = 0; p < probe.size(); ++p) {
-        const NodeId* row = probe[p].data();
-        size_t hits = 0;
-        for (uint32_t b : index.Bucket(row[cols[0].second])) {
-          const NodeId* other = build[b].data();
-          bool match = true;
-          for (size_t k = 1; k < cols.size() && match; ++k) {
-            match = other[cols[k].first] == row[cols[k].second];
-          }
-          if (!match) continue;
-          ++hits;
-          if (build_left) {
-            emit(other, row);
-          } else {
-            emit(row, other);
-          }
+      // Pass 1: output rows per chunk, into ends[k + 1].
+      std::vector<size_t> ends(chunks + 1, 0);
+      ForEachRowChunk(probe.size(), par, [&](size_t k, size_t lo, size_t hi) {
+        std::vector<uint64_t>* tally = tally_of(k);
+        size_t rows = 0;
+        for (size_t p = lo; p < hi; ++p) {
+          const size_t hits = count_matches(p);
+          rows += hits;
+          if (tally != nullptr) ++(*tally)[hits];
         }
-        if (!hit_rows.empty()) ++hit_rows[hits];
+        ends[k + 1] = rows;
+      });
+      for (size_t k = 0; k < chunks; ++k) ends[k + 1] += ends[k];
+      // Pass 2: each chunk writes its rows from its prefix offset.
+      rs.rows = RowTable(op.schema.size(), ends[chunks]);
+      ForEachRowChunk(probe.size(), par, [&](size_t k, size_t lo, size_t hi) {
+        size_t next = ends[k];
+        if (next == ends[k + 1]) return;
+        for (size_t p = lo; p < hi; ++p) {
+          for_matches(p, [&](const NodeId* row, const NodeId* other) {
+            emit(rs.rows.MutableRow(next++), build_left ? other : row,
+                 build_left ? row : other);
+          });
+        }
+      });
+    }
+    for (size_t k = 1; k < hit_rows.size(); ++k) {
+      for (size_t h = 0; h < hit_rows[k].size(); ++h) {
+        hit_rows[0][h] += hit_rows[k][h];
       }
-      for ([[maybe_unused]] size_t h = 0; h < hit_rows.size(); ++h) {
-        if (hit_rows[h] > 0) {
-          KGQ_HISTOGRAM_RECORD_TIMES("plan.join.probe_hits", h, hit_rows[h]);
+    }
+    if (!hit_rows.empty()) {
+      for ([[maybe_unused]] size_t h = 0; h < hit_rows[0].size(); ++h) {
+        if (hit_rows[0][h] > 0) {
+          KGQ_HISTOGRAM_RECORD_TIMES("plan.join.probe_hits", h,
+                                     hit_rows[0][h]);
         }
       }
     }
@@ -710,13 +795,15 @@ class Executor {
     for (size_t i = 0; i <= depth; ++i) trace->PopOp();
   }
 
-  /// Columns of an ordered stream (Ordered) that hold one value on
-  /// every row: a scan endpoint bound to a constant, or a Filter's
-  /// `var == node` column, kept by the Filters and probe joins above.
+  /// Columns of an ordered input (Ordered) that hold one value on
+  /// every row: a scan or path endpoint bound to a constant, or a
+  /// Filter's `var == node` column, kept by the Filters and probe joins
+  /// above.
   std::vector<bool> ConstantColumns(const LogicalOp& op) {
     std::vector<bool> fixed(op.schema.size(), false);
     switch (op.kind) {
       case LogicalKind::kEdgeScan:
+      case LogicalKind::kPathAtom:
         fixed[0] = op.has_bound_src;
         fixed.back() = fixed.back() || op.has_bound_dst;
         break;
@@ -767,11 +854,11 @@ class Executor {
     // evaluators: sorted, deduplicated, limit applied last. An ordered
     // input whose leading non-constant columns are the projection
     // already arrives sorted with duplicates adjacent, so it is
-    // deduplicated on the fly and the stream stops once `limit`
+    // deduplicated on the fly, and a streamed input stops once `limit`
     // distinct rows are in.
     if (Ordered(input) && OrderPrefix(input, cols)) {
       std::vector<NodeId> out(width);
-      KGQ_RETURN_IF_ERROR(Stream(input, [&](const NodeId* row) {
+      KGQ_RETURN_IF_ERROR(ForEachRow(input, [&](const NodeId* row) {
         for (size_t i = 0; i < width; ++i) out[i] = row[cols[i]];
         if (rs.rows.empty() ||
             !std::equal(out.begin(), out.end(),
@@ -782,19 +869,8 @@ class Executor {
       }));
     } else {
       KGQ_ASSIGN_OR_RETURN(RowSet in, Exec(input));
-      bool identity = width == in.schema.size();
-      for (size_t i = 0; i < width; ++i) identity = identity && cols[i] == i;
-      if (identity) {
-        rs.rows = std::move(in.rows);
-      } else {
-        rs.rows.Reserve(in.rows.size());
-        for (size_t r = 0; r < in.rows.size(); ++r) {
-          std::span<const NodeId> row = in.rows[r];
-          NodeId* out = rs.rows.NewRow();
-          for (size_t i = 0; i < width; ++i) out[i] = row[cols[i]];
-        }
-      }
-      rs.rows.SortUnique();
+      rs.rows =
+          SortUniqueProjection(std::move(in.rows), cols, options_.parallel);
       if (op.limit > 0) rs.rows.Truncate(op.limit);
     }
     KGQ_COUNTER_ADD("plan.rows.project", rs.rows.size());

@@ -28,9 +28,10 @@ struct RowSet {
 /// scans emit rows in order, so LIMIT can stop them early and a closing
 /// edge is a binary-search probe.
 struct ExecOptions {
-  /// Thread budget for the parallel phases (PathAtom pair evaluation
-  /// fans out per start node). Results are identical for every thread
-  /// count.
+  /// Thread budget for the parallel phases: PathAtom pair evaluation
+  /// fans out per start node, and a built HashJoin and a materializing
+  /// Project run their row passes in chunks (RowTable::kParallelGrain).
+  /// Results are identical for every thread count.
   ParallelOptions parallel;
 };
 
@@ -47,23 +48,32 @@ struct ExecOptions {
 /// Over sorted spans the pipeline emits its rows in schema order; when
 /// the projected columns, skipping columns bound to a constant, are a
 /// prefix of that order, Project deduplicates on the fly and stops the
-/// scan after `limit` distinct rows. Every other operator (NodeScan,
-/// PathAtom, a built HashJoin) materializes its output, and every other
-/// Project materializes, sorts, deduplicates and then limits.
+/// scan after `limit` distinct rows. A PathAtom's rows are ordered too
+/// (every path engine emits its pairs ascending and distinct): a
+/// Project over one whose projection is such a prefix reads its
+/// materialized rows the same way, with no sort. Every other operator
+/// (NodeScan, PathAtom, a built HashJoin) materializes its output, and
+/// every other Project materializes, sorts, deduplicates and then
+/// limits.
 ///
 /// Rows are flat from the first operator on: every RowSet holds one
 /// RowTable buffer, a row costs its values and no allocation of its
 /// own. A built HashJoin indexes its smaller side by counting sort on
 /// the first key column (offsets over that column's [min, max], the
-/// shape of a CSR; further key columns are checked per candidate) and
-/// emits probe rows in order, each with its matches in build order; a
+/// shape of a CSR; further key columns are checked per candidate). Its
+/// probe rows run in chunks on `options.parallel`: each chunk counts its
+/// matches, the output is allocated once at the exact total, and each
+/// chunk writes its rows at its prefix offset — probe rows in order,
+/// each with its matches in build order, whatever the thread count. A
 /// join without shared columns is a nested-loop cross product.
-/// Project's sort is an LSD radix sort over the flat rows (RowTable::
-/// SortUnique). Memory caveat: a materialized intermediate costs
-/// 4 bytes per value, and a built join's index adds 4 bytes per build
-/// row and per node id in its key range — huge intermediate joins still
-/// cost memory in proportion to their rows. The rows are identical on
-/// every path, and plans and EXPLAIN do not depend on which path runs.
+/// Project's sort is SortUniqueProjection: an LSD radix sort that
+/// gathers the projected columns in its first pass and runs its count
+/// and scatter passes in row chunks on `options.parallel`. Memory
+/// caveat: a materialized intermediate costs 4 bytes per value, and a
+/// built join's index adds 4 bytes per build row and per node id in its
+/// key range — huge intermediate joins still cost memory in proportion
+/// to their rows. The rows are identical on every path and at every
+/// thread count, and plans and EXPLAIN do not depend on which path runs.
 ///
 /// obs: span plan.execute wraps the call with one nested span per
 /// operator kind (plan.op.node_scan, plan.op.edge_scan,
@@ -72,7 +82,7 @@ struct ExecOptions {
 /// operator kind; histograms plan.join.build_rows / plan.join.probe_hits
 /// record built-join build sizes and per-probe-row match counts (a
 /// probe join builds no table and records neither). The probe counts
-/// are tallied in a local array during the join and flushed once per
+/// are tallied in one local array per probe chunk and flushed once per
 /// distinct count, so the histogram holds what per-row recording would.
 /// Counter plan.scan.label_partition_entries tallies the label-span
 /// entries the scans read (a scan that LIMIT stops counts only what it

@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -713,36 +715,76 @@ void AppendProfileNode(std::string* out, const obs::ProfileNode& node) {
   *out += "]}";
 }
 
+namespace {
+
+/// The number of decimal digits of `v`.
+size_t DecimalDigits(NodeId v) {
+  static constexpr NodeId kPowers[] = {10u,      100u,      1000u,
+                                       10000u,   100000u,   1000000u,
+                                       10000000u, 100000000u, 1000000000u};
+  // The digit count of 2^(bit width) - 1, one less where v falls short
+  // of the power of ten it may reach.
+  const unsigned guess =
+      (static_cast<unsigned>(std::bit_width(v)) * 1233) >> 12;
+  return guess + 1 - (guess > 0 && v < kPowers[guess - 1] ? 1 : 0);
+}
+
+}  // namespace
+
 std::string RenderAnswer(const Request& req, const QueryAnswer& answer) {
+  return RenderAnswer(req, answer, answer.epoch, answer.cached,
+                      ParallelOptions{1});
+}
+
+std::string RenderAnswer(const Request& req, const QueryAnswer& answer,
+                         uint64_t epoch, bool cached,
+                         const ParallelOptions& parallel) {
   std::string out = Open(req, true);
   out += ",\"epoch\":";
-  out += std::to_string(answer.epoch);
+  out += std::to_string(epoch);
   out += ",\"cached\":";
-  out += answer.cached ? "true" : "false";
+  out += cached ? "true" : "false";
   out += ",\"columns\":[";
   for (size_t i = 0; i < answer.columns.size(); ++i) {
     if (i > 0) out += ',';
     AppendJsonString(&out, answer.columns[i]);
   }
   out += "],\"rows\":[";
-  // Straight from the flat buffer into room sized for the worst case: a
-  // value is at most 10 digits plus its comma, a row adds "[],".
+  // Straight from the flat buffer into room of exactly the rows' size,
+  // in chunks of rows. Pass 1 sizes each chunk: its values' digits, the
+  // commas between them, "[]" per row and a comma before every row but
+  // the answer's first. The response grows once, to the exact total,
+  // and pass 2 writes each chunk from its prefix offset.
   const RowTable& rows = answer.rows;
   const size_t arity = rows.arity();
-  const size_t start = out.size();
-  out.resize(start + rows.size() * (arity * 11 + 3));
-  char* p = out.data() + start;
-  const NodeId* value = rows.data().data();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0) *p++ = ',';
-    *p++ = '[';
-    for (size_t j = 0; j < arity; ++j) {
-      if (j > 0) *p++ = ',';
-      p = std::to_chars(p, p + 10, *value++).ptr;
+  const NodeId* values = rows.data().data();
+  const size_t per_row = (arity > 0 ? arity - 1 : 0) + 2;
+  const size_t grain = RowTable::kParallelGrain;
+  const size_t chunks = (rows.size() + grain - 1) / grain;
+  std::vector<size_t> ends(chunks + 1, out.size());
+  ForEachRowChunk(rows.size(), parallel, [&](size_t k, size_t lo, size_t hi) {
+    size_t bytes = (hi - lo) * (per_row + 1) - (lo == 0 ? 1 : 0);
+    for (size_t v = lo * arity; v < hi * arity; ++v) {
+      bytes += DecimalDigits(values[v]);
     }
-    *p++ = ']';
-  }
-  out.resize(static_cast<size_t>(p - out.data()));
+    ends[k + 1] = bytes;
+  });
+  for (size_t k = 0; k < chunks; ++k) ends[k + 1] += ends[k];
+  out.resize(ends[chunks]);
+  ForEachRowChunk(rows.size(), parallel, [&](size_t k, size_t lo, size_t hi) {
+    char* p = out.data() + ends[k];
+    char* const end = out.data() + ends[k + 1];
+    const NodeId* value = values + lo * arity;
+    for (size_t i = lo; i < hi; ++i) {
+      if (i > 0) *p++ = ',';
+      *p++ = '[';
+      for (size_t j = 0; j < arity; ++j) {
+        if (j > 0) *p++ = ',';
+        p = std::to_chars(p, end, *value++).ptr;
+      }
+      *p++ = ']';
+    }
+  });
   out += ']';
   if (req.profile) {
     // The member is always present on a profiled request, so clients

@@ -14,6 +14,7 @@
 #include "obs/trace.h"
 #include "plan/row_table.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace kgq {
 namespace serve {
@@ -201,7 +202,18 @@ std::string RenderPublish(const Request& req, uint64_t epoch, size_t nodes,
 std::string RenderStats(const Request& req, const StatsBody& stats);
 std::string RenderMetrics(const Request& req, const MetricsBody& metrics);
 std::string RenderAnalytics(const Request& req, const AnalyticsBody& body);
+/// The rows go straight from the answer's flat buffer into a response
+/// allocated once at its exact size; on a thread budget, chunks of
+/// RowTable::kParallelGrain rows are sized and then written in
+/// parallel, to the same bytes. The epoch and cached members come from
+/// `answer` in the first form (which renders on the calling thread) and
+/// from the arguments in the second, which the server uses to render a
+/// shared cache entry as served at its pinned epoch, on the query's
+/// thread budget.
 std::string RenderAnswer(const Request& req, const QueryAnswer& answer);
+std::string RenderAnswer(const Request& req, const QueryAnswer& answer,
+                         uint64_t epoch, bool cached,
+                         const ParallelOptions& parallel);
 std::string RenderExplain(const Request& req, uint64_t epoch,
                           const std::string& plan);
 

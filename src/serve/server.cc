@@ -371,8 +371,8 @@ void Server::AdmitQuery(Admitted* a, EpochPtr snap) {
   a->slot = cache_.Lookup(a->prep.key, a->snap->content_version);
 }
 
-Result<QueryAnswer> Server::Complete(Admitted* a, std::string* response) {
-  Result<QueryAnswer> answer = QueryAnswer();
+Result<CachedAnswerPtr> Server::Complete(Admitted* a, std::string* response) {
+  Result<CachedAnswerPtr> answer = CachedAnswerPtr();
   if (a->snap != nullptr) {
     answer = FinishSlot(a->prep, a->snap, &a->slot);
   } else if (!a->response.ok()) {
@@ -382,7 +382,10 @@ Result<QueryAnswer> Server::Complete(Admitted* a, std::string* response) {
     if (!answer.ok()) {
       *response = RenderError(a->req, answer.status());
     } else if (a->snap != nullptr) {
-      *response = RenderAnswer(a->req, *answer);
+      // The entry may predate an empty publish (same content version,
+      // older epoch number); the response reports the pinned epoch.
+      *response = RenderAnswer(a->req, (*answer)->answer, a->snap->epoch,
+                               a->slot.hit, a->prep.parallel);
     } else {
       *response = std::move(*a->response);
     }
@@ -391,22 +394,19 @@ Result<QueryAnswer> Server::Complete(Admitted* a, std::string* response) {
   if (!answer.ok()) KGQ_COUNTER_INC("serve.errors");
   const uint64_t latency_ns = obs::NowNanos() - a->start_ns;
   RecordLatency(latency_ns);
-  MaybeLogSlow(*a, latency_ns, answer.ok() ? &*answer : nullptr);
+  MaybeLogSlow(*a, latency_ns,
+               answer.ok() && *answer != nullptr ? &(*answer)->answer
+                                                 : nullptr);
   return answer;
 }
 
-Result<QueryAnswer> Server::FinishSlot(const PreparedQuery& prep,
-                                       const EpochPtr& snap,
-                                       QueryCache::Slot* slot) {
+Result<CachedAnswerPtr> Server::FinishSlot(const PreparedQuery& prep,
+                                           const EpochPtr& snap,
+                                           QueryCache::Slot* slot) {
   if (slot->hit) {
     CachedAnswerPtr cached = slot->future.get();
     if (!cached->status.ok()) return cached->status;
-    QueryAnswer answer = cached->answer;
-    answer.cached = true;
-    // The entry may predate an empty publish (same content version,
-    // older epoch number); the response reports the pinned epoch.
-    answer.epoch = snap->epoch;
-    return answer;
+    return cached;
   }
   auto cached = std::make_shared<CachedAnswer>();
   // Profile when the computing request asked, or whenever the slow
@@ -427,9 +427,7 @@ Result<QueryAnswer> Server::FinishSlot(const PreparedQuery& prep,
   // requests waiting on this computation.
   slot->fill->set_value(cached);
   if (!cached->status.ok()) return cached->status;
-  QueryAnswer answer = cached->answer;
-  answer.cached = false;
-  return answer;
+  return CachedAnswerPtr(std::move(cached));
 }
 
 std::string Server::HandleLine(const std::string& line) {
@@ -450,7 +448,14 @@ Result<QueryAnswer> Server::ExecuteQueryAt(const Request& req,
     a.response =
         Status::InvalidArgument("ExecuteQueryAt handles \"query\" requests");
   }
-  return Complete(&a, nullptr);
+  KGQ_ASSIGN_OR_RETURN(CachedAnswerPtr done, Complete(&a, nullptr));
+  QueryAnswer answer;
+  if (done != nullptr) {
+    answer = done->answer;
+    answer.cached = a.slot.hit;
+    answer.epoch = snap->epoch;
+  }
+  return answer;
 }
 
 Result<std::string> Server::HandleAnalytics(const Request& req) {

@@ -110,8 +110,9 @@ class Server {
 
   /// Executes one "query" request (any other op is an InvalidArgument
   /// error) pinned to `snap`, through the cache, and returns the answer
-  /// unrendered. Thread-safe; used by in-process clients (the benches'
-  /// load generators).
+  /// unrendered: a copy of the cache entry's rows, the one copy the
+  /// serving path makes. Thread-safe; used by in-process clients (the
+  /// benches' load generators).
   Result<QueryAnswer> ExecuteQueryAt(const Request& req,
                                      const EpochPtr& snap);
 
@@ -151,15 +152,17 @@ class Server {
   void AdmitQuery(Admitted* a, EpochPtr snap);
   /// complete: finishes a pending query, renders the response into
   /// `*response` unless it is null, and settles the request's counters,
-  /// latency and slow-log line. Returns the query's answer (an empty
-  /// one for a request answered at admission) or the error.
-  Result<QueryAnswer> Complete(Admitted* a, std::string* response);
+  /// latency and slow-log line. Returns the query's shared cache entry
+  /// (null for a request answered at admission) or the error; the
+  /// answer is rendered from the entry in place, with the pinned epoch
+  /// and the slot's hit flag, and never copied.
+  Result<CachedAnswerPtr> Complete(Admitted* a, std::string* response);
 
   /// Completes a resolved cache slot: waits on a hit, computes and
-  /// fills the promise (on every path) on a miss.
-  Result<QueryAnswer> FinishSlot(const PreparedQuery& prep,
-                                 const EpochPtr& snap,
-                                 QueryCache::Slot* slot);
+  /// fills the promise (on every path) on a miss. Returns the entry, OK.
+  Result<CachedAnswerPtr> FinishSlot(const PreparedQuery& prep,
+                                     const EpochPtr& snap,
+                                     QueryCache::Slot* slot);
   /// Serves one "analytics" request from the materialized-view cache,
   /// pinned to the current epoch.
   Result<std::string> HandleAnalytics(const Request& req);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -679,7 +680,8 @@ TEST(RowTable, ZeroArityRowsCountAndRender) {
   EXPECT_EQ(ask.size(), 2u);
   EXPECT_TRUE(ask[1].empty());
   EXPECT_TRUE(ask.data().empty());
-  ask.SortUnique();  // Every zero-arity row equals every other.
+  // Every zero-arity row equals every other.
+  ask = SortUniqueProjection(std::move(ask), {}, ParallelOptions{1});
   EXPECT_EQ(ask.size(), 1u);
   EXPECT_EQ(Rows(ask), (Rows{{}}));
   EXPECT_NE(ask, RowTable(0));
@@ -709,6 +711,43 @@ TEST(RowTable, RendersEveryDigitCount) {
   EXPECT_NE(out.find("\"rows\":[[0,9,10],[4294967295,1000000000,123]]}"),
             std::string::npos)
       << out;
+}
+
+TEST(RowTable, RendersValuesOfOneToTenDigitsExactly) {
+  // Every digit count from 1 to 10 at both ends (10^k - 1 and 10^k),
+  // in rows of one to four columns, against std::to_string.
+  std::vector<NodeId> values = {0, 4294967295u};
+  for (uint64_t p = 10; p <= 1000000000u; p *= 10) {
+    values.push_back(static_cast<NodeId>(p - 1));
+    values.push_back(static_cast<NodeId>(p));
+  }
+  for (size_t arity = 1; arity <= 4; ++arity) {
+    RowTable rows(arity);
+    std::string want = "\"rows\":[";
+    for (size_t i = 0; i + arity <= values.size(); i += arity) {
+      rows.Append(&values[i]);
+      want += i == 0 ? "[" : ",[";
+      for (size_t j = 0; j < arity; ++j) {
+        if (j > 0) want += ',';
+        want += std::to_string(values[i + j]);
+      }
+      want += ']';
+    }
+    want += "]}";
+    serve::Request req;
+    serve::QueryAnswer answer;
+    answer.rows = rows;
+    const std::string out = serve::RenderAnswer(req, answer);
+    ASSERT_GE(out.size(), want.size());
+    EXPECT_EQ(out.substr(out.size() - want.size()), want) << out;
+  }
+  // Several rows of no columns render as empty arrays.
+  RowTable empty_rows(0);
+  for (int i = 0; i < 3; ++i) empty_rows.NewRow();
+  serve::QueryAnswer answer;
+  answer.rows = empty_rows;
+  const std::string out = serve::RenderAnswer(serve::Request(), answer);
+  EXPECT_NE(out.find("\"rows\":[[],[],[]]}"), std::string::npos) << out;
 }
 
 TEST(RowTable, ZeroColumnProjectYieldsOneRowIffTheInputHasRows) {
@@ -764,7 +803,10 @@ TEST(RowTable, RadixSortUniqueMatchesStdSortAndUnique) {
         }
         std::sort(want.begin(), want.end());
         want.erase(std::unique(want.begin(), want.end()), want.end());
-        table.SortUnique();
+        std::vector<size_t> identity(arity);
+        for (size_t c = 0; c < arity; ++c) identity[c] = c;
+        table = SortUniqueProjection(std::move(table), identity,
+                                     ParallelOptions{1});
         ASSERT_EQ(Rows(table), want)
             << "arity " << arity << " rows " << n << " spread " << spread;
         ASSERT_EQ(table.size(), want.size());
@@ -772,6 +814,91 @@ TEST(RowTable, RadixSortUniqueMatchesStdSortAndUnique) {
       }
     }
   }
+}
+
+/// `table`'s rows projected onto `cols`, by std::sort + std::unique.
+Rows SortedProjection(const RowTable& table, const std::vector<size_t>& cols) {
+  Rows want;
+  for (size_t r = 0; r < table.size(); ++r) {
+    std::vector<NodeId> row;
+    for (size_t c : cols) row.push_back(table[r][c]);
+    want.push_back(std::move(row));
+  }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  return want;
+}
+
+TEST(RowTable, ParallelSortProjectionMatchesStdSortAtEveryThreadCount) {
+  // Row counts on both sides of the grain and of the chunk edges: one
+  // chunk below 2 * kParallelGrain, up to 8 chunks above.
+  constexpr size_t g = RowTable::kParallelGrain;
+  const size_t counts[] = {0,         1,         2,         300,
+                           g - 1,     g,         2 * g - 1, 2 * g,
+                           2 * g + 1, 3 * g + 7, 8 * g + 5};
+  Rng rng(77);
+  for (size_t n : counts) {
+    // Four input columns: a 32-bit spread (4 digit passes), a range of
+    // 70000 (more than one 16-bit pass), 2000 ids (one bucket pass once
+    // the rows pay for it), and ids below 3 (duplicate rows).
+    RowTable table(4);
+    for (size_t r = 0; r < n; ++r) {
+      const NodeId row[4] = {static_cast<NodeId>(rng.Next()),
+                             static_cast<NodeId>(5 + rng.Below(70000)),
+                             static_cast<NodeId>(rng.Below(2000)),
+                             static_cast<NodeId>(rng.Below(3))};
+      table.Append(row);
+    }
+    // Projections: identity, reordered, repeated, narrow with many
+    // duplicates, and one of no columns.
+    const std::vector<std::vector<size_t>> projections = {
+        {0, 1, 2, 3}, {3, 2, 1}, {2, 2, 0}, {3, 2}, {3}, {}};
+    for (const std::vector<size_t>& cols : projections) {
+      const Rows want = SortedProjection(table, cols);
+      for (size_t threads : {1, 2, 3, 4, 8}) {
+        ParallelOptions parallel;
+        parallel.num_threads = threads;
+        const RowTable got = SortUniqueProjection(table, cols, parallel);
+        ASSERT_EQ(got.arity(), cols.size());
+        ASSERT_EQ(got.size(), want.size())
+            << "rows " << n << " threads " << threads;
+        ASSERT_EQ(Rows(got), want) << "rows " << n << " threads " << threads;
+        ASSERT_EQ(got.data().size(), want.size() * cols.size());
+      }
+    }
+  }
+}
+
+TEST(RowTable, SortProjectionOfConstantAndDuplicateRows) {
+  constexpr size_t g = RowTable::kParallelGrain;
+  for (size_t n : {size_t{1}, size_t{5}, 3 * g}) {
+    // Column 0 constant, column 1 constant, column 2 in {0, 1}: at most
+    // two distinct rows, every pass skipped but the last column's.
+    RowTable table(3);
+    for (size_t r = 0; r < n; ++r) {
+      const NodeId row[3] = {7, 4294967295u, static_cast<NodeId>(r % 2)};
+      table.Append(row);
+    }
+    for (const std::vector<size_t>& cols :
+         std::vector<std::vector<size_t>>{{0, 1, 2}, {1, 0}, {2, 0}, {0}}) {
+      const Rows want = SortedProjection(table, cols);
+      for (size_t threads : {1, 4}) {
+        ParallelOptions parallel;
+        parallel.num_threads = threads;
+        EXPECT_EQ(Rows(SortUniqueProjection(table, cols, parallel)), want)
+            << "rows " << n << " threads " << threads;
+      }
+    }
+  }
+  // Zero-arity input rows: one row of no columns iff there are any.
+  RowTable empty_rows(0);
+  for (int i = 0; i < 3; ++i) empty_rows.NewRow();
+  ParallelOptions parallel;
+  parallel.num_threads = 4;
+  const RowTable one = SortUniqueProjection(empty_rows, {}, parallel);
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.arity(), 0u);
+  EXPECT_EQ(SortUniqueProjection(RowTable(0), {}, parallel).size(), 0u);
 }
 
 /// An EdgeScan leaf for hand-built join plans.
@@ -799,11 +926,12 @@ LogicalOpPtr JoinOf(LogicalOpPtr left, LogicalOpPtr right) {
   return op;
 }
 
-/// The documented join output, by nested loops: the smaller side (the
-/// left on a tie) builds; probe rows in order, each followed by its
-/// matching build rows ascending. A cross product (no shared column)
-/// runs left rows outside, right rows inside. `probe_hits` receives
-/// each probe row's match count, in probe order.
+/// The documented join output: the smaller side (the left on a tie)
+/// builds; probe rows in order, each followed by its matching build
+/// rows ascending (found through an ordered map of the build rows by
+/// key). A cross product (no shared column) runs left rows outside,
+/// right rows inside. `probe_hits` receives each probe row's match
+/// count, in probe order.
 Rows ReferenceJoin(const RowSet& left, const RowSet& right,
                    std::vector<uint64_t>* probe_hits = nullptr) {
   std::vector<std::pair<size_t, size_t>> keys;
@@ -822,15 +950,27 @@ Rows ReferenceJoin(const RowSet& left, const RowSet& right,
   const bool build_left = !keys.empty() && l.size() <= r.size();
   const Rows& build = build_left ? l : r;
   const Rows& probe = build_left ? r : l;
+  // The key of a build (or probe) row, as its left and right columns.
+  auto key_of = [&](const std::vector<NodeId>& row, bool left_side) {
+    std::vector<NodeId> key;
+    for (const auto& [i, j] : keys) key.push_back(row[left_side ? i : j]);
+    return key;
+  };
+  std::map<std::vector<NodeId>, std::vector<size_t>> by_key;
+  for (size_t b = 0; b < build.size(); ++b) {
+    by_key[key_of(build[b], build_left)].push_back(b);
+  }
   Rows out;
   for (const auto& p : probe) {
     uint64_t hits = 0;
-    for (const auto& b : build) {
-      const auto& lrow = build_left ? b : p;
-      const auto& rrow = build_left ? p : b;
-      bool match = true;
-      for (const auto& [i, j] : keys) match = match && lrow[i] == rrow[j];
-      if (!match) continue;
+    const auto it = by_key.find(key_of(p, !build_left));
+    if (it == by_key.end()) {
+      if (probe_hits != nullptr) probe_hits->push_back(0);
+      continue;
+    }
+    for (size_t b : it->second) {
+      const auto& lrow = build_left ? build[b] : p;
+      const auto& rrow = build_left ? p : build[b];
       ++hits;
       std::vector<NodeId> row = lrow;
       for (size_t j : extra) row.push_back(rrow[j]);
@@ -987,6 +1127,90 @@ TEST(FlatJoin, ProbeHitsFlushEqualsPerRowRecording) {
   EXPECT_EQ(traced->sum, want_traced->sum);
   EXPECT_EQ(traced->min, want_traced->min);
   EXPECT_EQ(traced->max, want_traced->max);
+}
+
+TEST(FlatJoin, ChunkedProbeEqualsTheOneThreadOrderRowForRow) {
+  // The b side (~6 * kParallelGrain edges) probes the smaller a side's
+  // index across several chunks; a few hub targets of a take most b
+  // sources, so some buckets are large and most probe rows find none.
+  constexpr size_t n = 4000;
+  LabeledGraph g;
+  for (size_t i = 0; i < n; ++i) g.AddNode("n");
+  Rng rng(31);
+  for (int i = 0; i < 6000; ++i) {
+    const NodeId to = rng.Below(20) == 0 ? rng.Below(5) : rng.Below(n);
+    ASSERT_TRUE(g.AddEdge(rng.Below(n), to, "a").ok());
+  }
+  for (size_t i = 0; i < 6 * RowTable::kParallelGrain; ++i) {
+    const NodeId from = rng.Below(50) == 0 ? rng.Below(5) : rng.Below(n);
+    ASSERT_TRUE(g.AddEdge(from, rng.Below(n), "b").ok());
+  }
+  LabeledGraphView view(g);
+  ASSERT_FALSE(view.csr().label_spans_sorted());
+  for (bool swap : {false, true}) {
+    LogicalOpPtr a = ScanOf("x", "y", "a");
+    LogicalOpPtr b = ScanOf("y", "z", "b");
+    LogicalOpPtr join = swap ? JoinOf(b, a) : JoinOf(a, b);
+    std::vector<uint64_t> hits;
+    const Rows want = ReferenceJoin(*ExecutePlan(view, *join->children[0]),
+                                    *ExecutePlan(view, *join->children[1]),
+                                    &hits);
+    ASSERT_GT(hits.size(), 4 * RowTable::kParallelGrain);
+    ASSERT_GT(want.size(), hits.size());
+    for (size_t threads : {1, 2, 3, 4, 8}) {
+      ExecOptions options;
+      options.parallel.num_threads = threads;
+      obs::Registry::SetEnabled(true);
+      obs::Registry::Get().Reset();
+      Result<RowSet> got = ExecutePlan(view, *join, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_EQ(Rows(got->rows), want) << "threads " << threads;
+      if (!obs::kCompiledIn) continue;
+      // One probe_hits record per probe row, whatever the chunking.
+      const obs::Histogram* flushed =
+          obs::Registry::Get().FindHistogram("plan.join.probe_hits");
+      ASSERT_NE(flushed, nullptr);
+      EXPECT_EQ(flushed->Count(), hits.size());
+      EXPECT_EQ(flushed->Sum(), want.size());
+    }
+  }
+  // A cross product whose left side spans several chunks.
+  LogicalOpPtr cross = JoinOf(ScanOf("x", "y", "b"), ScanOf("u", "u", "a"));
+  const Rows want = ReferenceJoin(*ExecutePlan(view, *cross->children[0]),
+                                  *ExecutePlan(view, *cross->children[1]));
+  ExecOptions options;
+  options.parallel.num_threads = 4;
+  EXPECT_EQ(Rows((*ExecutePlan(view, *cross, options)).rows), want);
+}
+
+TEST(OrderedPipeline, ProjectOverAPathAtomEqualsTheSortedRelation) {
+  Rng rng(12);
+  LabeledGraph g = ErdosRenyi(300, 900, {"n"}, {"a", "b"}, &rng);
+  LabeledGraphView view(g);
+  // Projections that are and are not an order prefix of the atom's
+  // (x, y) rows, a LIMIT, and the diagonal.
+  for (const char* text :
+       {"q(x, y) :- (x) -[ (a + b)* ]-> (y)",
+        "q(y, x) :- (x) -[ a/b* ]-> (y)", "q(x) :- (x) -[ a/(b + a) ]-> (y)",
+        "q(y) :- (x) -[ a/(b + a) ]-> (y)",
+        "q(x, y) :- (x) -[ a/b* ]-> (y) LIMIT 7",
+        "q(x) :- (x) -[ (a/b)* / a ]-> (x)"}) {
+    const Crpq q = *ParseCrpq(text);
+    const LogicalOpPtr plan = *PlanQuery(
+        *CompileCrpq(q), GraphStats::From(&view, &view.csr()));
+    ASSERT_EQ(plan->kind, LogicalKind::kProject) << text;
+    ASSERT_EQ(plan->children[0]->kind, LogicalKind::kPathAtom)
+        << text << "\n" << ExplainPlan(*plan);
+    const Rows want = Rows((*EvalCrpqReference(view, q)).rows);
+    ASSERT_FALSE(want.empty()) << text;
+    for (size_t threads : {1, 4}) {
+      ExecOptions options;
+      options.parallel.num_threads = threads;
+      Result<RowSet> got = ExecutePlan(view, *plan, options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(Rows(got->rows), want) << text << " threads " << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
